@@ -46,6 +46,8 @@ CSV_COLUMNS = [
     "verdict",
 ]
 
+SERIES_COLUMNS = ["n", "f", "dim", "symbolic_gens"]
+
 
 @dataclass(frozen=True)
 class VerifyRecord:
@@ -214,13 +216,32 @@ def _record_cells(r: VerifyRecord) -> dict[str, str]:
     }
 
 
-def render_verify_csv(records: Sequence[VerifyRecord]) -> str:
+def _render_table(columns: Sequence[str], rows: Sequence[dict[str, str]]) -> str:
+    """Left-aligned columns two spaces apart, under a header and a rule."""
+    table = [[row[col] for col in columns] for row in rows]
+    # the header alone sets the widths when there are no rows
+    widths = [
+        max([len(col)] + [len(cells[i]) for cells in table]) for i, col in enumerate(columns)
+    ]
+    lines = [
+        "  ".join(col.ljust(w) for col, w in zip(columns, widths)).rstrip(),
+        "  ".join("-" * w for w in widths),
+    ]
+    for cells in table:
+        lines.append("  ".join(cell.ljust(w) for cell, w in zip(cells, widths)).rstrip())
+    return "\n".join(lines) + "\n"
+
+
+def _render_csv(columns: Sequence[str], rows: Sequence[dict[str, str]]) -> str:
     out = io.StringIO()
-    writer = csv.DictWriter(out, fieldnames=CSV_COLUMNS, lineterminator="\n")
+    writer = csv.DictWriter(out, fieldnames=columns, lineterminator="\n")
     writer.writeheader()
-    for r in records:
-        writer.writerow(_record_cells(r))
+    writer.writerows(rows)
     return out.getvalue()
+
+
+def render_verify_csv(records: Sequence[VerifyRecord]) -> str:
+    return _render_csv(CSV_COLUMNS, [_record_cells(r) for r in records])
 
 
 def render_verify_json(records: Sequence[VerifyRecord]) -> str:
@@ -229,18 +250,7 @@ def render_verify_json(records: Sequence[VerifyRecord]) -> str:
 
 
 def render_verify_table(records: Sequence[VerifyRecord]) -> str:
-    rows = [[cells[col] for col in CSV_COLUMNS] for cells in map(_record_cells, records)]
-    widths = [
-        max(len(CSV_COLUMNS[i]), *(len(row[i]) for row in rows)) if rows else len(CSV_COLUMNS[i])
-        for i in range(len(CSV_COLUMNS))
-    ]
-    lines = [
-        "  ".join(col.ljust(w) for col, w in zip(CSV_COLUMNS, widths)).rstrip(),
-        "  ".join("-" * w for w in widths),
-    ]
-    for row in rows:
-        lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
-    return "\n".join(lines) + "\n"
+    return _render_table(CSV_COLUMNS, [_record_cells(r) for r in records])
 
 
 def render_series_rows(samples: Sequence[SeriesSample]) -> list[dict[str, str]]:
@@ -256,29 +266,11 @@ def render_series_rows(samples: Sequence[SeriesSample]) -> list[dict[str, str]]:
 
 
 def render_series_table(samples: Sequence[SeriesSample]) -> str:
-    header = ["n", "f", "dim", "symbolic_gens"]
-    rows = [[r[h] for h in header] for r in render_series_rows(samples)]
-    widths = [
-        max(len(header[i]), *(len(row[i]) for row in rows)) for i in range(len(header))
-    ]
-    lines = [
-        "  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip(),
-        "  ".join("-" * w for w in widths),
-    ]
-    for row in rows:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
-    return "\n".join(lines) + "\n"
+    return _render_table(SERIES_COLUMNS, render_series_rows(samples))
 
 
 def render_series_csv(samples: Sequence[SeriesSample]) -> str:
-    out = io.StringIO()
-    writer = csv.DictWriter(
-        out, fieldnames=["n", "f", "dim", "symbolic_gens"], lineterminator="\n"
-    )
-    writer.writeheader()
-    for row in render_series_rows(samples):
-        writer.writerow(row)
-    return out.getvalue()
+    return _render_csv(SERIES_COLUMNS, render_series_rows(samples))
 
 
 def render_series_json(samples: Sequence[SeriesSample]) -> str:

@@ -2,19 +2,19 @@
 
 For a monomial ideal I in d variables the Hilbert series of A/I is written
 over the full ambient denominator, H(z) = K(z)/(1-z)^d with K an integer
-polynomial.  K is computed by pivot splitting: for a variable x lying in at
-least two generator supports,
+polynomial.  K is computed by Bigatti's pivot splitting: for a variable x
+lying in at least two generator supports and a pivot x^k not in I,
 
-    K(A/I) = K(A/(I + (x))) + z * K(A/(I : x)),
+    K(A/I) = K(A/(I + (x^k))) + z^k * K(A/(I : x^k)),
 
-with the complete-intersection product formula as the base case.  Numerators
-are memoized by canonical generator list; the memo is a plain dict written
-under the GIL with deterministic values, so concurrent recomputation is
-harmless (last write wins).
+with the complete-intersection product formula as the base case.  Taking k
+as the median exponent of x halves the generators that contain x on each
+side, so the recursion depth depends on the number of generators, not on the
+exponents.  Numerators of intermediate ideals are memoized by canonical
+generator list in a dict local to one ``numerator_of_quotient`` call.
 """
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from math import comb
 from typing import Iterator, Optional
@@ -102,7 +102,6 @@ class IntPolynomial:
         return IntPolynomial(quotient)
 
 
-_ZERO = IntPolynomial()
 _ONE = IntPolynomial((1,))
 
 
@@ -123,38 +122,36 @@ class HilbertData:
 # Numerator recursion
 # ---------------------------------------------------------------------------
 
-_NUMERATOR_CACHE: dict[tuple[Exponents, ...], IntPolynomial] = {}
+def _pick_pivot(exps: tuple[Exponents, ...], d: int) -> tuple[int, int]:
+    """Pivot x_i^k to split on, or (-1, 0) when supports are pairwise disjoint.
 
-
-def _pick_pivot(exps: tuple[Exponents, ...], d: int, rule: str) -> int:
-    """Variable index to split on, or -1 when supports are pairwise disjoint."""
+    x_i lies in the most generators (the first such variable on ties) and k
+    is the lower median of its positive exponents.  A pure power x_i^j in I
+    is the only generator with x_i exponent >= j, so k < j: x_i^k is never in
+    I, and both branches of the split are strictly larger ideals.
+    """
     counts = [0] * d
     for g in exps:
         for i, e in enumerate(g):
             if e > 0:
                 counts[i] += 1
-    if rule == "most-shared":
-        best = max(range(d), key=lambda i: counts[i])
-        return best if counts[best] >= 2 else -1
-    if rule == "first-shared":
-        for i in range(d):
-            if counts[i] >= 2:
-                return i
-        return -1
-    raise ValueError(f"unknown pivot rule: {rule}")
+    best = max(range(d), key=lambda i: counts[i])
+    if counts[best] < 2:
+        return (-1, 0)
+    powers = sorted(g[best] for g in exps if g[best] > 0)
+    return (best, powers[(len(powers) - 1) // 2])
 
 
 def _numerator(
     exps: tuple[Exponents, ...],
     d: int,
-    cache: dict[tuple[Exponents, ...], IntPolynomial],
-    rule: str,
+    memo: dict[tuple[Exponents, ...], IntPolynomial],
 ) -> IntPolynomial:
-    hit = cache.get(exps)
+    hit = memo.get(exps)
     if hit is not None:
         return hit
 
-    pivot = _pick_pivot(exps, d, rule)
+    pivot, k = _pick_pivot(exps, d)
     if pivot < 0:
         # pairwise disjoint supports: complete intersection, K = prod(1 - z^deg)
         result = _ONE
@@ -165,45 +162,25 @@ def _numerator(
             factor[deg] -= 1
             result = result * IntPolynomial(factor)
     else:
-        x_vec = tuple(1 if i == pivot else 0 for i in range(d))
-        plus_x = tuple(
-            sorted(
-                [g for g in exps if g[pivot] == 0] + [x_vec],
-                key=lambda t: (sum(t), tuple(-e for e in t)),
-            )
-        )
+        x_k = tuple(k if i == pivot else 0 for i in range(d))
+        plus_x = tuple(_minimal_tuples(exps + (x_k,)))
         colon_x = tuple(
             _minimal_tuples(
-                tuple(e - 1 if i == pivot else e for i, e in enumerate(g))
-                if g[pivot] > 0
-                else g
-                for g in exps
+                g[:pivot] + (max(g[pivot] - k, 0),) + g[pivot + 1 :] for g in exps
             )
         )
-        result = _numerator(plus_x, d, cache, rule) + _numerator(
-            colon_x, d, cache, rule
-        ).shift(1)
+        result = _numerator(plus_x, d, memo) + _numerator(colon_x, d, memo).shift(k)
 
-    cache[exps] = result
+    memo[exps] = result
     return result
 
 
-def numerator_of_quotient(
-    ideal: MonomialIdeal,
-    *,
-    cache: Optional[dict] = None,
-    pivot_rule: str = "most-shared",
-) -> IntPolynomial:
+def numerator_of_quotient(ideal: MonomialIdeal) -> IntPolynomial:
     """Numerator K with H_{A/I}(z) = K(z)/(1-z)^d over the ambient d.
 
-    ``cache`` defaults to a process-wide memo shared across sweeps; pass a
-    fresh dict to isolate a computation (tests use this to compare pivot
-    strategies on genuinely independent runs).
+    Intermediate numerators are memoized for the duration of this call only.
     """
-    if sys.getrecursionlimit() < 10000:
-        sys.setrecursionlimit(10000)
-    memo = _NUMERATOR_CACHE if cache is None else cache
-    return _numerator(ideal._exps, ideal.ring.var_count, memo, pivot_rule)
+    return _numerator(ideal._exps, ideal.ring.var_count, {})
 
 
 def dim_and_mult(numerator: IntPolynomial, ambient_d: int) -> tuple[Optional[int], int]:

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from satpow import Monomial, MonomialIdeal, RingContext, minimalize
+from satpow import IntPolynomial, Monomial, MonomialIdeal, RingContext, minimalize
 
 
 @pytest.fixture
@@ -53,3 +53,42 @@ def random_ideal(
         for _ in range(n_gens)
     ]
     return minimalize(gens, ring)
+
+
+def reference_numerator(ideal: MonomialIdeal) -> IntPolynomial:
+    """Hilbert numerator K(A/I) by the degree-1 pivot recursion.
+
+    Splits on the first variable x lying in two or more generator supports,
+    K(A/I) = K(A/(I + (x))) + z * K(A/(I : x)), down to complete
+    intersections.  Independent of the library's pivot and minimalization.
+    """
+    d = ideal.ring.var_count
+    memo: dict[tuple[tuple[int, ...], ...], IntPolynomial] = {}
+
+    def minimal(cands) -> tuple[tuple[int, ...], ...]:
+        cands = set(cands)
+        return tuple(
+            sorted(g for g in cands if not member([h for h in cands if h != g], g))
+        )
+
+    def numerator(gens: tuple[tuple[int, ...], ...]) -> IntPolynomial:
+        if gens in memo:
+            return memo[gens]
+        shared = [i for i in range(d) if sum(1 for g in gens if g[i] > 0) >= 2]
+        if not shared:
+            result = IntPolynomial([1])
+            for g in gens:
+                factor = [0] * (sum(g) + 1)
+                factor[0] = 1
+                factor[-1] -= 1
+                result = result * IntPolynomial(factor)
+        else:
+            x = shared[0]
+            unit = tuple(1 if i == x else 0 for i in range(d))
+            plus = minimal([g for g in gens if g[x] == 0] + [unit])
+            colon = minimal(g[:x] + (max(g[x] - 1, 0),) + g[x + 1 :] for g in gens)
+            result = numerator(plus) + numerator(colon).shift(1)
+        memo[gens] = result
+        return result
+
+    return numerator(minimal(g.exponents for g in ideal.gens))

@@ -14,6 +14,7 @@ from satpow.harness import (
     VERDICT_INSUFFICIENT,
     VerifyRecord,
     exit_code_for,
+    render_series_table,
     render_verify_csv,
     render_verify_json,
     render_verify_table,
@@ -154,6 +155,10 @@ class TestRendering:
         assert render_verify_csv(records) == render_verify_csv(again)
         assert render_verify_json(records) == render_verify_json(again)
         assert render_verify_table(records) == render_verify_table(again)
+
+    def test_tables_without_rows_keep_the_header(self):
+        assert render_verify_table([]).splitlines()[0].split() == CSV_COLUMNS
+        assert render_series_table([]) == "n  f  dim  symbolic_gens\n-  -  ---  -------------\n"
 
 
 class TestCli:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 
@@ -8,6 +9,7 @@ from satpow import (
     InconsistencyError,
     IntPolynomial,
     MonomialIdeal,
+    RingContext,
     dim_and_mult,
     dim_quotient,
     expand_numerator,
@@ -17,7 +19,7 @@ from satpow import (
 )
 from satpow.hilbert import _numerator
 
-from conftest import M, ideal, monomials_up_to, random_ideal
+from conftest import M, ideal, monomials_up_to, random_ideal, reference_numerator
 
 
 class TestIntPolynomial:
@@ -70,26 +72,29 @@ class TestNumerator:
             k = numerator_of_quotient(i)
             assert expand_numerator(k, 3, 10) == hilbert_function_oracle(i, 10)
 
-    def test_pivot_rules_agree_on_fresh_caches(self, ring3):
+    def test_matches_degree_one_oracle(self):
+        # the library's x^k pivot against the test-local degree-1 recursion
         rng = random.Random(43)
-        for _ in range(15):
-            i = random_ideal(rng, ring3)
-            a = numerator_of_quotient(i, cache={}, pivot_rule="most-shared")
-            b = numerator_of_quotient(i, cache={}, pivot_rule="first-shared")
-            assert a == b
+        for d in (2, 3, 4):
+            ring = RingContext(("x", "y", "z", "w")[:d])
+            for max_exp in (4, 9):
+                for _ in range(10):
+                    i = random_ideal(rng, ring, max_exp=max_exp)
+                    assert numerator_of_quotient(i) == reference_numerator(i)
 
     def test_splitting_identity_at_top_level(self, ring3):
-        # K(A/I) = K(A/(I + (x))) + z K(A/(I : x)) for every variable x
+        # K(A/I) = K(A/(I + (x^k))) + z^k K(A/(I : x^k)) for every variable x
         rng = random.Random(47)
         for _ in range(10):
             i = random_ideal(rng, ring3)
-            k = numerator_of_quotient(i)
+            num = numerator_of_quotient(i)
             for v in range(3):
-                x = M(*(1 if j == v else 0 for j in range(3)))
-                plus = MonomialIdeal.from_monomials(i.ring, list(i.gens) + [x])
-                colon = i.colon_monomial(x)
-                combined = numerator_of_quotient(plus) + numerator_of_quotient(colon).shift(1)
-                assert combined == k
+                for k in (1, 2, 3):
+                    x_k = M(*(k if j == v else 0 for j in range(3)))
+                    plus = MonomialIdeal.from_monomials(i.ring, list(i.gens) + [x_k])
+                    colon = i.colon_monomial(x_k)
+                    combined = numerator_of_quotient(plus) + numerator_of_quotient(colon).shift(k)
+                    assert combined == num
 
     def test_dim_matches_minimal_primes(self, ring3):
         rng = random.Random(53)
@@ -176,15 +181,26 @@ class TestEnumerationOracle:
             hilbert_function_oracle(i, -1)
 
 
-def test_memo_is_shared_and_consistent(ring3):
-    # two sweeps over the same ideal reuse the process-wide memo
+def test_numerator_is_deterministic(ring3):
+    # no state outlives a call, so an unrelated call in between changes nothing
     tri = ideal(ring3, (1, 1, 0), (0, 1, 1), (1, 0, 1))
     first = numerator_of_quotient(tri.power(3))
-    second = numerator_of_quotient(tri.power(3))
-    assert first == second
+    numerator_of_quotient(tri.power(2))
+    assert numerator_of_quotient(tri.power(3)) == first == reference_numerator(tri.power(3))
 
 
 def test_internal_recursion_matches_public(ring3):
     tri = ideal(ring3, (1, 1, 0), (0, 1, 1), (1, 0, 1))
-    fresh: dict = {}
-    assert _numerator(tri._exps, 3, fresh, "most-shared") == numerator_of_quotient(tri)
+    assert _numerator(tri._exps, 3, {}) == numerator_of_quotient(tri)
+
+
+def test_high_exponents_keep_the_recursion_limit(ring3):
+    # a degree-1 pivot recurses about e deep here; the x^k pivot splits once
+    e = 12000
+    limit = sys.getrecursionlimit()
+    num = numerator_of_quotient(ideal(ring3, (e, e, 0), (0, e, e), (e, 0, e)))
+    expected = [0] * (3 * e + 1)
+    expected[0], expected[2 * e], expected[3 * e] = 1, -3, 2
+    assert num == IntPolynomial(expected)
+    assert dim_and_mult(num, 3) == (1, 3 * e * e)
+    assert sys.getrecursionlimit() == limit
