@@ -3,15 +3,23 @@
 Monomials are exponent vectors over a fixed ambient polynomial ring; no
 coefficient field is ever materialized.  Ideals carry their canonical
 minimal generating set (an antichain under divisibility, sorted in a fixed
-total order), so ideal equality is generator-list equality.
+total order), so ideal equality is generator-list equality.  An ideal stores
+that set as exponent tuples; ``Monomial`` objects are built only when
+``gens`` is first read.
+
+Every kernel packs the exponent vectors it works on into Python ints (see
+:class:`Packing`), with a field width taken from the largest exponent that
+one call can produce, and unpacks only its result.  The Hilbert recursion
+packs once per numerator and memoizes on tuples of these ints.
 
 All values are immutable after construction and safe to share across
 threads; no operation mutates its inputs.
 """
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import RingMismatchError, ZeroIdealError
 
@@ -77,46 +85,174 @@ def divides(a: Monomial, b: Monomial) -> bool:
         raise RingMismatchError(
             f"monomials live in different rings ({len(a.exponents)} vs {len(b.exponents)} variables)"
         )
-    return _divides(a.exponents, b.exponents)
+    pk = Packing(len(a.exponents), _max_exponent((a.exponents, b.exponents)))
+    return pk.divides_any([pk.pack(a.exponents)], pk.pack(b.exponents))
 
 
 # ---------------------------------------------------------------------------
-# Internal tuple-level kernels (hot paths avoid Monomial wrappers)
+# The packed kernel
 # ---------------------------------------------------------------------------
 
-def _divides(a: Exponents, b: Exponents) -> bool:
-    for x, y in zip(a, b):
-        if x > y:
-            return False
-    return True
+def _max_exponent(exps: Iterable[Exponents]) -> int:
+    return max(map(max, exps), default=0)
 
 
-def _sort_key(t: Exponents) -> tuple[int, Exponents]:
-    # Canonical total order: degree first, then lexicographic with the
-    # leading variable largest, so equal-degree blocks read x^2, x*y, y^2.
-    return (sum(t), tuple(-e for e in t))
+class Packing:
+    """Exponent vectors in d variables packed into ints, for one computation.
 
+    ``pack(e)`` lays out e_0 .. e_{d-1} in d fields of ``width`` bits, e_0
+    highest, and the degree in one more field above them.  Each field is a
+    guard bit over ``width - 1`` value bits, and the width is chosen so that
+    d times ``max_exp`` fits the value bits.  So every exponent up to
+    ``max_exp``, the degree, and any partial sum of fields stays below its
+    guard bit, and with G the guard bits of all fields:
 
-def _minimal_tuples(cands: Iterable[Exponents]) -> list[Exponents]:
-    """Antichain of divisibility-minimal elements, canonically sorted."""
-    ordered = sorted(set(cands), key=_sort_key)
-    kept: list[Exponents] = []
-    kept_degs: list[int] = []
-    for t in ordered:
-        deg = sum(t)
-        dominated = False
-        for kd, k in zip(kept_degs, kept):
-            if kd >= deg:
-                # later candidates have degree >= kd; an equal-degree divisor
-                # would be equal, and duplicates are already removed
-                break
-            if _divides(k, t):
-                dominated = True
-                break
-        if not dominated:
-            kept.append(t)
-            kept_degs.append(deg)
-    return kept
+    * a divides b iff ``((b | G) - a) & G == G`` (no field borrows from the
+      next, and b_i >= a_i iff field i keeps its guard bit);
+    * the product of a and b is ``a + b``, degree included;
+    * sorting by ``p ^ low`` gives the canonical order: degree first, then
+      lex with the leading variable largest (x^2, x*y, y^2).
+
+    ``max_exp`` must bound every exponent the computation produces.
+    """
+
+    __slots__ = ("width", "shifts", "top", "value", "low", "guard", "_exp_guard", "_ones", "_degree")
+
+    def __init__(self, d: int, max_exp: int):
+        w = (d * max_exp).bit_length() + 1
+        self.width = w
+        self.shifts = tuple(w * i for i in reversed(range(d)))
+        self.top = w * d  # shift of the degree field
+        self.value = (1 << (w - 1)) - 1
+        self.low = (1 << self.top) - 1
+        self._exp_guard = sum(1 << (s + w - 1) for s in self.shifts)
+        self.guard = self._exp_guard | 1 << (self.top + w - 1)
+        # (p * _ones) & _degree is the sum of p's exponent fields, in the degree field
+        self._ones = sum(1 << (w * i) for i in range(1, d + 1))
+        self._degree = ((1 << w) - 1) << self.top
+
+    @classmethod
+    def of(cls, ideal: "MonomialIdeal", max_exp: int = 0) -> tuple["Packing", tuple[int, ...]]:
+        """A packing for ``ideal`` and its generators packed, in canonical order.
+
+        The width holds ``max_exp`` and every exponent of ``ideal``; adding a
+        pure power no higher than that, and colons by monomials, keep within it.
+        """
+        pk = cls(ideal.ring.var_count, max(max_exp, _max_exponent(ideal._exps)))
+        return pk, tuple(map(pk.pack, ideal._exps))
+
+    # -- conversion -----------------------------------------------------------
+
+    def pack(self, exps: Exponents) -> int:
+        p = 0
+        for e in exps:
+            p = p << self.width | e
+        return p | sum(exps) << self.top
+
+    def unpack(self, p: int) -> Exponents:
+        return tuple(p >> s & self.value for s in self.shifts)
+
+    def degree(self, p: int) -> int:
+        return p >> self.top
+
+    def _with_degree(self, fields: int) -> int:
+        """``fields`` (exponent fields only) with its degree field filled in."""
+        return fields | fields * self._ones & self._degree
+
+    def _excess(self, a: int, b: int) -> int:
+        """Per exponent field, a_i - b_i where that is positive, else 0; no degree."""
+        diff = (a | self._exp_guard) - b
+        ge = diff & self._exp_guard  # guard bits of the fields with a_i >= b_i
+        return diff & (ge - (ge >> (self.width - 1)))
+
+    # -- predicates and the antichain filter ----------------------------------
+
+    def divides_any(self, gens: Iterable[int], p: int) -> bool:
+        """True iff some element of ``gens`` divides ``p``."""
+        G = self.guard
+        return G in map(G.__and__, map((p | G).__sub__, gens))
+
+    def minimal(self, cands: Iterable[int]) -> list[int]:
+        """Antichain of divisibility-minimal elements, canonically sorted."""
+        kept: list[int] = []  # minimal elements of lower degree than the current one
+        block: list[int] = []  # minimal elements of the current degree
+        degree = -1
+        for t in sorted(set(cands), key=self.low.__xor__):
+            if t >> self.top != degree:
+                # an equal-degree divisor would be equal, and duplicates are gone
+                degree = t >> self.top
+                kept += block
+                block = []
+            if not self.divides_any(kept, t):
+                block.append(t)
+        return kept + block
+
+    # -- candidate generators --------------------------------------------------
+
+    def intersection(self, gens_a: Sequence[int], gens_b: Sequence[int]) -> list[int]:
+        """Candidate generators of the intersection of two canonical ideals.
+
+        A generator of one ideal that lies in the other is a minimal generator
+        of the intersection, and its lcm with anything is a multiple of it;
+        the other candidates are the lcms of the remaining pairs, made per
+        field as b_i plus the excess of a_i over b_i.
+        """
+        cands: list[int] = []
+        out_a: list[int] = []
+        out_b: list[int] = []
+        for gens, others, out in ((gens_a, gens_b, out_a), (gens_b, gens_a, out_b)):
+            for g in gens:
+                (cands if self.divides_any(others, g) else out).append(g)
+        for a in out_a:
+            for b in out_b:
+                cands.append(b + self._with_degree(self._excess(a, b)))
+        return cands
+
+    def colons(self, gens: Iterable[int], m: int) -> Iterator[int]:
+        """g / gcd(g, m) for every g in ``gens``."""
+        return (self._with_degree(self._excess(g, m)) for g in gens)
+
+    def drop_support(self, gens: Iterable[int], m: int) -> Iterator[int]:
+        """Every g with the exponents on the support of ``m`` set to 0."""
+        keep = 0
+        for s in self.shifts:
+            if m >> s & self.value == 0:
+                keep |= self.value << s
+        return map(self._with_degree, map(keep.__and__, gens))
+
+    # -- helpers of the Hilbert recursion --------------------------------------
+
+    def support_counts(self, gens: Sequence[int]) -> list[int]:
+        """For each variable, the number of elements of ``gens`` with a positive exponent in it."""
+        return [
+            len(gens) - list(map((self.value << s).__and__, gens)).count(0)
+            for s in self.shifts
+        ]
+
+    def exponents(self, gens: Iterable[int], i: int) -> list[int]:
+        """The exponent of variable ``i`` in each element of ``gens``."""
+        s = self.shifts[i]
+        return [g >> s & self.value for g in gens]
+
+    def plus_power(self, gens: tuple[int, ...], i: int, k: int) -> tuple[int, ...]:
+        """Canonical generators of I + (x_i^k), for I canonically generated by ``gens``."""
+        power = k << self.shifts[i] | k << self.top
+        if self.divides_any(gens, power):
+            return gens
+        mask, bound = self.value << self.shifts[i], k << self.shifts[i]
+        out = [g for g in gens if g & mask < bound]
+        insort(out, power, key=self.low.__xor__)
+        return tuple(out)
+
+    def colon_power(self, gens: Iterable[int], i: int, k: int) -> tuple[int, ...]:
+        """Canonical generators of I : x_i^k."""
+        s = self.shifts[i]
+        mask, bound = self.value << s, k << s
+        out = []
+        for g in gens:
+            cut = min(g & mask, bound)
+            out.append(g - cut - (cut >> s << self.top))
+        return tuple(self.minimal(out))
 
 
 # ---------------------------------------------------------------------------
@@ -131,20 +267,25 @@ class MonomialIdeal:
     no generators; the unit ideal has the single all-zero generator.
     """
 
-    __slots__ = ("ring", "gens", "_exps")
+    __slots__ = ("ring", "_exps", "_gens")
 
     def __init__(self, ring: RingContext, gens: Sequence[Monomial]):
         self.ring = ring
-        self.gens: tuple[Monomial, ...] = tuple(gens)
-        self._exps: tuple[Exponents, ...] = tuple(g.exponents for g in self.gens)
+        self._exps: tuple[Exponents, ...] = tuple(g.exponents for g in gens)
+        self._gens: Optional[tuple[Monomial, ...]] = None
 
     @classmethod
     def from_monomials(cls, ring: RingContext, gens: Iterable[Monomial]) -> "MonomialIdeal":
         return minimalize(list(gens), ring)
 
     @classmethod
-    def _from_tuples(cls, ring: RingContext, exps: Iterable[Exponents]) -> "MonomialIdeal":
-        return cls(ring, [Monomial(t) for t in exps])
+    def _from_packed(cls, ring: RingContext, pk: Packing, cands: Iterable[int]) -> "MonomialIdeal":
+        """The ideal generated by the packed ``cands``."""
+        ideal = cls.__new__(cls)
+        ideal.ring = ring
+        ideal._exps = tuple(map(pk.unpack, pk.minimal(cands)))
+        ideal._gens = None
+        return ideal
 
     @classmethod
     def zero(cls, ring: RingContext) -> "MonomialIdeal":
@@ -154,20 +295,27 @@ class MonomialIdeal:
     def unit(cls, ring: RingContext) -> "MonomialIdeal":
         return cls(ring, [Monomial((0,) * ring.var_count)])
 
+    @property
+    def gens(self) -> tuple[Monomial, ...]:
+        """The minimal generators in canonical order."""
+        if self._gens is None:
+            self._gens = tuple(map(Monomial, self._exps))
+        return self._gens
+
     # -- predicates ---------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.gens
+        return not self._exps
 
     def is_unit(self) -> bool:
-        return len(self.gens) == 1 and self.gens[0].degree == 0
+        return len(self._exps) == 1 and not any(self._exps[0])
 
     def is_proper(self) -> bool:
         return not self.is_unit()
 
     def is_equigenerated(self) -> bool:
         """True iff all minimal generators share one total degree."""
-        return len({g.degree for g in self.gens}) <= 1
+        return len(set(map(sum, self._exps))) <= 1
 
     # -- equality and hashing -----------------------------------------------
 
@@ -182,7 +330,7 @@ class MonomialIdeal:
         return hash((self.ring, self._exps))
 
     def __repr__(self) -> str:
-        return f"MonomialIdeal({self.ring.var_names}, {len(self.gens)} gens)"
+        return f"MonomialIdeal({self.ring.var_names}, {len(self._exps)} gens)"
 
     def __iter__(self) -> Iterator[Monomial]:
         return iter(self.gens)
@@ -192,11 +340,8 @@ class MonomialIdeal:
     def contains(self, m: Monomial) -> bool:
         """True iff some minimal generator divides ``m``."""
         self._check_member(m)
-        me = m.exponents
-        for g in self._exps:
-            if _divides(g, me):
-                return True
-        return False
+        pk = Packing(self.ring.var_count, _max_exponent(self._exps + (m.exponents,)))
+        return pk.divides_any(map(pk.pack, self._exps), pk.pack(m.exponents))
 
     def __contains__(self, m: Monomial) -> bool:
         return self.contains(m)
@@ -204,19 +349,19 @@ class MonomialIdeal:
     def contains_ideal(self, other: "MonomialIdeal") -> bool:
         """True iff every generator of ``other`` lies in this ideal."""
         self._check_ring(other)
-        return all(self.contains(g) for g in other.gens)
+        pk = Packing(self.ring.var_count, _max_exponent(self._exps + other._exps))
+        mine = list(map(pk.pack, self._exps))
+        return all(pk.divides_any(mine, pk.pack(t)) for t in other._exps)
 
     # -- arithmetic -----------------------------------------------------------
 
     def multiply(self, other: "MonomialIdeal") -> "MonomialIdeal":
         """Product ideal, minimalized from all pairwise generator products."""
         self._check_ring(other)
-        cands = [
-            tuple(x + y for x, y in zip(a, b))
-            for a in self._exps
-            for b in other._exps
-        ]
-        return MonomialIdeal._from_tuples(self.ring, _minimal_tuples(cands))
+        pk = Packing(self.ring.var_count, _max_exponent(self._exps) + _max_exponent(other._exps))
+        theirs = list(map(pk.pack, other._exps))
+        cands = [c for a in map(pk.pack, self._exps) for c in map(a.__add__, theirs)]
+        return MonomialIdeal._from_packed(self.ring, pk, cands)
 
     def __mul__(self, other: "MonomialIdeal") -> "MonomialIdeal":
         return self.multiply(other)
@@ -240,19 +385,16 @@ class MonomialIdeal:
     def intersect(self, other: "MonomialIdeal") -> "MonomialIdeal":
         """Intersection, minimalized from pairwise lcms of generators."""
         self._check_ring(other)
-        cands = [
-            tuple(x if x > y else y for x, y in zip(a, b))
-            for a in self._exps
-            for b in other._exps
-        ]
-        return MonomialIdeal._from_tuples(self.ring, _minimal_tuples(cands))
+        pk = Packing(self.ring.var_count, _max_exponent(self._exps + other._exps))
+        cands = pk.intersection(list(map(pk.pack, self._exps)), list(map(pk.pack, other._exps)))
+        return MonomialIdeal._from_packed(self.ring, pk, cands)
 
     def colon_monomial(self, m: Monomial) -> "MonomialIdeal":
         """(I : m), generated by u / gcd(u, m) over generators u."""
         self._check_member(m)
-        me = m.exponents
-        cands = [tuple(max(x - y, 0) for x, y in zip(g, me)) for g in self._exps]
-        return MonomialIdeal._from_tuples(self.ring, _minimal_tuples(cands))
+        pk = Packing(self.ring.var_count, _max_exponent(self._exps + (m.exponents,)))
+        cands = pk.colons(map(pk.pack, self._exps), pk.pack(m.exponents))
+        return MonomialIdeal._from_packed(self.ring, pk, cands)
 
     def colon_ideal(self, other: "MonomialIdeal") -> "MonomialIdeal":
         """(I : J) as the intersection of (I : m) over generators m of J."""
@@ -267,12 +409,9 @@ class MonomialIdeal:
     def saturate_monomial(self, m: Monomial) -> "MonomialIdeal":
         """(I : m^inf): zero out generator exponents on the support of ``m``."""
         self._check_member(m)
-        supp = set(m.support)
-        cands = [
-            tuple(0 if i in supp else e for i, e in enumerate(g))
-            for g in self._exps
-        ]
-        return MonomialIdeal._from_tuples(self.ring, _minimal_tuples(cands))
+        pk = Packing(self.ring.var_count, _max_exponent(self._exps + (m.exponents,)))
+        cands = pk.drop_support(map(pk.pack, self._exps), pk.pack(m.exponents))
+        return MonomialIdeal._from_packed(self.ring, pk, cands)
 
     def saturate_ideal(self, other: "MonomialIdeal") -> "MonomialIdeal":
         """(I : J^inf) as the intersection of (I : m^inf) over generators of J."""
@@ -311,4 +450,6 @@ def minimalize(gens: Sequence[Monomial], ring: RingContext) -> MonomialIdeal:
             raise RingMismatchError(
                 f"monomial has {len(g.exponents)} exponents, ring has {d} variables"
             )
-    return MonomialIdeal._from_tuples(ring, _minimal_tuples(g.exponents for g in gens))
+    exps = [g.exponents for g in gens]
+    pk = Packing(d, _max_exponent(exps))
+    return MonomialIdeal._from_packed(ring, pk, map(pk.pack, exps))

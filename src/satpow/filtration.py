@@ -42,12 +42,16 @@ class FiltrationReport:
     violation: Optional[str]
 
 
-def symbolic_power(base: MonomialIdeal, saturator: MonomialIdeal, n: int) -> MonomialIdeal:
-    """(I^n : J^inf); the unit ideal for n = 0."""
+def _check_nonzero(base: MonomialIdeal, saturator: MonomialIdeal) -> None:
     if base.is_zero():
         raise ZeroIdealError("symbolic powers of the zero ideal are not defined here")
     if saturator.is_zero():
         raise ZeroIdealError("saturation by the zero ideal")
+
+
+def symbolic_power(base: MonomialIdeal, saturator: MonomialIdeal, n: int) -> MonomialIdeal:
+    """(I^n : J^inf); the unit ideal for n = 0."""
+    _check_nonzero(base, saturator)
     if n < 0:
         raise ValueError(f"symbolic power wants n >= 0, got {n}")
     if n == 0:
@@ -59,10 +63,7 @@ def sample_series(
     base: MonomialIdeal, saturator: MonomialIdeal, nmax: int
 ) -> list[SeriesSample]:
     """Samples for n = 1..nmax, reusing an incremental ladder of powers."""
-    if base.is_zero():
-        raise ZeroIdealError("symbolic powers of the zero ideal are not defined here")
-    if saturator.is_zero():
-        raise ZeroIdealError("saturation by the zero ideal")
+    _check_nonzero(base, saturator)
     if nmax < 1:
         raise ValueError(f"sample_series wants nmax >= 1, got {nmax}")
     samples = []

@@ -10,16 +10,23 @@ lying in at least two generator supports and a pivot x^k not in I,
 with the complete-intersection product formula as the base case.  Taking k
 as the median exponent of x halves the generators that contain x on each
 side, so the recursion depth depends on the number of generators, not on the
-exponents.  Numerators of intermediate ideals are memoized by canonical
-generator list in a dict local to one ``numerator_of_quotient`` call.
+exponents.
+
+The generators are packed once per ``numerator_of_quotient`` call by
+``core.Packing``; one field width serves the whole recursion, because
+neither I + (x^k) nor I : x^k raises the largest exponent.  Numerators of
+intermediate ideals are memoized in a dict local to that call, keyed by the
+canonical tuple of packed generators.  A quotient of equal ideals is the
+empty module and computes no numerator.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 from math import comb
 from typing import Iterator, Optional
 
-from .core import Exponents, Monomial, MonomialIdeal, _minimal_tuples
+from .core import MonomialIdeal, Packing
 from .errors import InconsistencyError
 
 
@@ -59,15 +66,13 @@ class IntPolynomial:
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
     def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
         return IntPolynomial(
-            [self.coefficient(i) + other.coefficient(i) for i in range(n)]
+            [a + b for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=0)]
         )
 
     def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
         return IntPolynomial(
-            [self.coefficient(i) - other.coefficient(i) for i in range(n)]
+            [a - b for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=0)]
         )
 
     def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
@@ -122,7 +127,7 @@ class HilbertData:
 # Numerator recursion
 # ---------------------------------------------------------------------------
 
-def _pick_pivot(exps: tuple[Exponents, ...], d: int) -> tuple[int, int]:
+def _pick_pivot(gens: tuple[int, ...], pk: Packing) -> tuple[int, int]:
     """Pivot x_i^k to split on, or (-1, 0) when supports are pairwise disjoint.
 
     x_i lies in the most generators (the first such variable on ties) and k
@@ -130,57 +135,46 @@ def _pick_pivot(exps: tuple[Exponents, ...], d: int) -> tuple[int, int]:
     is the only generator with x_i exponent >= j, so k < j: x_i^k is never in
     I, and both branches of the split are strictly larger ideals.
     """
-    counts = [0] * d
-    for g in exps:
-        for i, e in enumerate(g):
-            if e > 0:
-                counts[i] += 1
-    best = max(range(d), key=lambda i: counts[i])
+    counts = pk.support_counts(gens)
+    best = max(range(len(counts)), key=counts.__getitem__)
     if counts[best] < 2:
         return (-1, 0)
-    powers = sorted(g[best] for g in exps if g[best] > 0)
+    powers = sorted(e for e in pk.exponents(gens, best) if e > 0)
     return (best, powers[(len(powers) - 1) // 2])
 
 
 def _numerator(
-    exps: tuple[Exponents, ...],
-    d: int,
-    memo: dict[tuple[Exponents, ...], IntPolynomial],
+    gens: tuple[int, ...],
+    pk: Packing,
+    memo: dict[tuple[int, ...], IntPolynomial],
 ) -> IntPolynomial:
-    hit = memo.get(exps)
+    hit = memo.get(gens)
     if hit is not None:
         return hit
 
-    pivot, k = _pick_pivot(exps, d)
+    pivot, k = _pick_pivot(gens, pk)
     if pivot < 0:
         # pairwise disjoint supports: complete intersection, K = prod(1 - z^deg)
         result = _ONE
-        for g in exps:
-            deg = sum(g)
-            factor = [0] * (deg + 1)
-            factor[0] = 1
-            factor[deg] -= 1
-            result = result * IntPolynomial(factor)
+        for deg in map(pk.degree, gens):
+            result = result - result.shift(deg)
     else:
-        x_k = tuple(k if i == pivot else 0 for i in range(d))
-        plus_x = tuple(_minimal_tuples(exps + (x_k,)))
-        colon_x = tuple(
-            _minimal_tuples(
-                g[:pivot] + (max(g[pivot] - k, 0),) + g[pivot + 1 :] for g in exps
-            )
-        )
-        result = _numerator(plus_x, d, memo) + _numerator(colon_x, d, memo).shift(k)
+        plus_x = pk.plus_power(gens, pivot, k)
+        colon_x = pk.colon_power(gens, pivot, k)
+        result = _numerator(plus_x, pk, memo) + _numerator(colon_x, pk, memo).shift(k)
 
-    memo[exps] = result
+    memo[gens] = result
     return result
 
 
 def numerator_of_quotient(ideal: MonomialIdeal) -> IntPolynomial:
     """Numerator K with H_{A/I}(z) = K(z)/(1-z)^d over the ambient d.
 
-    Intermediate numerators are memoized for the duration of this call only.
+    The generators are packed once, with one width for the whole recursion;
+    intermediate numerators are memoized for the duration of this call only.
     """
-    return _numerator(ideal._exps, ideal.ring.var_count, {})
+    pk, gens = Packing.of(ideal)
+    return _numerator(gens, pk, {})
 
 
 def dim_and_mult(numerator: IntPolynomial, ambient_d: int) -> tuple[Optional[int], int]:
@@ -210,14 +204,16 @@ def quotient_module_data(inner: MonomialIdeal, outer: MonomialIdeal) -> HilbertD
     """Hilbert data of the quotient module outer/inner (inner must sit inside outer)."""
     if inner.ring != outer.ring:
         raise ValueError("inner and outer ideals live in different rings")
-    for g in inner.gens:
-        if not outer.contains(g):
-            raise ValueError(
-                f"containment violated: generator {g!r} of the inner ideal "
-                "is not in the outer ideal"
-            )
-    k = numerator_of_quotient(inner) - numerator_of_quotient(outer)
     d = inner.ring.var_count
+    if inner == outer:
+        return HilbertData(numerator=IntPolynomial(), ambient_d=d, module_dim=None, e0=0)
+    if not outer.contains_ideal(inner):
+        g = next(g for g in inner.gens if not outer.contains(g))
+        raise ValueError(
+            f"containment violated: generator {g!r} of the inner ideal "
+            "is not in the outer ideal"
+        )
+    k = numerator_of_quotient(inner) - numerator_of_quotient(outer)
     module_dim, e0 = dim_and_mult(k, d)
     return HilbertData(numerator=k, ambient_d=d, module_dim=module_dim, e0=e0)
 
@@ -226,7 +222,7 @@ def quotient_module_data(inner: MonomialIdeal, outer: MonomialIdeal) -> HilbertD
 # Enumeration oracle and series expansion
 # ---------------------------------------------------------------------------
 
-def _compositions(total: int, parts: int) -> Iterator[Exponents]:
+def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     if parts == 1:
         yield (total,)
         return
@@ -244,11 +240,12 @@ def hilbert_function_oracle(ideal: MonomialIdeal, degree_bound: int) -> list[int
     if degree_bound < 0:
         raise ValueError("degree bound must be non-negative")
     d = ideal.ring.var_count
+    pk, gens = Packing.of(ideal, degree_bound)
     counts = []
     for t in range(degree_bound + 1):
         n_out = 0
         for exps in _compositions(t, d):
-            if not ideal.contains(Monomial(exps)):
+            if not pk.divides_any(gens, pk.pack(exps)):
                 n_out += 1
         counts.append(n_out)
     return counts

@@ -43,6 +43,40 @@ def member(gens: list[tuple[int, ...]], w: tuple[int, ...]) -> bool:
     return False
 
 
+def reference_minimal(cands) -> list[tuple[int, ...]]:
+    """Antichain of divisibility-minimal exponent tuples, canonically sorted.
+
+    The tuple-by-tuple filter the library used before its packed kernel:
+    candidates in (degree, lex with the leading variable largest) order, each
+    tested against the kept ones of lower degree.
+    """
+
+    def divides(a, b) -> bool:
+        for x, y in zip(a, b):
+            if x > y:
+                return False
+        return True
+
+    ordered = sorted(set(cands), key=lambda t: (sum(t), tuple(-e for e in t)))
+    kept: list[tuple[int, ...]] = []
+    kept_degs: list[int] = []
+    for t in ordered:
+        deg = sum(t)
+        dominated = False
+        for kd, k in zip(kept_degs, kept):
+            if kd >= deg:
+                # later candidates have degree >= kd; an equal-degree divisor
+                # would be equal, and duplicates are already removed
+                break
+            if divides(k, t):
+                dominated = True
+                break
+        if not dominated:
+            kept.append(t)
+            kept_degs.append(deg)
+    return kept
+
+
 def random_ideal(
     rng: random.Random, ring: RingContext, max_gens: int = 6, max_exp: int = 4
 ) -> MonomialIdeal:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +24,8 @@ from satpow.harness import (
     run_verify,
 )
 from satpow.parsing import load_corpus, parse_corpus, parse_ideal_file
+
+DATA = Path(__file__).parent / "data"
 
 TRIANGLE_FILE = "ring x y z\nI: x*y, y*z, z*x\nJ: x, y, z\n"
 
@@ -227,6 +230,13 @@ class TestCli:
         assert cli.main(["verify", "--min-tail", "2", "--format", "csv", "--out", str(out_a)]) == 0
         assert cli.main(["verify", "--min-tail", "2", "--format", "csv", "--out", str(out_b)]) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
+
+    def test_verify_matches_stored_csv(self, tmp_path):
+        # the shipped corpus at --nmax 12, as computed before the packed kernel
+        out = tmp_path / "verify.csv"
+        argv = ["verify", "--nmax", "12", "--min-tail", "2", "--format", "csv", "--out", str(out)]
+        assert cli.main(argv) == 0
+        assert out.read_bytes() == (DATA / "verify-n12.csv").read_bytes()
 
     def test_verify_insufficient_exits_two(self, tmp_path):
         corpus = tmp_path / "corpus.json"

@@ -14,9 +14,12 @@ from satpow import (
     dim_quotient,
     expand_numerator,
     hilbert_function_oracle,
+    minimalize,
     numerator_of_quotient,
     quotient_module_data,
 )
+from satpow import hilbert
+from satpow.core import Packing
 from satpow.hilbert import _numerator
 
 from conftest import M, ideal, monomials_up_to, random_ideal, reference_numerator
@@ -128,6 +131,16 @@ class TestQuotientModule:
         assert data.e0 == 0
         assert data.numerator.is_zero()
 
+    def test_equal_ideals_compute_no_numerator(self, ring2, monkeypatch):
+        def fail(ideal):
+            raise AssertionError("numerator computed for a quotient of equal ideals")
+
+        monkeypatch.setattr(hilbert, "numerator_of_quotient", fail)
+        i = ideal(ring2, (2, 0), (1, 1), (0, 2))
+        data = quotient_module_data(i, minimalize(list(i.gens), ring2))
+        assert (data.module_dim, data.e0) == (None, 0)
+        assert data.numerator.is_zero()
+
     def test_finite_length_two(self, ring2):
         # (x, y) / (x^2, xy, y^2) has the two monomials x and y
         inner = ideal(ring2, (2, 0), (1, 1), (0, 2))
@@ -191,7 +204,8 @@ def test_numerator_is_deterministic(ring3):
 
 def test_internal_recursion_matches_public(ring3):
     tri = ideal(ring3, (1, 1, 0), (0, 1, 1), (1, 0, 1))
-    assert _numerator(tri._exps, 3, {}) == numerator_of_quotient(tri)
+    pk, gens = Packing.of(tri)
+    assert _numerator(gens, pk, {}) == numerator_of_quotient(tri)
 
 
 def test_high_exponents_keep_the_recursion_limit(ring3):

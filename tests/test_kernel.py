@@ -1,0 +1,135 @@
+"""The packed monomial kernel against the tuple oracles in conftest.
+
+The packed field width grows with d times the largest exponent a call can
+produce, so exponents are drawn both from small random values and from the
+field boundaries 0, 1, 2^k - 1 and 2^k, and products are taken that carry
+across a power of two.
+"""
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from satpow import Monomial, RingContext, divides, minimalize, numerator_of_quotient
+
+from conftest import reference_minimal, reference_numerator
+
+NAMES = ("a", "b", "c", "d", "e", "f", "g")
+BOUNDARY = sorted({0, 1} | {2**k - 1 for k in range(1, 15)} | {2**k for k in range(1, 15)})
+
+
+def ring(d: int) -> RingContext:
+    return RingContext(NAMES[:d])
+
+
+def exps_of(ideal) -> list[tuple[int, ...]]:
+    return [g.exponents for g in ideal.gens]
+
+
+def pools(rng: random.Random) -> list[list[int]]:
+    """Exponent pools: small values, all boundaries, and one k's neighbourhood."""
+    k = rng.randint(1, 14)
+    return [list(range(5)), BOUNDARY, [0, 1, 2**k - 1, 2**k]]
+
+
+def random_gens(rng: random.Random, d: int, pool: list[int]) -> list[tuple[int, ...]]:
+    return [tuple(rng.choice(pool) for _ in range(d)) for _ in range(rng.randint(1, 6))]
+
+
+def instances(seed: int, per_shape: int):
+    """(ring, gens of A, gens of B, exponents of a monomial) over 1..7 variables."""
+    rng = random.Random(seed)
+    for d in range(1, 8):
+        for _ in range(per_shape):
+            for pool in pools(rng):
+                a, b = random_gens(rng, d, pool), random_gens(rng, d, pool)
+                yield ring(d), a, b, tuple(rng.choice(pool) for _ in range(d))
+
+
+def build(r: RingContext, gens: list[tuple[int, ...]]):
+    return minimalize([Monomial(g) for g in gens], r)
+
+
+def member(gens, w) -> bool:
+    return any(all(x <= y for x, y in zip(g, w)) for g in gens)
+
+
+def test_minimalize_matches_oracle():
+    for r, a, b, _ in instances(101, 12):
+        assert exps_of(build(r, a)) == reference_minimal(a)
+        assert exps_of(build(r, a + b)) == reference_minimal(a + b)
+
+
+def test_multiply_matches_oracle():
+    for r, a, b, _ in instances(103, 12):
+        ra, rb = reference_minimal(a), reference_minimal(b)
+        expected = reference_minimal(
+            tuple(x + y for x, y in zip(g, h)) for g in ra for h in rb
+        )
+        assert exps_of(build(r, a).multiply(build(r, b))) == expected
+
+
+def test_intersect_matches_oracle():
+    for r, a, b, _ in instances(107, 12):
+        ra, rb = reference_minimal(a), reference_minimal(b)
+        expected = reference_minimal(
+            tuple(max(x, y) for x, y in zip(g, h)) for g in ra for h in rb
+        )
+        assert exps_of(build(r, a).intersect(build(r, b))) == expected
+
+
+def test_colon_monomial_matches_oracle():
+    for r, a, _, m in instances(109, 12):
+        expected = reference_minimal(
+            tuple(max(x - y, 0) for x, y in zip(g, m)) for g in reference_minimal(a)
+        )
+        assert exps_of(build(r, a).colon_monomial(Monomial(m))) == expected
+
+
+def test_saturate_monomial_matches_oracle():
+    for r, a, _, m in instances(113, 12):
+        expected = reference_minimal(
+            tuple(0 if y > 0 else x for x, y in zip(g, m)) for g in reference_minimal(a)
+        )
+        assert exps_of(build(r, a).saturate_monomial(Monomial(m))) == expected
+
+
+def test_contains_matches_oracle():
+    for r, a, b, m in instances(127, 12):
+        i, ra = build(r, a), reference_minimal(a)
+        for w in b + [m]:
+            assert i.contains(Monomial(w)) == member(ra, w)
+            assert divides(Monomial(w), Monomial(m)) == member([w], m)
+        assert i.contains_ideal(build(r, b)) == all(member(ra, w) for w in b)
+
+
+@pytest.mark.parametrize("low, high", [(127, 1), (255, 255), (2**14 - 1, 1), (2**14, 2**14)])
+@pytest.mark.parametrize("d", [1, 2, 3, 7])
+def test_products_that_carry_across_a_boundary(low, high, d):
+    r = ring(d)
+    x_low = build(r, [(low,) + (0,) * (d - 1)])
+    x_high = build(r, [(high,) + (0,) * (d - 1)])
+    assert exps_of(x_low.multiply(x_high)) == [(low + high,) + (0,) * (d - 1)]
+    # every variable at the boundary, so the degree crosses one as well
+    full_low = build(r, [(low,) * d, (low + 1,) + (0,) * (d - 1)])
+    full_high = build(r, [(high,) * d])
+    expected = reference_minimal(
+        tuple(x + y for x, y in zip(g, h))
+        for g in reference_minimal([(low,) * d, (low + 1,) + (0,) * (d - 1)])
+        for h in [(high,) * d]
+    )
+    product = full_low.multiply(full_high)
+    assert exps_of(product) == expected
+    assert product.contains(Monomial((low + high,) * d))
+    assert not product.contains(Monomial((low + high - 1,) + (low + high,) * (d - 1)))
+
+
+def test_numerators_at_boundary_exponents_match_oracle():
+    rng = random.Random(131)
+    for d in (1, 2, 3):
+        for k in range(1, 7):
+            pool = [0, 1, 2**k - 1, 2**k]
+            for _ in range(4):
+                i = build(ring(d), random_gens(rng, d, pool)[:3])
+                assert numerator_of_quotient(i) == reference_numerator(i)
