@@ -4,7 +4,8 @@ Subcommands operate on ideal files (show, power, colon, saturate, hilbert,
 symbolic, series, fit) or on a corpus file (verify).  Exit codes: 0 success,
 1 usage or parse error, 2 insufficient data for a requested fit, 3 internal
 inconsistency (a proved stabilization check failed, which indicates an
-engine bug rather than a data problem).
+engine bug rather than a data problem) or a computation that ran out of
+memory or recursion depth.
 """
 from __future__ import annotations
 
@@ -195,6 +196,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     except InconsistencyError as exc:
         print(f"internal inconsistency (engine bug): {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print("error: out of memory: the input is too large to compute", file=sys.stderr)
+        return 3
+    except RecursionError:
+        print("error: recursion depth exceeded: the input is too deep to compute", file=sys.stderr)
         return 3
 
 

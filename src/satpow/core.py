@@ -194,8 +194,7 @@ class Packing:
 
         A generator of one ideal that lies in the other is a minimal generator
         of the intersection, and its lcm with anything is a multiple of it;
-        the other candidates are the lcms of the remaining pairs, made per
-        field as b_i plus the excess of a_i over b_i.
+        the other candidates are the lcms of the remaining pairs.
         """
         cands: list[int] = []
         out_a: list[int] = []
@@ -205,8 +204,12 @@ class Packing:
                 (cands if self.divides_any(others, g) else out).append(g)
         for a in out_a:
             for b in out_b:
-                cands.append(b + self._with_degree(self._excess(a, b)))
+                cands.append(self.lcm(a, b))
         return cands
+
+    def lcm(self, a: int, b: int) -> int:
+        """lcm(a, b), made per field as b_i plus the excess of a_i over b_i."""
+        return b + self._with_degree(self._excess(a, b))
 
     def colons(self, gens: Iterable[int], m: int) -> Iterator[int]:
         """g / gcd(g, m) for every g in ``gens``."""
@@ -244,15 +247,39 @@ class Packing:
         insort(out, power, key=self.low.__xor__)
         return tuple(out)
 
-    def colon_power(self, gens: Iterable[int], i: int, k: int) -> tuple[int, ...]:
-        """Canonical generators of I : x_i^k."""
+    def colon_power(self, gens: Sequence[int], i: int, k: int) -> tuple[int, ...]:
+        """Canonical generators of I : x_i^k, for I canonically generated by ``gens``.
+
+        I : x_i^k is generated by g / gcd(g, x_i^k).  Split the generators by
+        their x_i exponent:
+
+        * high (g_i >= k): the quotient is g - x_i^k.  Subtracting one vector
+          keeps divisibility and the canonical order, so these quotients are
+          an antichain in order.  No low quotient divides one: if h_i < k and
+          h with x_i zeroed divides g - x_i^k, then h divides g, which the
+          antichain ``gens`` rules out.
+        * low (g_i < k): the quotient is g with x_i zeroed.  These are
+          minimalized among themselves, and then dropped where a high
+          quotient divides them; only a high quotient with no x_i left, from
+          g_i == k, can divide a monomial free of x_i.
+
+        A low quotient equal to a high one is dropped as its multiple, so the
+        two groups share no element, and they are merged in canonical order.
+        """
         s = self.shifts[i]
         mask, bound = self.value << s, k << s
-        out = []
+        power = bound | k << self.top
+        high: list[int] = []
+        low: list[int] = []
         for g in gens:
-            cut = min(g & mask, bound)
-            out.append(g - cut - (cut >> s << self.top))
-        return tuple(self.minimal(out))
+            e = g & mask
+            if e >= bound:
+                high.append(g - power)
+            else:
+                low.append(g - e - (e >> s << self.top))
+        freed = [h for h in high if not h & mask]
+        low = [g for g in self.minimal(low) if not self.divides_any(freed, g)]
+        return tuple(sorted(high + low, key=self.low.__xor__))
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,21 @@ over the full ambient denominator, H(z) = K(z)/(1-z)^d with K an integer
 polynomial.  K is computed by Bigatti's pivot splitting: for a variable x
 lying in at least two generator supports and a pivot x^k not in I,
 
-    K(A/I) = K(A/(I + (x^k))) + z^k * K(A/(I : x^k)),
+    K(A/I) = K(A/(I + (x^k))) + z^k * K(A/(I : x^k)).
 
-with the complete-intersection product formula as the base case.  Taking k
-as the median exponent of x halves the generators that contain x on each
-side, so the recursion depth depends on the number of generators, not on the
-exponents.
+Taking k as the median exponent of x halves the generators that contain x on
+each side, so the recursion depth depends on the number of generators, not
+on the exponents.  There are two base cases:
+
+* an ideal with at most ``_LEAF_GENS`` generators takes the inclusion-
+  exclusion sum over subsets S of its generators, the sum of
+  (-1)^|S| z^(deg lcm S), which is the alternating sum of the Taylor
+  resolution.  It has 2^r terms for r generators, so it beats a split only
+  while r is small: leaves of 4, 5 and 6 generators measured alike on the
+  shipped corpus, and 8 slower;
+* a larger ideal whose generators have pairwise disjoint supports is a
+  complete intersection, K = prod(1 - z^deg g), with r factors in place of
+  2^r terms.
 
 The generators are packed once per ``numerator_of_quotient`` call by
 ``core.Packing``; one field width serves the whole recursion, because
@@ -127,6 +136,11 @@ class HilbertData:
 # Numerator recursion
 # ---------------------------------------------------------------------------
 
+# Ideals with at most this many generators get their numerator from the
+# 2^r-term inclusion-exclusion sum instead of a split.
+_LEAF_GENS = 5
+
+
 def _pick_pivot(gens: tuple[int, ...], pk: Packing) -> tuple[int, int]:
     """Pivot x_i^k to split on, or (-1, 0) when supports are pairwise disjoint.
 
@@ -143,6 +157,21 @@ def _pick_pivot(gens: tuple[int, ...], pk: Packing) -> tuple[int, int]:
     return (best, powers[(len(powers) - 1) // 2])
 
 
+def _inclusion_exclusion(gens: tuple[int, ...], pk: Packing) -> IntPolynomial:
+    """K = sum over subsets S of ``gens`` of (-1)^|S| z^(deg lcm S).
+
+    The alternating sum of the Taylor resolution, exact for any generating
+    set; the empty ideal gives 1 and the unit ideal 0.
+    """
+    terms = [(0, 1)]  # (lcm of a subset, (-1)^|S|), from the empty subset, 1
+    for g in gens:
+        terms += [(pk.lcm(g, t), -sign) for t, sign in terms]
+    coeffs = [0] * (pk.degree(terms[-1][0]) + 1)  # the last term is the lcm of all
+    for t, sign in terms:
+        coeffs[pk.degree(t)] += sign
+    return IntPolynomial(coeffs)
+
+
 def _numerator(
     gens: tuple[int, ...],
     pk: Packing,
@@ -152,16 +181,19 @@ def _numerator(
     if hit is not None:
         return hit
 
-    pivot, k = _pick_pivot(gens, pk)
-    if pivot < 0:
-        # pairwise disjoint supports: complete intersection, K = prod(1 - z^deg)
-        result = _ONE
-        for deg in map(pk.degree, gens):
-            result = result - result.shift(deg)
+    if len(gens) <= _LEAF_GENS:
+        result = _inclusion_exclusion(gens, pk)
     else:
-        plus_x = pk.plus_power(gens, pivot, k)
-        colon_x = pk.colon_power(gens, pivot, k)
-        result = _numerator(plus_x, pk, memo) + _numerator(colon_x, pk, memo).shift(k)
+        pivot, k = _pick_pivot(gens, pk)
+        if pivot < 0:
+            # pairwise disjoint supports: complete intersection, K = prod(1 - z^deg)
+            result = _ONE
+            for deg in map(pk.degree, gens):
+                result = result - result.shift(deg)
+        else:
+            plus_x = pk.plus_power(gens, pivot, k)
+            colon_x = pk.colon_power(gens, pivot, k)
+            result = _numerator(plus_x, pk, memo) + _numerator(colon_x, pk, memo).shift(k)
 
     memo[gens] = result
     return result

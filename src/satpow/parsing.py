@@ -40,7 +40,7 @@ def parse_monomial(text: str, ring: RingContext) -> Monomial:
         if name not in index:
             raise ParseError(f"unknown variable {name!r} in {text!r}")
         if sep:
-            if not power.isdigit():
+            if not (power.isascii() and power.isdigit()):
                 raise ParseError(
                     f"malformed exponent {power!r} in {text!r} (non-negative integer required)"
                 )

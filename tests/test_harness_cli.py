@@ -253,6 +253,19 @@ class TestCli:
         monkeypatch.setattr(harness, "run_verify", lambda *a, **k: [broken])
         assert cli.main(["verify"]) == 3
 
+    @pytest.mark.parametrize(
+        "exc, resource", [(MemoryError, "out of memory"), (RecursionError, "recursion depth")]
+    )
+    def test_exhausted_resource_exits_three(self, ideal_file, monkeypatch, capsys, exc, resource):
+        def exhaust(ideal):
+            raise exc()
+
+        monkeypatch.setattr(cli, "numerator_of_quotient", exhaust)
+        assert cli.main(["hilbert", ideal_file]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: ") and resource in err
+
     def test_usage_error_exits_one(self, capsys):
         assert cli.main(["power"]) == 1
         assert cli.main(["no-such-command"]) == 1

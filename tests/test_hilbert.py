@@ -8,6 +8,7 @@ import pytest
 from satpow import (
     InconsistencyError,
     IntPolynomial,
+    Monomial,
     MonomialIdeal,
     RingContext,
     dim_and_mult,
@@ -20,7 +21,7 @@ from satpow import (
 )
 from satpow import hilbert
 from satpow.core import Packing
-from satpow.hilbert import _numerator
+from satpow.hilbert import _LEAF_GENS, _numerator
 
 from conftest import M, ideal, monomials_up_to, random_ideal, reference_numerator
 
@@ -217,4 +218,52 @@ def test_high_exponents_keep_the_recursion_limit(ring3):
     expected[0], expected[2 * e], expected[3 * e] = 1, -3, 2
     assert num == IntPolynomial(expected)
     assert dim_and_mult(num, 3) == (1, 3 * e * e)
+    assert sys.getrecursionlimit() == limit
+
+
+def ideal_with_gens(rng: random.Random, ring: RingContext, count: int, max_exp: int) -> MonomialIdeal:
+    """A random ideal with exactly ``count`` minimal generators."""
+    d = ring.var_count
+    while True:
+        i = minimalize(
+            [Monomial(tuple(rng.randint(0, max_exp) for _ in range(d))) for _ in range(count)],
+            ring,
+        )
+        if len(i.gens) == count:
+            return i
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_leaf_size_boundary_matches_oracle(offset):
+    # the closed-form leaf up to _LEAF_GENS generators, a split or the
+    # complete-intersection product past it
+    count = _LEAF_GENS + offset
+    rng = random.Random(59 + offset)
+    for d in (4, 5):
+        ring = RingContext(("x", "y", "z", "w", "v")[:d])
+        for max_exp in (2, 4):
+            for _ in range(6):
+                i = ideal_with_gens(rng, ring, count, max_exp)
+                assert numerator_of_quotient(i) == reference_numerator(i)
+    ring = RingContext(tuple(f"x{j}" for j in range(count)))
+    powers = ideal(ring, *(tuple(j + 1 if v == j else 0 for v in range(count)) for j in range(count)))
+    assert numerator_of_quotient(powers) == reference_numerator(powers)
+
+
+def test_high_exponents_past_the_leaves_keep_the_recursion_limit():
+    # scaling every exponent by e maps K(z) to K(z^e), so the degree-1
+    # oracle runs on the unscaled ideal; 8 generators take the split first
+    e = 6000
+    ring = RingContext(("x", "y", "z", "w"))
+    base = [(2, 1, 0, 0), (1, 2, 0, 0), (0, 1, 1, 0), (0, 0, 2, 1),
+            (0, 0, 1, 2), (1, 0, 0, 1), (0, 2, 0, 2), (2, 0, 2, 0)]
+    unscaled = ideal(ring, *base)
+    assert len(unscaled.gens) == 8 > _LEAF_GENS
+    limit = sys.getrecursionlimit()
+    num = numerator_of_quotient(ideal(ring, *(tuple(e * x for x in g) for g in base)))
+    small = reference_numerator(unscaled)
+    expected = [0] * (e * small.degree + 1)
+    for j, c in enumerate(small.coeffs):
+        expected[e * j] = c
+    assert num == IntPolynomial(expected)
     assert sys.getrecursionlimit() == limit

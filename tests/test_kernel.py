@@ -1,4 +1,4 @@
-"""The packed monomial kernel against the tuple oracles in conftest.
+"""The packed monomial kernel against oracles on exponent tuples.
 
 The packed field width grows with d times the largest exponent a call can
 produce, so exponents are drawn both from small random values and from the
@@ -8,10 +8,13 @@ across a power of two.
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 import pytest
 
-from satpow import Monomial, RingContext, divides, minimalize, numerator_of_quotient
+from satpow import IntPolynomial, Monomial, RingContext, divides, minimalize, numerator_of_quotient
+from satpow.core import Packing
+from satpow.hilbert import _LEAF_GENS
 
 from conftest import reference_minimal, reference_numerator
 
@@ -95,6 +98,22 @@ def test_saturate_monomial_matches_oracle():
         assert exps_of(build(r, a).saturate_monomial(Monomial(m))) == expected
 
 
+def test_colon_power_matches_oracle():
+    for r, a, _, _ in instances(137, 12):
+        i = build(r, a)
+        pk, gens = Packing.of(i)
+        exps = exps_of(i)
+        for v in range(r.var_count):
+            for k in {0, 1} | {g[v] for g in exps} | {max(g[v] - 1, 0) for g in exps}:
+                expected = reference_minimal(
+                    g[:v] + (max(g[v] - k, 0),) + g[v + 1 :] for g in exps
+                )
+                assert list(map(pk.unpack, pk.colon_power(gens, v, k))) == expected
+    # the quotient y of x^2*y, from exponent exactly k = 2, divides y^2
+    pk, gens = Packing.of(build(ring(2), [(2, 1), (0, 2)]))
+    assert list(map(pk.unpack, pk.colon_power(gens, 0, 2))) == [(0, 1)]
+
+
 def test_contains_matches_oracle():
     for r, a, b, m in instances(127, 12):
         i, ra = build(r, a), reference_minimal(a)
@@ -133,3 +152,31 @@ def test_numerators_at_boundary_exponents_match_oracle():
             for _ in range(4):
                 i = build(ring(d), random_gens(rng, d, pool)[:3])
                 assert numerator_of_quotient(i) == reference_numerator(i)
+
+
+def subset_sum_numerator(gens: list[tuple[int, ...]]) -> IntPolynomial:
+    """K as the sum over subsets S of the generators of (-1)^|S| z^(deg lcm S)."""
+    coeffs = [0] * (sum(map(max, zip(*gens))) + 1)
+    for r in range(len(gens) + 1):
+        for s in combinations(gens, r):
+            coeffs[sum(map(max, zip(*s))) if s else 0] += (-1) ** r
+    return IntPolynomial(coeffs)
+
+
+def test_numerators_past_the_leaves_at_boundary_exponents():
+    # The degree-1 oracle recurses about 2^k deep, past the default recursion
+    # limit from k = 9 on; the subset sum, on tuples, serves every k.
+    rng = random.Random(139)
+    for d in (3, 4):
+        for k in range(1, 15):
+            pool = [0, 1, 2**k - 1, 2**k]
+            for _ in range(2):
+                while True:
+                    gens = [tuple(rng.choice(pool) for _ in range(d)) for _ in range(16)]
+                    i = build(ring(d), gens)
+                    if _LEAF_GENS < len(i.gens) <= 9:
+                        break
+                num = numerator_of_quotient(i)
+                assert num == subset_sum_numerator(exps_of(i))
+                if k <= 8:
+                    assert num == reference_numerator(i)

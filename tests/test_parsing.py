@@ -51,6 +51,14 @@ class TestParseMonomial:
         with pytest.raises(ParseError, match="exponent"):
             parse_monomial("x^", ring3)
 
+    def test_non_ascii_digits_are_malformed(self, ring3):
+        # '³' and '٣' are Unicode digits that int() would reject or misread
+        for power in ("\u00b3", "\u0663", "1\u0663"):
+            with pytest.raises(ParseError, match="malformed exponent"):
+                parse_monomial(f"x^{power}", ring3)
+        with pytest.raises(ParseError, match="^line 2: malformed exponent"):
+            parse_ideal_file("ring x y\nI: x^\u00b3, y\nJ: x\n")
+
     def test_empty_input(self, ring3):
         with pytest.raises(ParseError, match="empty"):
             parse_monomial("   ", ring3)
