@@ -2,10 +2,10 @@
 
 Subcommands operate on ideal files (show, power, colon, saturate, hilbert,
 symbolic, series, fit) or on a corpus file (verify).  Exit codes: 0 success,
-1 usage or parse error, 2 insufficient data for a requested fit, 3 internal
-inconsistency (a proved stabilization check failed, which indicates an
-engine bug rather than a data problem) or a computation that ran out of
-memory or recursion depth.
+1 usage or parse error (an option out of range, an unreadable or malformed
+file), 2 insufficient data for a requested fit, 3 an engine bug (a proved
+stabilization check failed, or any other ``ValueError`` escaped the engine)
+or a computation that ran out of memory or recursion depth.
 """
 from __future__ import annotations
 
@@ -16,13 +16,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import harness
-from .errors import (
-    InconsistencyError,
-    InsufficientDataError,
-    ParseError,
-    RingMismatchError,
-    ZeroIdealError,
-)
+from .errors import InconsistencyError, InsufficientDataError, ParseError
 from .filtration import symbolic_power
 from .hilbert import dim_and_mult, numerator_of_quotient
 from .parsing import format_ideal, format_ideal_file, load_corpus, load_ideal_file
@@ -35,6 +29,19 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # exit 1 on usage errors, not argparse's 2
         raise _UsageError(message)
+
+
+def _at_least(low: int):
+    """An argparse type: an int no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
 
 
 def default_corpus_path() -> Path:
@@ -57,7 +64,7 @@ def _build_parser() -> _Parser:
     add_file_command("show", "parse an ideal file and print its canonical form")
 
     p = add_file_command("power", "n-th ordinary power of an ideal")
-    p.add_argument("-n", type=int, required=True, help="exponent (n >= 0)")
+    p.add_argument("-n", type=_at_least(0), required=True, help="exponent (n >= 0)")
     p.add_argument("--ideal", choices=["I", "J"], default="I")
 
     add_file_command("colon", "the colon ideal (I : J)")
@@ -67,17 +74,17 @@ def _build_parser() -> _Parser:
     p.add_argument("--ideal", choices=["I", "J"], default="I")
 
     p = add_file_command("symbolic", "the saturation power (I^n : J^inf)")
-    p.add_argument("-n", type=int, required=True, help="exponent (n >= 0)")
+    p.add_argument("-n", type=_at_least(0), required=True, help="exponent (n >= 0)")
 
     p = add_file_command("series", "per-n table of f(n) and quotient dimensions")
-    p.add_argument("--nmax", type=int, default=12)
+    p.add_argument("--nmax", type=_at_least(1), default=12)
     p.add_argument("--format", choices=["table", "csv", "json"], default="table")
     p.add_argument("--out", help="write output to this path instead of stdout")
 
     p = add_file_command("fit", "series plus its fitted quasi-polynomial")
-    p.add_argument("--nmax", type=int, default=12)
-    p.add_argument("--gmax", type=int, default=6)
-    p.add_argument("--min-tail", type=int, default=3)
+    p.add_argument("--nmax", type=_at_least(1), default=12)
+    p.add_argument("--gmax", type=_at_least(1), default=6)
+    p.add_argument("--min-tail", type=_at_least(2), default=3)
     p.add_argument("--format", choices=["table", "json"], default="table")
     p.add_argument("--out", help="write output to this path instead of stdout")
 
@@ -88,9 +95,9 @@ def _build_parser() -> _Parser:
         default=None,
         help="corpus JSON file (defaults to the shipped corpus)",
     )
-    p.add_argument("--nmax", type=int, default=12)
-    p.add_argument("--gmax", type=int, default=6)
-    p.add_argument("--min-tail", type=int, default=3)
+    p.add_argument("--nmax", type=_at_least(1), default=12)
+    p.add_argument("--gmax", type=_at_least(1), default=6)
+    p.add_argument("--min-tail", type=_at_least(2), default=3)
     p.add_argument("--format", choices=["table", "csv", "json"], default="table")
     p.add_argument("--out", help="write output to this path instead of stdout")
     return parser
@@ -104,65 +111,6 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 
 def _dispatch(args: argparse.Namespace) -> int:
-    if args.command == "show":
-        _emit(format_ideal_file(load_ideal_file(args.file)), None)
-        return 0
-
-    if args.command == "power":
-        pair = load_ideal_file(args.file)
-        ideal = pair.base if args.ideal == "I" else pair.saturator
-        print(format_ideal(ideal.power(args.n)))
-        return 0
-
-    if args.command == "colon":
-        pair = load_ideal_file(args.file)
-        print(format_ideal(pair.base.colon_ideal(pair.saturator)))
-        return 0
-
-    if args.command == "saturate":
-        pair = load_ideal_file(args.file)
-        print(format_ideal(pair.base.saturate_ideal(pair.saturator)))
-        return 0
-
-    if args.command == "hilbert":
-        pair = load_ideal_file(args.file)
-        ideal = pair.base if args.ideal == "I" else pair.saturator
-        numerator = numerator_of_quotient(ideal)
-        module_dim, e0 = dim_and_mult(numerator, ideal.ring.var_count)
-        dim_text = "empty" if module_dim is None else str(module_dim)
-        print(f"dim = {dim_text}")
-        print(f"e0 = {e0}")
-        print(f"numerator coefficients (z^0 first): {list(numerator.coeffs)}")
-        return 0
-
-    if args.command == "symbolic":
-        pair = load_ideal_file(args.file)
-        print(format_ideal(symbolic_power(pair.base, pair.saturator, args.n)))
-        return 0
-
-    if args.command == "series":
-        pair = load_ideal_file(args.file)
-        samples = harness.run_series(pair, args.nmax)
-        render = {
-            "table": harness.render_series_table,
-            "csv": harness.render_series_csv,
-            "json": harness.render_series_json,
-        }[args.format]
-        _emit(render(samples), args.out)
-        return 0
-
-    if args.command == "fit":
-        pair = load_ideal_file(args.file)
-        samples, qp = harness.run_fit(
-            pair, args.nmax, g_max=args.gmax, min_tail=args.min_tail
-        )
-        if args.format == "json":
-            _emit(harness.render_quasipolynomial_json(qp), args.out)
-        else:
-            text = harness.render_series_table(samples) + "\n" + harness.render_quasipolynomial(qp)
-            _emit(text, args.out)
-        return 0
-
     if args.command == "verify":
         corpus_path = args.corpus if args.corpus else default_corpus_path()
         entries = load_corpus(corpus_path)
@@ -177,7 +125,46 @@ def _dispatch(args: argparse.Namespace) -> int:
         _emit(render(records), args.out)
         return harness.exit_code_for(records)
 
-    raise _UsageError(f"unknown command {args.command!r}")
+    pair = load_ideal_file(args.file)
+    ideal = pair.saturator if getattr(args, "ideal", "I") == "J" else pair.base
+
+    if args.command == "show":
+        _emit(format_ideal_file(pair), None)
+    elif args.command == "power":
+        print(format_ideal(ideal.power(args.n)))
+    elif args.command == "colon":
+        print(format_ideal(pair.base.colon_ideal(pair.saturator)))
+    elif args.command == "saturate":
+        print(format_ideal(pair.base.saturate_ideal(pair.saturator)))
+    elif args.command == "hilbert":
+        numerator = numerator_of_quotient(ideal)
+        module_dim, e0 = dim_and_mult(numerator, ideal.ring.var_count)
+        dim_text = "empty" if module_dim is None else str(module_dim)
+        print(f"dim = {dim_text}")
+        print(f"e0 = {e0}")
+        print(f"numerator coefficients (z^0 first): {list(numerator.coeffs)}")
+    elif args.command == "symbolic":
+        print(format_ideal(symbolic_power(pair.base, pair.saturator, args.n)))
+    elif args.command == "series":
+        samples = harness.run_series(pair, args.nmax)
+        render = {
+            "table": harness.render_series_table,
+            "csv": harness.render_series_csv,
+            "json": harness.render_series_json,
+        }[args.format]
+        _emit(render(samples), args.out)
+    elif args.command == "fit":
+        samples, qp = harness.run_fit(
+            pair, args.nmax, g_max=args.gmax, min_tail=args.min_tail
+        )
+        if args.format == "json":
+            _emit(harness.render_quasipolynomial_json(qp), args.out)
+        else:
+            text = harness.render_series_table(samples) + "\n" + harness.render_quasipolynomial(qp)
+            _emit(text, args.out)
+    else:
+        raise _UsageError(f"unknown command {args.command!r}")
+    return 0
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -188,9 +175,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ParseError, RingMismatchError, ZeroIdealError, ValueError, OSError) as exc:
+    except (ParseError, UnicodeDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except ValueError as exc:
+        print(f"internal error (engine bug): {exc}", file=sys.stderr)
+        return 3
     except InsufficientDataError as exc:
         print(f"insufficient data: {exc}", file=sys.stderr)
         return 2

@@ -9,8 +9,10 @@ that set as exponent tuples; ``Monomial`` objects are built only when
 
 Every kernel packs the exponent vectors it works on into Python ints (see
 :class:`Packing`), with a field width taken from the largest exponent that
-one call can produce, and unpacks only its result.  The Hilbert recursion
-packs once per numerator and memoizes on tuples of these ints.
+one call can produce, and unpacks only its result.  A colon or saturation
+by an ideal J is one fold over the generators of J in one packing.  The
+Hilbert recursion packs once per numerator and memoizes on tuples of these
+ints.
 
 All values are immutable after construction and safe to share across
 threads; no operation mutates its inputs.
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import RingMismatchError, ZeroIdealError
 
@@ -135,8 +137,10 @@ class Packing:
     def of(cls, ideal: "MonomialIdeal", max_exp: int = 0) -> tuple["Packing", tuple[int, ...]]:
         """A packing for ``ideal`` and its generators packed, in canonical order.
 
-        The width holds ``max_exp`` and every exponent of ``ideal``; adding a
-        pure power no higher than that, and colons by monomials, keep within it.
+        The width holds ``max_exp`` and every exponent of ``ideal``.  Each
+        ideal kernel passes the largest exponent of its other operand, or for
+        a product the sum of both largest exponents; adding a pure power no
+        higher than that, a colon, a support drop and an lcm keep within it.
         """
         pk = cls(ideal.ring.var_count, max(max_exp, _max_exponent(ideal._exps)))
         return pk, tuple(map(pk.pack, ideal._exps))
@@ -237,38 +241,33 @@ class Packing:
         s = self.shifts[i]
         return [g >> s & self.value for g in gens]
 
-    def plus_power(self, gens: tuple[int, ...], i: int, k: int) -> tuple[int, ...]:
-        """Canonical generators of I + (x_i^k), for I canonically generated by ``gens``."""
-        power = k << self.shifts[i] | k << self.top
-        if self.divides_any(gens, power):
-            return gens
-        mask, bound = self.value << self.shifts[i], k << self.shifts[i]
-        out = [g for g in gens if g & mask < bound]
-        insort(out, power, key=self.low.__xor__)
-        return tuple(out)
+    def split(self, gens: Sequence[int], i: int, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Canonical generators of I + (x_i^k) and I : x_i^k, for I generated by ``gens``.
 
-    def colon_power(self, gens: Sequence[int], i: int, k: int) -> tuple[int, ...]:
-        """Canonical generators of I : x_i^k, for I canonically generated by ``gens``.
+        ``gens`` must be canonical and x_i^k must not lie in I, as the pivot
+        rule of the Hilbert recursion guarantees.  One pass splits the
+        generators by their x_i exponent:
 
-        I : x_i^k is generated by g / gcd(g, x_i^k).  Split the generators by
-        their x_i exponent:
-
-        * high (g_i >= k): the quotient is g - x_i^k.  Subtracting one vector
-          keeps divisibility and the canonical order, so these quotients are
-          an antichain in order.  No low quotient divides one: if h_i < k and
-          h with x_i zeroed divides g - x_i^k, then h divides g, which the
+        * low (g_i < k): g stays in I + (x_i^k), which x_i^k joins, as it is
+          not in I and divides no low g.  Its quotient by x_i^k is g with x_i
+          zeroed.  These quotients are minimalized among themselves, and then
+          dropped where a high quotient divides them; only a high quotient
+          with no x_i left, from g_i == k, can divide a monomial free of x_i.
+        * high (g_i >= k): g is a multiple of x_i^k, so it leaves I + (x_i^k),
+          and its quotient is g - x_i^k.  Subtracting one vector keeps
+          divisibility and the canonical order, so these quotients are an
+          antichain in order.  No low quotient divides one: if h_i < k and h
+          with x_i zeroed divides g - x_i^k, then h divides g, which the
           antichain ``gens`` rules out.
-        * low (g_i < k): the quotient is g with x_i zeroed.  These are
-          minimalized among themselves, and then dropped where a high
-          quotient divides them; only a high quotient with no x_i left, from
-          g_i == k, can divide a monomial free of x_i.
 
         A low quotient equal to a high one is dropped as its multiple, so the
-        two groups share no element, and they are merged in canonical order.
+        two groups of quotients share no element, and they are merged in
+        canonical order.
         """
         s = self.shifts[i]
         mask, bound = self.value << s, k << s
         power = bound | k << self.top
+        plus: list[int] = []
         high: list[int] = []
         low: list[int] = []
         for g in gens:
@@ -276,10 +275,12 @@ class Packing:
             if e >= bound:
                 high.append(g - power)
             else:
+                plus.append(g)
                 low.append(g - e - (e >> s << self.top))
+        insort(plus, power, key=self.low.__xor__)
         freed = [h for h in high if not h & mask]
         low = [g for g in self.minimal(low) if not self.divides_any(freed, g)]
-        return tuple(sorted(high + low, key=self.low.__xor__))
+        return tuple(plus), tuple(sorted(high + low, key=self.low.__xor__))
 
 
 # ---------------------------------------------------------------------------
@@ -366,9 +367,7 @@ class MonomialIdeal:
 
     def contains(self, m: Monomial) -> bool:
         """True iff some minimal generator divides ``m``."""
-        self._check_member(m)
-        pk = Packing(self.ring.var_count, _max_exponent(self._exps + (m.exponents,)))
-        return pk.divides_any(map(pk.pack, self._exps), pk.pack(m.exponents))
+        return self.contains_ideal(minimalize([m], self.ring))
 
     def __contains__(self, m: Monomial) -> bool:
         return self.contains(m)
@@ -376,8 +375,7 @@ class MonomialIdeal:
     def contains_ideal(self, other: "MonomialIdeal") -> bool:
         """True iff every generator of ``other`` lies in this ideal."""
         self._check_ring(other)
-        pk = Packing(self.ring.var_count, _max_exponent(self._exps + other._exps))
-        mine = list(map(pk.pack, self._exps))
+        pk, mine = Packing.of(self, _max_exponent(other._exps))
         return all(pk.divides_any(mine, pk.pack(t)) for t in other._exps)
 
     # -- arithmetic -----------------------------------------------------------
@@ -385,9 +383,9 @@ class MonomialIdeal:
     def multiply(self, other: "MonomialIdeal") -> "MonomialIdeal":
         """Product ideal, minimalized from all pairwise generator products."""
         self._check_ring(other)
-        pk = Packing(self.ring.var_count, _max_exponent(self._exps) + _max_exponent(other._exps))
+        pk, mine = Packing.of(self, _max_exponent(self._exps) + _max_exponent(other._exps))
         theirs = list(map(pk.pack, other._exps))
-        cands = [c for a in map(pk.pack, self._exps) for c in map(a.__add__, theirs)]
+        cands = [c for a in mine for c in map(a.__add__, theirs)]
         return MonomialIdeal._from_packed(self.ring, pk, cands)
 
     def __mul__(self, other: "MonomialIdeal") -> "MonomialIdeal":
@@ -412,43 +410,42 @@ class MonomialIdeal:
     def intersect(self, other: "MonomialIdeal") -> "MonomialIdeal":
         """Intersection, minimalized from pairwise lcms of generators."""
         self._check_ring(other)
-        pk = Packing(self.ring.var_count, _max_exponent(self._exps + other._exps))
-        cands = pk.intersection(list(map(pk.pack, self._exps)), list(map(pk.pack, other._exps)))
+        pk, mine = Packing.of(self, _max_exponent(other._exps))
+        cands = pk.intersection(mine, list(map(pk.pack, other._exps)))
         return MonomialIdeal._from_packed(self.ring, pk, cands)
 
     def colon_monomial(self, m: Monomial) -> "MonomialIdeal":
         """(I : m), generated by u / gcd(u, m) over generators u."""
-        self._check_member(m)
-        pk = Packing(self.ring.var_count, _max_exponent(self._exps + (m.exponents,)))
-        cands = pk.colons(map(pk.pack, self._exps), pk.pack(m.exponents))
-        return MonomialIdeal._from_packed(self.ring, pk, cands)
+        return self.colon_ideal(minimalize([m], self.ring))
 
     def colon_ideal(self, other: "MonomialIdeal") -> "MonomialIdeal":
         """(I : J) as the intersection of (I : m) over generators m of J."""
-        self._check_ring(other)
-        if other.is_zero():
-            raise ZeroIdealError("colon by the zero ideal")
-        result = self.colon_monomial(other.gens[0])
-        for m in other.gens[1:]:
-            result = result.intersect(self.colon_monomial(m))
-        return result
+        return self._fold(other, Packing.colons, "colon")
 
     def saturate_monomial(self, m: Monomial) -> "MonomialIdeal":
         """(I : m^inf): zero out generator exponents on the support of ``m``."""
-        self._check_member(m)
-        pk = Packing(self.ring.var_count, _max_exponent(self._exps + (m.exponents,)))
-        cands = pk.drop_support(map(pk.pack, self._exps), pk.pack(m.exponents))
-        return MonomialIdeal._from_packed(self.ring, pk, cands)
+        return self.saturate_ideal(minimalize([m], self.ring))
 
     def saturate_ideal(self, other: "MonomialIdeal") -> "MonomialIdeal":
         """(I : J^inf) as the intersection of (I : m^inf) over generators of J."""
+        return self._fold(other, Packing.drop_support, "saturation")
+
+    def _fold(self, other: "MonomialIdeal", part: Callable[..., Iterator[int]], what: str) -> "MonomialIdeal":
+        """The intersection, over generators m of ``other``, of the ideals ``part(pk, gens, m)``.
+
+        One packing serves the fold: a colon, a support drop and an lcm never
+        exceed the largest exponent of this ideal.  Each part and each
+        intermediate intersection is minimalized.
+        """
         self._check_ring(other)
         if other.is_zero():
-            raise ZeroIdealError("saturation by the zero ideal")
-        result = self.saturate_monomial(other.gens[0])
-        for m in other.gens[1:]:
-            result = result.intersect(self.saturate_monomial(m))
-        return result
+            raise ZeroIdealError(f"{what} by the zero ideal")
+        pk, gens = Packing.of(self, _max_exponent(other._exps))
+        first, *rest = map(pk.pack, other._exps)
+        cands = part(pk, gens, first)
+        for m in rest:
+            cands = pk.intersection(pk.minimal(cands), pk.minimal(part(pk, gens, m)))
+        return MonomialIdeal._from_packed(self.ring, pk, cands)
 
     # -- guards ---------------------------------------------------------------
 
@@ -458,12 +455,6 @@ class MonomialIdeal:
                 f"ideals live in different rings: {self.ring.var_names} vs {other.ring.var_names}"
             )
 
-    def _check_member(self, m: Monomial) -> None:
-        if len(m.exponents) != self.ring.var_count:
-            raise RingMismatchError(
-                f"monomial has {len(m.exponents)} exponents, ring has {self.ring.var_count} variables"
-            )
-
 
 def minimalize(gens: Sequence[Monomial], ring: RingContext) -> MonomialIdeal:
     """Canonical minimal generating set of the ideal generated by ``gens``.
@@ -471,12 +462,11 @@ def minimalize(gens: Sequence[Monomial], ring: RingContext) -> MonomialIdeal:
     Every input generator is divisible by some output generator, and no
     output generator divides another.  An empty input yields the zero ideal.
     """
-    d = ring.var_count
     for g in gens:
-        if len(g.exponents) != d:
+        if len(g.exponents) != ring.var_count:
             raise RingMismatchError(
-                f"monomial has {len(g.exponents)} exponents, ring has {d} variables"
+                f"monomial has {len(g.exponents)} exponents, ring has {ring.var_count} variables"
             )
     exps = [g.exponents for g in gens]
-    pk = Packing(d, _max_exponent(exps))
+    pk = Packing(ring.var_count, _max_exponent(exps))
     return MonomialIdeal._from_packed(ring, pk, map(pk.pack, exps))

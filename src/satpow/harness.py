@@ -240,13 +240,16 @@ def _render_csv(columns: Sequence[str], rows: Sequence[dict[str, str]]) -> str:
     return out.getvalue()
 
 
+def _render_json(payload: object) -> str:
+    return json.dumps(payload, indent=2) + "\n"
+
+
 def render_verify_csv(records: Sequence[VerifyRecord]) -> str:
     return _render_csv(CSV_COLUMNS, [_record_cells(r) for r in records])
 
 
 def render_verify_json(records: Sequence[VerifyRecord]) -> str:
-    rows = [_record_cells(r) for r in records]
-    return json.dumps(rows, indent=2) + "\n"
+    return _render_json([_record_cells(r) for r in records])
 
 
 def render_verify_table(records: Sequence[VerifyRecord]) -> str:
@@ -274,7 +277,7 @@ def render_series_csv(samples: Sequence[SeriesSample]) -> str:
 
 
 def render_series_json(samples: Sequence[SeriesSample]) -> str:
-    return json.dumps(render_series_rows(samples), indent=2) + "\n"
+    return _render_json(render_series_rows(samples))
 
 
 def render_quasipolynomial(qp: QuasiPolynomial) -> str:
@@ -303,6 +306,6 @@ def render_quasipolynomial_json(qp: QuasiPolynomial) -> str:
         "grade": grade(qp),
         "coeffs": [[str(v) for v in row] for row in qp.coeffs],
     }
-    return json.dumps(payload, indent=2) + "\n"
+    return _render_json(payload)
 
 

@@ -23,10 +23,11 @@ on the exponents.  There are two base cases:
 
 The generators are packed once per ``numerator_of_quotient`` call by
 ``core.Packing``; one field width serves the whole recursion, because
-neither I + (x^k) nor I : x^k raises the largest exponent.  Numerators of
-intermediate ideals are memoized in a dict local to that call, keyed by the
-canonical tuple of packed generators.  A quotient of equal ideals is the
-empty module and computes no numerator.
+neither I + (x^k) nor I : x^k raises the largest exponent.  Both branches
+of a split come from one pass over the generators, ``Packing.split``.
+Numerators of intermediate ideals are memoized in a dict local to that
+call, keyed by the canonical tuple of packed generators.  A quotient of
+equal ideals is the empty module and computes no numerator.
 """
 from __future__ import annotations
 
@@ -191,8 +192,7 @@ def _numerator(
             for deg in map(pk.degree, gens):
                 result = result - result.shift(deg)
         else:
-            plus_x = pk.plus_power(gens, pivot, k)
-            colon_x = pk.colon_power(gens, pivot, k)
+            plus_x, colon_x = pk.split(gens, pivot, k)
             result = _numerator(plus_x, pk, memo) + _numerator(colon_x, pk, memo).shift(k)
 
     memo[gens] = result

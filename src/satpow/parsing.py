@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Optional
 
 from .core import Monomial, MonomialIdeal, RingContext, minimalize
 from .errors import ParseError
@@ -68,6 +68,14 @@ def format_ideal(ideal: MonomialIdeal) -> str:
     return ", ".join(format_monomial(g, ideal.ring) for g in ideal.gens)
 
 
+def _parse_block(exprs: Iterable[str], ring: RingContext, where: str) -> MonomialIdeal:
+    """The ideal generated by ``exprs``; a parse error is prefixed with ``where``."""
+    try:
+        return minimalize([parse_monomial(e, ring) for e in exprs], ring)
+    except ParseError as exc:
+        raise ParseError(f"{where}: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class IdealPair:
     """A ring with its two named ideals, as read from an ideal file."""
@@ -105,11 +113,7 @@ def parse_ideal_file(text: str) -> IdealPair:
         exprs = [e for e in (piece.strip() for piece in body.split(",")) if e]
         if not exprs:
             raise ParseError(f"line {lineno}: ideal {name!r} needs at least one generator")
-        try:
-            gens = [parse_monomial(e, ring) for e in exprs]
-        except ParseError as exc:
-            raise ParseError(f"line {lineno}: {exc}") from exc
-        blocks[name] = minimalize(gens, ring)
+        blocks[name] = _parse_block(exprs, ring, f"line {lineno}")
     if ring is None:
         raise ParseError("missing 'ring' declaration")
     for required in ("I", "J"):
@@ -177,8 +181,7 @@ def parse_corpus(text: str) -> list[CorpusEntry]:
             exprs = item.get(key)
             if not isinstance(exprs, list) or not exprs:
                 raise ParseError(f"{where} ({name}): '{key}' must be a non-empty list")
-            gens = [parse_monomial(str(e), ring) for e in exprs]
-            ideals[key] = minimalize(gens, ring)
+            ideals[key] = _parse_block(map(str, exprs), ring, f"{where} ({name})")
         if ideals["I"].is_unit():
             raise ParseError(f"{where} ({name}): the base ideal I must be proper")
         expect = item.get("expect", {})

@@ -270,6 +270,39 @@ class TestCli:
         assert cli.main(["power"]) == 1
         assert cli.main(["no-such-command"]) == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["power", "FILE", "-n", "-1"],
+            ["power", "FILE", "-n", "two"],
+            ["symbolic", "FILE", "-n", "-1"],
+            ["series", "FILE", "--nmax", "0"],
+            ["fit", "FILE", "--gmax", "0"],
+            ["fit", "FILE", "--min-tail", "1"],
+            ["verify", "--nmax", "0"],
+            ["verify", "--min-tail", "1"],
+        ],
+    )
+    def test_option_out_of_range_exits_one(self, ideal_file, argv, capsys):
+        assert cli.main([ideal_file if a == "FILE" else a for a in argv]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+
+    def test_internal_value_error_exits_three(self, ideal_file, monkeypatch, capsys):
+        def broken(pair, nmax):
+            raise ValueError("a broken invariant")
+
+        monkeypatch.setattr(harness, "run_series", broken)
+        assert cli.main(["series", ideal_file]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "engine bug" in err and "a broken invariant" in err
+
+    def test_non_utf8_file_exits_one(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.ideal"
+        bad.write_bytes("ring x\nI: x\nJ: x # \u00e9\n".encode("latin-1"))
+        assert cli.main(["show", str(bad)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_parse_error_exits_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.ideal"
         bad.write_text("ring x\nI: q\nJ: x\n", encoding="utf-8")

@@ -14,7 +14,7 @@ import pytest
 
 from satpow import IntPolynomial, Monomial, RingContext, divides, minimalize, numerator_of_quotient
 from satpow.core import Packing
-from satpow.hilbert import _LEAF_GENS
+from satpow.hilbert import _LEAF_GENS, _pick_pivot
 
 from conftest import reference_minimal, reference_numerator
 
@@ -98,20 +98,67 @@ def test_saturate_monomial_matches_oracle():
         assert exps_of(build(r, a).saturate_monomial(Monomial(m))) == expected
 
 
-def test_colon_power_matches_oracle():
+def test_split_matches_oracle():
     for r, a, _, _ in instances(137, 12):
         i = build(r, a)
         pk, gens = Packing.of(i)
         exps = exps_of(i)
         for v in range(r.var_count):
             for k in {0, 1} | {g[v] for g in exps} | {max(g[v] - 1, 0) for g in exps}:
+                power = tuple(k if j == v else 0 for j in range(r.var_count))
+                if member(exps, power):
+                    continue  # outside the precondition of split
+                plus, colon = pk.split(gens, v, k)
+                assert list(map(pk.unpack, plus)) == reference_minimal(exps + [power])
                 expected = reference_minimal(
                     g[:v] + (max(g[v] - k, 0),) + g[v + 1 :] for g in exps
                 )
-                assert list(map(pk.unpack, pk.colon_power(gens, v, k))) == expected
+                assert list(map(pk.unpack, colon)) == expected
     # the quotient y of x^2*y, from exponent exactly k = 2, divides y^2
     pk, gens = Packing.of(build(ring(2), [(2, 1), (0, 2)]))
-    assert list(map(pk.unpack, pk.colon_power(gens, 0, 2))) == [(0, 1)]
+    plus, colon = pk.split(gens, 0, 2)
+    assert list(map(pk.unpack, plus)) == [(2, 0), (0, 2)]
+    assert list(map(pk.unpack, colon)) == [(0, 1)]
+
+
+def test_pivot_power_is_never_in_the_ideal():
+    for r, a, b, _ in instances(149, 12):
+        i = build(r, a + b)
+        pk, gens = Packing.of(i)
+        pivot, k = _pick_pivot(gens, pk)
+        if pivot >= 0:
+            power = tuple(k if j == pivot else 0 for j in range(r.var_count))
+            assert k > 0 and not member(exps_of(i), power)
+
+
+def folded(i_gens, j_gens, part) -> list[tuple[int, ...]]:
+    """The intersection over m in J of the ideals generated by part(g, m), on tuples."""
+    result = None
+    for m in j_gens:
+        gens = reference_minimal(tuple(map(part, g, m)) for g in i_gens)
+        if result is not None:
+            gens = reference_minimal(tuple(map(max, g, h)) for g in result for h in gens)
+        result = gens
+    return result
+
+
+def test_colon_and_saturate_ideal_match_a_tuple_fold():
+    rng = random.Random(151)
+    for r, a, _, _ in instances(151, 6):
+        d, top = r.var_count, max(map(max, a))
+        if d == 1:
+            continue  # one variable has no antichain of two generators
+        k = top.bit_length() + rng.randint(0, 2)
+        above = [0, 1, 2**k - 1, 2**k]  # J exponents at or past the next field boundary
+        rj: list[tuple[int, ...]] = []
+        while not 2 <= len(rj) <= 4:
+            rj = reference_minimal(tuple(rng.choice(above) for _ in range(d)) for _ in range(4))
+        i, j = build(r, a), build(r, rj)
+        ri = reference_minimal(a)
+        colon = folded(ri, rj, lambda x, y: max(x - y, 0))
+        saturation = folded(ri, rj, lambda x, y: 0 if y else x)
+        assert exps_of(i.colon_ideal(j)) == colon
+        assert exps_of(i.saturate_ideal(j)) == saturation
 
 
 def test_contains_matches_oracle():

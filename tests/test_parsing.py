@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -146,6 +147,13 @@ class TestCorpus:
         bad = [{"name": "a", "ring": ["x"], "I": ["1"], "J": ["x"]}]
         with pytest.raises(ParseError, match="proper"):
             parse_corpus(json.dumps(bad))
+
+    def test_generator_error_names_its_entry(self):
+        good = {"name": "ok", "ring": ["x"], "I": ["x"], "J": ["x"]}
+        bad = {"name": "a", "ring": ["x"], "I": ["x*q"], "J": ["x"]}
+        message = "corpus entry 1 (a): unknown variable 'q' in 'x*q'"
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            parse_corpus(json.dumps([good, bad]))
 
     def test_empty_generator_list_rejected(self):
         bad = [{"name": "a", "ring": ["x"], "I": [], "J": ["x"]}]
