@@ -10,9 +10,9 @@ that set as exponent tuples; ``Monomial`` objects are built only when
 Every kernel packs the exponent vectors it works on into Python ints (see
 :class:`Packing`), with a field width taken from the largest exponent that
 one call can produce, and unpacks only its result.  A colon or saturation
-by an ideal J is one fold over the generators of J in one packing.  The
-Hilbert recursion packs once per numerator and memoizes on tuples of these
-ints.
+by an ideal J is one fold in one packing, over the generators of J for a
+colon and over those of its radical for a saturation.  The Hilbert
+recursion packs once per numerator and memoizes on tuples of these ints.
 
 All values are immutable after construction and safe to share across
 threads; no operation mutates its inputs.
@@ -198,7 +198,10 @@ class Packing:
 
         A generator of one ideal that lies in the other is a minimal generator
         of the intersection, and its lcm with anything is a multiple of it;
-        the other candidates are the lcms of the remaining pairs.
+        the other candidates are the lcms of the remaining pairs.  Those are
+        taken one generator g of the shorter remainder at a time, and the
+        lcms of g are minimalized among themselves before they join the
+        candidates, which drops most of them before the filter over all.
         """
         cands: list[int] = []
         out_a: list[int] = []
@@ -206,9 +209,10 @@ class Packing:
         for gens, others, out in ((gens_a, gens_b, out_a), (gens_b, gens_a, out_b)):
             for g in gens:
                 (cands if self.divides_any(others, g) else out).append(g)
-        for a in out_a:
-            for b in out_b:
-                cands.append(self.lcm(a, b))
+        if len(out_a) < len(out_b):
+            out_a, out_b = out_b, out_a
+        for g in out_b:
+            cands += self.minimal([self.lcm(a, g) for a in out_a])
         return cands
 
     def lcm(self, a: int, b: int) -> int:
@@ -420,28 +424,33 @@ class MonomialIdeal:
 
     def colon_ideal(self, other: "MonomialIdeal") -> "MonomialIdeal":
         """(I : J) as the intersection of (I : m) over generators m of J."""
-        return self._fold(other, Packing.colons, "colon")
+        self._check_ring(other)
+        return self._fold(other._exps, Packing.colons, "colon")
 
     def saturate_monomial(self, m: Monomial) -> "MonomialIdeal":
         """(I : m^inf): zero out generator exponents on the support of ``m``."""
         return self.saturate_ideal(minimalize([m], self.ring))
 
     def saturate_ideal(self, other: "MonomialIdeal") -> "MonomialIdeal":
-        """(I : J^inf) as the intersection of (I : m^inf) over generators of J."""
-        return self._fold(other, Packing.drop_support, "saturation")
+        """(I : J^inf) as the intersection of (I : x_S^inf) over the generators x_S of √J.
 
-    def _fold(self, other: "MonomialIdeal", part: Callable[..., Iterator[int]], what: str) -> "MonomialIdeal":
-        """The intersection, over generators m of ``other``, of the ideals ``part(pk, gens, m)``.
+        (I : J^inf) = (I : √J^inf), so a generator of J whose support holds
+        another's adds nothing and is skipped.
+        """
+        self._check_ring(other)
+        return self._fold(_minimal_supports(other), Packing.drop_support, "saturation")
+
+    def _fold(self, ms: Sequence[Exponents], part: Callable[..., Iterator[int]], what: str) -> "MonomialIdeal":
+        """The intersection, over the exponent vectors m in ``ms``, of the ideals ``part(pk, gens, m)``.
 
         One packing serves the fold: a colon, a support drop and an lcm never
         exceed the largest exponent of this ideal.  Each part and each
         intermediate intersection is minimalized.
         """
-        self._check_ring(other)
-        if other.is_zero():
+        if not ms:
             raise ZeroIdealError(f"{what} by the zero ideal")
-        pk, gens = Packing.of(self, _max_exponent(other._exps))
-        first, *rest = map(pk.pack, other._exps)
+        pk, gens = Packing.of(self, _max_exponent(ms))
+        first, *rest = map(pk.pack, ms)
         cands = part(pk, gens, first)
         for m in rest:
             cands = pk.intersection(pk.minimal(cands), pk.minimal(part(pk, gens, m)))
@@ -470,3 +479,14 @@ def minimalize(gens: Sequence[Monomial], ring: RingContext) -> MonomialIdeal:
     exps = [g.exponents for g in gens]
     pk = Packing(ring.var_count, _max_exponent(exps))
     return MonomialIdeal._from_packed(ring, pk, map(pk.pack, exps))
+
+
+def _minimal_supports(ideal: MonomialIdeal) -> list[Exponents]:
+    """The minimal generators of the radical of ``ideal``, in canonical order.
+
+    These are the squarefree x_S over the inclusion-minimal supports S of
+    the generators: x_S divides x_T exactly when S lies in T.  The unit
+    ideal gives the empty support, the zero ideal no support at all.
+    """
+    pk = Packing(ideal.ring.var_count, 1)
+    return list(map(pk.unpack, pk.minimal(pk.pack(tuple(min(e, 1) for e in t)) for t in ideal._exps)))

@@ -7,9 +7,24 @@ inputs; safe for concurrent use.
 """
 from __future__ import annotations
 
-from .core import MonomialIdeal
+from itertools import combinations
+
+from .core import MonomialIdeal, _minimal_supports
 
 VariableSubset = frozenset[int]
+
+
+def _supports(ideal: MonomialIdeal) -> list[VariableSubset]:
+    """The inclusion-minimal generator supports of a nonzero proper ideal.
+
+    A support containing another is hit whenever the smaller one is, so
+    these alone decide which variable sets are covers.
+    """
+    if ideal.is_zero():
+        raise ValueError("the zero ideal has no variable-generated minimal primes")
+    if ideal.is_unit():
+        raise ValueError("the unit ideal has no minimal primes")
+    return [frozenset(i for i, e in enumerate(s) if e) for s in _minimal_supports(ideal)]
 
 
 def minimal_primes(ideal: MonomialIdeal) -> list[VariableSubset]:
@@ -18,15 +33,7 @@ def minimal_primes(ideal: MonomialIdeal) -> list[VariableSubset]:
     The ideal must be nonzero and proper.  Output is sorted by size, then by
     sorted member list, for deterministic downstream reports.
     """
-    if ideal.is_zero():
-        raise ValueError("the zero ideal has no variable-generated minimal primes")
-    if ideal.is_unit():
-        raise ValueError("the unit ideal has no minimal primes")
-
-    supports = {frozenset(g.support) for g in ideal.gens}
-    # a support containing another is hit whenever the smaller one is
-    supports = [s for s in supports if not any(t < s for t in supports)]
-
+    supports = _supports(ideal)
     covers: set[VariableSubset] = set()
 
     def extend(chosen: set[int], remaining: list[frozenset[int]]) -> None:
@@ -48,8 +55,18 @@ def minimal_primes(ideal: MonomialIdeal) -> list[VariableSubset]:
 
 
 def height(ideal: MonomialIdeal) -> int:
-    """Minimum cardinality over the minimal primes (the codimension)."""
-    return min(len(p) for p in minimal_primes(ideal))
+    """Minimum cardinality over the minimal primes (the codimension).
+
+    A smallest variable set hitting every support is a minimal prime, so
+    this is the first k for which some k variables hit every support.
+    """
+    supports = _supports(ideal)
+    variables = sorted(frozenset().union(*supports))
+    return next(
+        k
+        for k in range(1, len(variables) + 1)
+        if any(all(s.intersection(c) for s in supports) for c in combinations(variables, k))
+    )
 
 
 def dim_quotient(ideal: MonomialIdeal) -> int:

@@ -5,6 +5,7 @@ import pytest
 from satpow import (
     InsufficientDataError,
     MonomialIdeal,
+    RingContext,
     SeriesSample,
     ZeroIdealError,
     check_filtration,
@@ -13,6 +14,9 @@ from satpow import (
     symbolic_power,
     symbolic_provider,
 )
+from satpow.cli import default_corpus_path
+from satpow.filtration import _localizations
+from satpow.parsing import load_corpus
 
 from conftest import M, ideal
 
@@ -179,3 +183,25 @@ class TestFiltrationInvariants:
         for a in range(1, 8):
             for b in range(a, 9 - a):
                 assert levels[a + b].contains_ideal(levels[a].multiply(levels[b]))
+
+
+class TestLocalizedLadders:
+    def test_series_matches_the_fold_on_the_corpus(self):
+        for entry in load_corpus(default_corpus_path()):
+            base, saturator = entry.pair.base, entry.pair.saturator
+            for s in sample_series(base, saturator, 6):
+                assert s.symbolic_ideal == base.power(s.n).saturate_ideal(saturator), entry.name
+
+    def test_contained_localizations_are_pruned(self):
+        # c4-square: the localizations at a and c are (b, d), at b and d (a, c)
+        c4 = next(e for e in load_corpus(default_corpus_path()) if e.name == "c4-square")
+        assert [len(loc.gens) for loc in _localizations(c4.pair.base, c4.pair.saturator)] == [2, 2]
+        # a 6-vertex edge graph with J the maximal ideal: the localization at
+        # vertex 0 is generated by its four neighbours and holds the one at 5
+        ring = RingContext(tuple("abcdef"))
+        edges = ((0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (2, 4), (3, 5), (4, 5))
+        graph = ideal(ring, *(tuple(int(v in e) for v in range(6)) for e in edges))
+        maximal = ideal(ring, *(tuple(int(v == u) for v in range(6)) for u in range(6)))
+        locs = _localizations(graph, maximal)
+        assert len(locs) == 5
+        assert not any(a is not b and a.contains_ideal(b) for a in locs for b in locs)

@@ -29,6 +29,12 @@ DATA = Path(__file__).parent / "data"
 
 TRIANGLE_FILE = "ring x y z\nI: x*y, y*z, z*x\nJ: x, y, z\n"
 
+EDGE_FILE = (
+    "ring t0 w1 g2 a3 e4 p5\n"
+    "I: t0*g2, t0*w1, g2*w1, a3*w1, t0*e4, a3*t0, p5*e4, e4*g2, p5*a3\n"
+    "J: t0, w1, g2, a3, e4, p5\n"
+)
+
 TRIANGLE_ENTRY = {
     "name": "triangle",
     "ring": ["x", "y", "z"],
@@ -237,6 +243,14 @@ class TestCli:
         argv = ["verify", "--nmax", "12", "--min-tail", "2", "--format", "csv", "--out", str(out)]
         assert cli.main(argv) == 0
         assert out.read_bytes() == (DATA / "verify-n12.csv").read_bytes()
+
+    def test_symbolic_matches_stored_output(self, tmp_path, capsys):
+        # (I^6 : m^inf) for a 6-vertex edge graph, as computed before the
+        # saturation was built from localized power ladders
+        path = tmp_path / "edge.ideal"
+        path.write_text(EDGE_FILE, encoding="utf-8")
+        assert cli.main(["symbolic", str(path), "-n", "6"]) == 0
+        assert capsys.readouterr().out.encode() == (DATA / "edge-symbolic-n6.txt").read_bytes()
 
     def test_verify_insufficient_exits_two(self, tmp_path):
         corpus = tmp_path / "corpus.json"

@@ -12,7 +12,9 @@ from itertools import combinations
 
 import pytest
 
-from satpow import IntPolynomial, Monomial, RingContext, divides, minimalize, numerator_of_quotient
+from satpow import (
+    IntPolynomial, Monomial, RingContext, divides, minimalize, numerator_of_quotient, symbolic_power,
+)
 from satpow.core import Packing
 from satpow.hilbert import _LEAF_GENS, _pick_pivot
 
@@ -159,6 +161,31 @@ def test_colon_and_saturate_ideal_match_a_tuple_fold():
         saturation = folded(ri, rj, lambda x, y: 0 if y else x)
         assert exps_of(i.colon_ideal(j)) == colon
         assert exps_of(i.saturate_ideal(j)) == saturation
+
+
+def test_symbolic_power_matches_the_fold():
+    # (I^n : J^inf) from the localized power ladders against saturating I^n;
+    # the fixed saturators have nested supports, duplicate supports, the unit
+    # ideal, and a support that localizes I to the unit ideal
+    rng = random.Random(157)
+    for _ in range(40):
+        d = rng.randint(2, 4)
+        r = ring(d)
+        a = [tuple(rng.randint(0, 2) for _ in range(d)) for _ in range(rng.randint(1, 4))]
+        g = rng.choice(a)
+        x = [tuple(int(j == v) for j in range(d)) for v in range(d)]
+        saturators = [
+            [tuple(rng.randint(0, 2) for _ in range(d)) for _ in range(rng.randint(1, 3))],
+            [x[0], tuple(map(max, x[0], x[1]))],
+            [(2, 1) + (0,) * (d - 2), (1, 3) + (0,) * (d - 2)],
+            [(0,) * d],
+            [tuple(min(e, 1) for e in g), rng.choice(x)],
+        ]
+        i = build(r, a)
+        for sj in saturators:
+            j = build(r, sj)
+            for n in range(5):
+                assert symbolic_power(i, j, n) == i.power(n).saturate_ideal(j), (a, sj, n)
 
 
 def test_contains_matches_oracle():

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from satpow import MonomialIdeal, dim_quotient, height, minimal_primes
+from satpow import MonomialIdeal, RingContext, dim_quotient, height, minimal_primes
 
 from conftest import ideal, random_ideal
 
@@ -57,6 +57,9 @@ def test_zero_and_unit_rejected(ring2):
         minimal_primes(MonomialIdeal.zero(ring2))
     with pytest.raises(ValueError):
         minimal_primes(MonomialIdeal.unit(ring2))
+    for i in (MonomialIdeal.zero(ring2), MonomialIdeal.unit(ring2)):
+        with pytest.raises(ValueError):
+            height(i)
 
 
 def test_random_against_brute_force(ring3):
@@ -81,3 +84,14 @@ def test_outputs_are_irredundant_covers(ring3):
             for v in prime:
                 smaller = prime - {v}
                 assert not all(smaller & s for s in supports)
+
+
+def test_height_is_the_smallest_minimal_prime():
+    rng = random.Random(41)
+    for d in range(1, 7):
+        ring = RingContext(tuple("uvwxyz"[:d]))
+        for _ in range(25):
+            i = random_ideal(rng, ring, max_gens=5, max_exp=2)
+            if i.is_unit():
+                continue
+            assert height(i) == min(len(p) for p in minimal_primes(i))
