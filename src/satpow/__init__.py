@@ -25,8 +25,6 @@ from .hilbert import (
     HilbertData,
     IntPolynomial,
     dim_and_mult,
-    expand_numerator,
-    hilbert_function_oracle,
     numerator_of_quotient,
     quotient_module_data,
 )
@@ -56,8 +54,6 @@ __all__ = [
     "HilbertData",
     "IntPolynomial",
     "dim_and_mult",
-    "expand_numerator",
-    "hilbert_function_oracle",
     "numerator_of_quotient",
     "quotient_module_data",
     "QuasiPolynomial",

@@ -9,13 +9,17 @@ that set as exponent tuples; ``Monomial`` objects are built only when
 
 Every kernel packs the exponent vectors it works on into Python ints (see
 :class:`Packing`), with a field width taken from the largest exponent that
-one call can produce, and unpacks only its result.  A colon or saturation
-by an ideal J is one fold in one packing, over the generators of J for a
-colon and over those of its radical for a saturation.  The Hilbert
-recursion packs once per numerator and memoizes on tuples of these ints.
+one call can produce, and unpacks only its result.  Every divisibility
+test lays a list of packed monomials side by side in one int (see
+:class:`Row`) and tests a monomial against the whole list in one
+expression.  A colon or saturation by an ideal J is one fold in one
+packing, over the generators of J for a colon and over those of its
+radical for a saturation.  The Hilbert recursion packs once per numerator
+and memoizes on tuples of these ints.
 
-All values are immutable after construction and safe to share across
-threads; no operation mutates its inputs.
+Monomials and ideals are immutable after construction and safe to share
+across threads; no operation mutates its inputs.  A ``Row`` grows, and
+lives within one kernel call.
 """
 from __future__ import annotations
 
@@ -88,7 +92,7 @@ def divides(a: Monomial, b: Monomial) -> bool:
             f"monomials live in different rings ({len(a.exponents)} vs {len(b.exponents)} variables)"
         )
     pk = Packing(len(a.exponents), _max_exponent((a.exponents, b.exponents)))
-    return pk.divides_any([pk.pack(a.exponents)], pk.pack(b.exponents))
+    return Row(pk, [pk.pack(a.exponents)]).has_divisor(pk.pack(b.exponents))
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +114,9 @@ class Packing:
     guard bit, and with G the guard bits of all fields:
 
     * a divides b iff ``((b | G) - a) & G == G`` (no field borrows from the
-      next, and b_i >= a_i iff field i keeps its guard bit);
+      next, and b_i >= a_i iff field i keeps its guard bit); a :class:`Row`
+      runs this test against a whole list at once, each element in a slot
+      of ``slot`` bytes, room for all d + 1 fields and one spare bit;
     * the product of a and b is ``a + b``, degree included;
     * sorting by ``p ^ low`` gives the canonical order: degree first, then
       lex with the leading variable largest (x^2, x*y, y^2).
@@ -118,7 +124,7 @@ class Packing:
     ``max_exp`` must bound every exponent the computation produces.
     """
 
-    __slots__ = ("width", "shifts", "top", "value", "low", "guard", "_exp_guard", "_ones", "_degree")
+    __slots__ = ("width", "shifts", "top", "value", "low", "guard", "slot", "_exp_guard", "_ones", "_degree")
 
     def __init__(self, d: int, max_exp: int):
         w = (d * max_exp).bit_length() + 1
@@ -129,6 +135,7 @@ class Packing:
         self.low = (1 << self.top) - 1
         self._exp_guard = sum(1 << (s + w - 1) for s in self.shifts)
         self.guard = self._exp_guard | 1 << (self.top + w - 1)
+        self.slot = (self.top + w) // 8 + 1  # bytes per element of a Row, with one spare bit
         # (p * _ones) & _degree is the sum of p's exponent fields, in the degree field
         self._ones = sum(1 << (w * i) for i in range(1, d + 1))
         self._degree = ((1 << w) - 1) << self.top
@@ -169,27 +176,22 @@ class Packing:
         ge = diff & self._exp_guard  # guard bits of the fields with a_i >= b_i
         return diff & (ge - (ge >> (self.width - 1)))
 
-    # -- predicates and the antichain filter ----------------------------------
-
-    def divides_any(self, gens: Iterable[int], p: int) -> bool:
-        """True iff some element of ``gens`` divides ``p``."""
-        G = self.guard
-        return G in map(G.__and__, map((p | G).__sub__, gens))
+    # -- the antichain filter -------------------------------------------------
 
     def minimal(self, cands: Iterable[int]) -> list[int]:
-        """Antichain of divisibility-minimal elements, canonically sorted."""
-        kept: list[int] = []  # minimal elements of lower degree than the current one
-        block: list[int] = []  # minimal elements of the current degree
-        degree = -1
+        """Antichain of divisibility-minimal elements, canonically sorted.
+
+        In canonical order a divisor comes before its multiples, and a
+        distinct element of equal degree never divides; duplicates are gone.
+        So each candidate is tested against the row of those kept before it.
+        """
+        kept: list[int] = []
+        row = Row(self)
         for t in sorted(set(cands), key=self.low.__xor__):
-            if t >> self.top != degree:
-                # an equal-degree divisor would be equal, and duplicates are gone
-                degree = t >> self.top
-                kept += block
-                block = []
-            if not self.divides_any(kept, t):
-                block.append(t)
-        return kept + block
+            if not row.has_divisor(t):
+                row.append(t)
+                kept.append(t)
+        return kept
 
     # -- candidate generators --------------------------------------------------
 
@@ -206,9 +208,10 @@ class Packing:
         cands: list[int] = []
         out_a: list[int] = []
         out_b: list[int] = []
-        for gens, others, out in ((gens_a, gens_b, out_a), (gens_b, gens_a, out_b)):
+        sides = ((gens_a, Row(self, gens_b), out_a), (gens_b, Row(self, gens_a), out_b))
+        for gens, others, out in sides:
             for g in gens:
-                (cands if self.divides_any(others, g) else out).append(g)
+                (cands if others.has_divisor(g) else out).append(g)
         if len(out_a) < len(out_b):
             out_a, out_b = out_b, out_a
         for g in out_b:
@@ -252,39 +255,88 @@ class Packing:
         rule of the Hilbert recursion guarantees.  One pass splits the
         generators by their x_i exponent:
 
-        * low (g_i < k): g stays in I + (x_i^k), which x_i^k joins, as it is
-          not in I and divides no low g.  Its quotient by x_i^k is g with x_i
-          zeroed.  These quotients are minimalized among themselves, and then
-          dropped where a high quotient divides them; only a high quotient
-          with no x_i left, from g_i == k, can divide a monomial free of x_i.
-        * high (g_i >= k): g is a multiple of x_i^k, so it leaves I + (x_i^k),
-          and its quotient is g - x_i^k.  Subtracting one vector keeps
-          divisibility and the canonical order, so these quotients are an
-          antichain in order.  No low quotient divides one: if h_i < k and h
-          with x_i zeroed divides g - x_i^k, then h divides g, which the
-          antichain ``gens`` rules out.
+        * g_i < k: g stays in I + (x_i^k), which x_i^k joins, as it is not in
+          I and divides no such g.  Generators with g_i >= k are multiples of
+          x_i^k and leave I + (x_i^k).
+        * g_i <= k: the quotient of g by x_i^k is g with x_i zeroed.  These
+          quotients are minimalized together.
+        * g_i > k: the quotient is g - x_i^k, which still holds x_i.
+          Subtracting one vector keeps divisibility and the canonical order,
+          so these quotients are an antichain in order.  None of them divides
+          a quotient free of x_i.  No quotient h free of x_i, from a
+          generator f with f_i <= k, divides one either: h divides g - x_i^k
+          would make f divide g, which the antichain ``gens`` rules out, as
+          f_i < g_i makes f and g distinct.
 
-        A low quotient equal to a high one is dropped as its multiple, so the
-        two groups of quotients share no element, and they are merged in
-        canonical order.
+        So the two groups of quotients are minimal together, share no
+        element, and are merged in canonical order.
         """
         s = self.shifts[i]
         mask, bound = self.value << s, k << s
         power = bound | k << self.top
         plus: list[int] = []
-        high: list[int] = []
-        low: list[int] = []
+        held: list[int] = []
+        free: list[int] = []
         for g in gens:
             e = g & mask
-            if e >= bound:
-                high.append(g - power)
+            if e > bound:
+                held.append(g - power)
             else:
-                plus.append(g)
-                low.append(g - e - (e >> s << self.top))
+                if e < bound:
+                    plus.append(g)
+                free.append(g - e - (e >> s << self.top))
         insort(plus, power, key=self.low.__xor__)
-        freed = [h for h in high if not h & mask]
-        low = [g for g in self.minimal(low) if not self.divides_any(freed, g)]
-        return tuple(plus), tuple(sorted(high + low, key=self.low.__xor__))
+        return tuple(plus), tuple(sorted(held + self.minimal(free), key=self.low.__xor__))
+
+
+class Row:
+    """Packed monomials side by side in one int, all tested against a monomial at once.
+
+    Element j sits in slot j, the ``8 * pk.slot`` bits from bit
+    ``8 * pk.slot * j`` up: the packed monomial a_j, then zero bits, and
+    the slot's top bit, its spare bit, clear and above every field.  With G
+    the packing's guard bits, ``rep`` a 1 at the bottom of every slot,
+    ``guards = G * rep`` and ``spares`` the spare bit of every slot, some
+    a_j divides a packed p iff
+
+        ((((p | G) * rep - row) & guards) + spares - guards) & spares
+
+    is nonzero.  In each field p | G has its guard bit set and a_j has not,
+    so (p | G) - a_j borrows across no field, is non-negative and lies
+    below the spare bit.  So no slot borrows from the next, and slot j of
+    the difference is (p | G) - a_j.  Masked by ``guards``, slot j keeps
+    K_j, the guard bits of the fields where p's exponent is at least a_j's,
+    and K_j == G iff a_j divides p.  K_j + spare - G lies between
+    spare - G > 0 and the spare bit, and reaches the spare bit iff
+    K_j == G, so no slot carries into the next either, and a spare bit
+    survives the last mask iff its slot's element divides p.
+    """
+
+    __slots__ = ("_guard", "_slot", "_end", "_row", "_rep", "_guards", "_spares", "_lift")
+
+    def __init__(self, pk: Packing, gens: Sequence[int] = ()):
+        self._guard = pk.guard
+        self._slot = 8 * pk.slot
+        self._end = self._slot * len(gens)  # shift of the next element
+        self._row = int.from_bytes(b"".join(g.to_bytes(pk.slot, "little") for g in gens), "little")
+        self._rep = int.from_bytes((b"\x01" + bytes(pk.slot - 1)) * len(gens), "little")
+        self._masks()
+
+    def _masks(self) -> None:
+        self._guards = self._guard * self._rep
+        self._spares = self._rep << (self._slot - 1)
+        self._lift = self._spares - self._guards
+
+    def append(self, p: int) -> None:
+        """Put ``p`` in a new slot after the others."""
+        self._row |= p << self._end
+        self._rep |= 1 << self._end
+        self._end += self._slot
+        self._masks()
+
+    def has_divisor(self, p: int) -> bool:
+        """True iff some element of the row divides ``p``."""
+        return bool((((p | self._guard) * self._rep - self._row) & self._guards) + self._lift & self._spares)
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +432,7 @@ class MonomialIdeal:
         """True iff every generator of ``other`` lies in this ideal."""
         self._check_ring(other)
         pk, mine = Packing.of(self, _max_exponent(other._exps))
-        return all(pk.divides_any(mine, pk.pack(t)) for t in other._exps)
+        return all(map(Row(pk, mine).has_divisor, map(pk.pack, other._exps)))
 
     # -- arithmetic -----------------------------------------------------------
 

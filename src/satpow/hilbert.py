@@ -33,8 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import zip_longest
-from math import comb
-from typing import Iterator, Optional
+from typing import Optional
 
 from .core import MonomialIdeal, Packing
 from .errors import InconsistencyError
@@ -248,49 +247,3 @@ def quotient_module_data(inner: MonomialIdeal, outer: MonomialIdeal) -> HilbertD
     k = numerator_of_quotient(inner) - numerator_of_quotient(outer)
     module_dim, e0 = dim_and_mult(k, d)
     return HilbertData(numerator=k, ambient_d=d, module_dim=module_dim, e0=e0)
-
-
-# ---------------------------------------------------------------------------
-# Enumeration oracle and series expansion
-# ---------------------------------------------------------------------------
-
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
-def hilbert_function_oracle(ideal: MonomialIdeal, degree_bound: int) -> list[int]:
-    """Count monomials of each degree <= degree_bound outside the ideal.
-
-    Exhaustive enumeration; intended as an independent check on the
-    numerator recursion, not for production-size inputs.
-    """
-    if degree_bound < 0:
-        raise ValueError("degree bound must be non-negative")
-    d = ideal.ring.var_count
-    pk, gens = Packing.of(ideal, degree_bound)
-    counts = []
-    for t in range(degree_bound + 1):
-        n_out = 0
-        for exps in _compositions(t, d):
-            if not pk.divides_any(gens, pk.pack(exps)):
-                n_out += 1
-        counts.append(n_out)
-    return counts
-
-
-def expand_numerator(numerator: IntPolynomial, ambient_d: int, degree_bound: int) -> list[int]:
-    """Power-series coefficients of K(z)/(1-z)^d up to degree_bound."""
-    out = []
-    for t in range(degree_bound + 1):
-        total = 0
-        for j, c in enumerate(numerator.coeffs):
-            if j > t:
-                break
-            total += c * comb(t - j + ambient_d - 1, ambient_d - 1)
-        out.append(total)
-    return out

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from math import comb
 
 import pytest
 
@@ -126,3 +127,43 @@ def reference_numerator(ideal: MonomialIdeal) -> IntPolynomial:
         return result
 
     return numerator(minimal(g.exponents for g in ideal.gens))
+
+
+def hilbert_function_oracle(ideal: MonomialIdeal, degree_bound: int) -> list[int]:
+    """Count monomials of each degree <= degree_bound outside the ideal.
+
+    Exhaustive enumeration on plain exponent tuples, sharing no code with
+    the packed kernel or the numerator recursion it checks; not for large
+    inputs.
+    """
+    if degree_bound < 0:
+        raise ValueError("degree bound must be non-negative")
+    gens = [g.exponents for g in ideal.gens]
+    d = ideal.ring.var_count
+    return [
+        sum(not member(gens, exps) for exps in compositions(t, d))
+        for t in range(degree_bound + 1)
+    ]
+
+
+def compositions(total: int, parts: int):
+    """Every exponent vector with ``parts`` entries summing to ``total``."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def expand_numerator(numerator: IntPolynomial, ambient_d: int, degree_bound: int) -> list[int]:
+    """Power-series coefficients of K(z)/(1-z)^d up to degree_bound."""
+    out = []
+    for t in range(degree_bound + 1):
+        total = 0
+        for j, c in enumerate(numerator.coeffs):
+            if j > t:
+                break
+            total += c * comb(t - j + ambient_d - 1, ambient_d - 1)
+        out.append(total)
+    return out

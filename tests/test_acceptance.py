@@ -20,10 +20,8 @@ from satpow import (
     RingContext,
     check_filtration,
     evaluate,
-    expand_numerator,
     fit,
     height,
-    hilbert_function_oracle,
     minimalize,
     numerator_of_quotient,
     quotient_module_data,
@@ -40,6 +38,7 @@ from satpow.harness import (
 from satpow.hilbert import dim_and_mult
 from satpow.parsing import load_corpus
 
+from conftest import expand_numerator, hilbert_function_oracle
 from test_quasipoly import random_quasipoly
 
 SEED = 20260811

@@ -20,6 +20,9 @@ from satpow.parsing import load_corpus
 
 from conftest import M, ideal
 
+# a 6-vertex graph: the 6-cycle 0-1-2-4-5-3-0 and the chords 0-2, 0-4, 1-3
+EDGE_GRAPH = ((0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (2, 4), (3, 5), (4, 5))
+
 
 @pytest.fixture
 def triangle(ring3):
@@ -192,6 +195,16 @@ class TestLocalizedLadders:
             for s in sample_series(base, saturator, 6):
                 assert s.symbolic_ideal == base.power(s.n).saturate_ideal(saturator), entry.name
 
+    def test_symbolic_power_matches_the_fold_on_the_edge_graph(self):
+        # (I^7 : m^inf) has 870 generators, so the antichain filter of the
+        # intersection tests candidates against rows of hundreds of slots
+        ring = RingContext(tuple("abcdef"))
+        graph = ideal(ring, *(tuple(int(v in e) for v in range(6)) for e in EDGE_GRAPH))
+        maximal = ideal(ring, *(tuple(int(v == u) for v in range(6)) for u in range(6)))
+        symbolic = symbolic_power(graph, maximal, 7)
+        assert len(symbolic.gens) == 870
+        assert symbolic == graph.power(7).saturate_ideal(maximal)
+
     def test_contained_localizations_are_pruned(self):
         # c4-square: the localizations at a and c are (b, d), at b and d (a, c)
         c4 = next(e for e in load_corpus(default_corpus_path()) if e.name == "c4-square")
@@ -199,8 +212,7 @@ class TestLocalizedLadders:
         # a 6-vertex edge graph with J the maximal ideal: the localization at
         # vertex 0 is generated by its four neighbours and holds the one at 5
         ring = RingContext(tuple("abcdef"))
-        edges = ((0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (2, 4), (3, 5), (4, 5))
-        graph = ideal(ring, *(tuple(int(v in e) for v in range(6)) for e in edges))
+        graph = ideal(ring, *(tuple(int(v in e) for v in range(6)) for e in EDGE_GRAPH))
         maximal = ideal(ring, *(tuple(int(v == u) for v in range(6)) for u in range(6)))
         locs = _localizations(graph, maximal)
         assert len(locs) == 5

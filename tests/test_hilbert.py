@@ -13,8 +13,6 @@ from satpow import (
     RingContext,
     dim_and_mult,
     dim_quotient,
-    expand_numerator,
-    hilbert_function_oracle,
     minimalize,
     numerator_of_quotient,
     quotient_module_data,
@@ -23,7 +21,10 @@ from satpow import hilbert
 from satpow.core import Packing
 from satpow.hilbert import _LEAF_GENS, _numerator
 
-from conftest import M, ideal, monomials_up_to, random_ideal, reference_numerator
+from conftest import (
+    M, expand_numerator, hilbert_function_oracle, ideal, monomials_up_to, random_ideal,
+    reference_numerator,
+)
 
 
 class TestIntPolynomial:

@@ -15,7 +15,7 @@ import pytest
 from satpow import (
     IntPolynomial, Monomial, RingContext, divides, minimalize, numerator_of_quotient, symbolic_power,
 )
-from satpow.core import Packing
+from satpow.core import Packing, Row
 from satpow.hilbert import _LEAF_GENS, _pick_pivot
 
 from conftest import reference_minimal, reference_numerator
@@ -186,6 +186,56 @@ def test_symbolic_power_matches_the_fold():
             j = build(r, sj)
             for n in range(5):
                 assert symbolic_power(i, j, n) == i.power(n).saturate_ideal(j), (a, sj, n)
+
+
+ROW_LENGTHS = (0, 1, 2, 63, 64, 65, 600)
+
+
+def row_divisor(rng: random.Random, pool: list[int], p: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(rng.choice([e for e in pool if e <= x]) for x in p)
+
+
+def row_non_divisor(rng: random.Random, pool: list[int], p: tuple[int, ...]) -> tuple[int, ...]:
+    """A vector over ``pool`` above ``p`` in one variable, by the least step the pool allows."""
+    j = rng.choice([i for i, x in enumerate(p) if x < pool[-1]])
+    g = [rng.choice(pool) for _ in p]
+    g[j] = min(e for e in pool if e > p[j])
+    return tuple(g)
+
+
+def test_row_matches_a_tuple_oracle():
+    # Packings whose degree field ends on a byte boundary (top + width a
+    # multiple of 8) or one bit below it, where the spare bit of a slot sits
+    # on the last bit of a byte, plus one at random; rows around 64 elements
+    # and one of 600, with the only divisor first, in the middle or last.
+    rng = random.Random(163)
+    residues = set()
+    for d in range(1, 8):
+        aligned = [m for m in BOUNDARY[1:] if (Packing(d, m).top + Packing(d, m).width) % 8 in (0, 7)]
+        for max_exp in {aligned[0], aligned[-1], rng.choice(aligned), rng.choice(BOUNDARY[1:])}:
+            pk = Packing(d, max_exp)
+            residues.add((pk.top + pk.width) % 8)
+            pool = [e for e in BOUNDARY if e <= max_exp]
+            for length in ROW_LENGTHS:
+                p = [rng.choice(pool) for _ in range(d)]
+                p[rng.randrange(d)] = rng.choice(pool[:-1])
+                p = tuple(p)
+                misses = [row_non_divisor(rng, pool, p) for _ in range(length)]
+                anything = [tuple(rng.choice(pool) for _ in range(d)) for _ in range(length)]
+                rows = [misses, anything] + [
+                    misses[:at] + [row_divisor(rng, pool, p)] + misses[at:]
+                    for at in {0, length // 2, length}
+                ]
+                for gens in rows:
+                    packed = list(map(pk.pack, gens))
+                    expected = member(gens, p)
+                    assert Row(pk, packed).has_divisor(pk.pack(p)) == expected, (d, max_exp, len(gens))
+                    half = len(packed) // 2
+                    appended = Row(pk, packed[:half])
+                    for g in packed[half:]:
+                        appended.append(g)
+                    assert appended.has_divisor(pk.pack(p)) == expected, (d, max_exp, len(gens))
+    assert {0, 7} <= residues
 
 
 def test_contains_matches_oracle():
