@@ -12,15 +12,7 @@ from .errors import (
     RingMismatchError,
     ZeroIdealError,
 )
-from .filtration import (
-    FiltrationReport,
-    SeriesSample,
-    check_filtration,
-    dim_stabilization,
-    sample_series,
-    symbolic_power,
-    symbolic_provider,
-)
+from .filtration import SeriesSample, dim_stabilization, sample_series, symbolic_power
 from .hilbert import (
     HilbertData,
     IntPolynomial,
@@ -29,7 +21,7 @@ from .hilbert import (
     quotient_module_data,
 )
 from .quasipoly import QuasiPolynomial, coeff_is_constant, evaluate, fit, grade
-from .theory import dim_quotient, height, minimal_primes
+from .theory import height
 
 __version__ = "0.1.0"
 
@@ -44,13 +36,10 @@ __all__ = [
     "ParseError",
     "RingMismatchError",
     "ZeroIdealError",
-    "FiltrationReport",
     "SeriesSample",
-    "check_filtration",
     "dim_stabilization",
     "sample_series",
     "symbolic_power",
-    "symbolic_provider",
     "HilbertData",
     "IntPolynomial",
     "dim_and_mult",
@@ -61,8 +50,6 @@ __all__ = [
     "evaluate",
     "fit",
     "grade",
-    "minimal_primes",
     "height",
-    "dim_quotient",
     "__version__",
 ]

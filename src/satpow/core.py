@@ -4,8 +4,8 @@ Monomials are exponent vectors over a fixed ambient polynomial ring; no
 coefficient field is ever materialized.  Ideals carry their canonical
 minimal generating set (an antichain under divisibility, sorted in a fixed
 total order), so ideal equality is generator-list equality.  An ideal stores
-that set as exponent tuples; ``Monomial`` objects are built only when
-``gens`` is first read.
+that set as exponent tuples and nothing else; ``gens`` builds ``Monomial``
+objects from them on each read.
 
 Every kernel packs the exponent vectors it works on into Python ints (see
 :class:`Packing`), with a field width taken from the largest exponent that
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import RingMismatchError, ZeroIdealError
 
@@ -43,11 +43,11 @@ class RingContext:
         object.__setattr__(self, "var_names", names)
         if not names:
             raise ValueError("a ring needs at least one variable")
+        for name in names:
+            if not isinstance(name, str) or not name.isidentifier():
+                raise ValueError(f"invalid variable name: {name!r}")
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate variable names: {names}")
-        for name in names:
-            if not name or not name.isidentifier():
-                raise ValueError(f"invalid variable name: {name!r}")
 
     @property
     def var_count(self) -> int:
@@ -80,9 +80,6 @@ class Monomial:
     def support(self) -> tuple[int, ...]:
         """Indices of variables with positive exponent."""
         return tuple(i for i, e in enumerate(self.exponents) if e > 0)
-
-    def is_one(self) -> bool:
-        return self.degree == 0
 
 
 def divides(a: Monomial, b: Monomial) -> bool:
@@ -346,30 +343,21 @@ class Row:
 class MonomialIdeal:
     """A monomial ideal held by its canonical minimal generating set.
 
-    Construct through :func:`minimalize` (or :meth:`from_monomials`); the
-    constructor trusts its input to already be canonical.  The zero ideal has
-    no generators; the unit ideal has the single all-zero generator.
+    The constructor takes that set as exponent tuples and trusts them to be
+    canonical; :func:`minimalize` builds one from any monomials.  The zero
+    ideal has no generators; the unit ideal has the single all-zero generator.
     """
 
-    __slots__ = ("ring", "_exps", "_gens")
+    __slots__ = ("ring", "_exps")
 
-    def __init__(self, ring: RingContext, gens: Sequence[Monomial]):
+    def __init__(self, ring: RingContext, exps: Iterable[Exponents]):
         self.ring = ring
-        self._exps: tuple[Exponents, ...] = tuple(g.exponents for g in gens)
-        self._gens: Optional[tuple[Monomial, ...]] = None
-
-    @classmethod
-    def from_monomials(cls, ring: RingContext, gens: Iterable[Monomial]) -> "MonomialIdeal":
-        return minimalize(list(gens), ring)
+        self._exps: tuple[Exponents, ...] = tuple(exps)
 
     @classmethod
     def _from_packed(cls, ring: RingContext, pk: Packing, cands: Iterable[int]) -> "MonomialIdeal":
         """The ideal generated by the packed ``cands``."""
-        ideal = cls.__new__(cls)
-        ideal.ring = ring
-        ideal._exps = tuple(map(pk.unpack, pk.minimal(cands)))
-        ideal._gens = None
-        return ideal
+        return cls(ring, map(pk.unpack, pk.minimal(cands)))
 
     @classmethod
     def zero(cls, ring: RingContext) -> "MonomialIdeal":
@@ -377,14 +365,16 @@ class MonomialIdeal:
 
     @classmethod
     def unit(cls, ring: RingContext) -> "MonomialIdeal":
-        return cls(ring, [Monomial((0,) * ring.var_count)])
+        return cls(ring, [(0,) * ring.var_count])
 
     @property
     def gens(self) -> tuple[Monomial, ...]:
-        """The minimal generators in canonical order."""
-        if self._gens is None:
-            self._gens = tuple(map(Monomial, self._exps))
-        return self._gens
+        """The minimal generators in canonical order, built anew on each read."""
+        return tuple(map(Monomial, self._exps))
+
+    def __len__(self) -> int:
+        """The number of minimal generators."""
+        return len(self._exps)
 
     # -- predicates ---------------------------------------------------------
 
@@ -393,9 +383,6 @@ class MonomialIdeal:
 
     def is_unit(self) -> bool:
         return len(self._exps) == 1 and not any(self._exps[0])
-
-    def is_proper(self) -> bool:
-        return not self.is_unit()
 
     def is_equigenerated(self) -> bool:
         """True iff all minimal generators share one total degree."""
@@ -416,17 +403,11 @@ class MonomialIdeal:
     def __repr__(self) -> str:
         return f"MonomialIdeal({self.ring.var_names}, {len(self._exps)} gens)"
 
-    def __iter__(self) -> Iterator[Monomial]:
-        return iter(self.gens)
-
     # -- membership ----------------------------------------------------------
 
     def contains(self, m: Monomial) -> bool:
         """True iff some minimal generator divides ``m``."""
         return self.contains_ideal(minimalize([m], self.ring))
-
-    def __contains__(self, m: Monomial) -> bool:
-        return self.contains(m)
 
     def contains_ideal(self, other: "MonomialIdeal") -> bool:
         """True iff every generator of ``other`` lies in this ideal."""
@@ -444,9 +425,6 @@ class MonomialIdeal:
         cands = [c for a in mine for c in map(a.__add__, theirs)]
         return MonomialIdeal._from_packed(self.ring, pk, cands)
 
-    def __mul__(self, other: "MonomialIdeal") -> "MonomialIdeal":
-        return self.multiply(other)
-
     def power(self, n: int) -> "MonomialIdeal":
         """``n``-fold product, with I^0 the unit ideal.
 
@@ -460,19 +438,12 @@ class MonomialIdeal:
             result = result.multiply(self)
         return result
 
-    def __pow__(self, n: int) -> "MonomialIdeal":
-        return self.power(n)
-
     def intersect(self, other: "MonomialIdeal") -> "MonomialIdeal":
         """Intersection, minimalized from pairwise lcms of generators."""
         self._check_ring(other)
         pk, mine = Packing.of(self, _max_exponent(other._exps))
         cands = pk.intersection(mine, list(map(pk.pack, other._exps)))
         return MonomialIdeal._from_packed(self.ring, pk, cands)
-
-    def colon_monomial(self, m: Monomial) -> "MonomialIdeal":
-        """(I : m), generated by u / gcd(u, m) over generators u."""
-        return self.colon_ideal(minimalize([m], self.ring))
 
     def colon_ideal(self, other: "MonomialIdeal") -> "MonomialIdeal":
         """(I : J) as the intersection of (I : m) over generators m of J."""

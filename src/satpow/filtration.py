@@ -26,13 +26,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .core import Monomial, MonomialIdeal, _minimal_supports
 from .errors import InsufficientDataError, ZeroIdealError
 from .hilbert import quotient_module_data
-
-FiltrationProvider = Callable[[int], MonomialIdeal]
 
 
 @dataclass(frozen=True)
@@ -47,14 +45,6 @@ class SeriesSample:
     symbolic_ideal: MonomialIdeal
     module_dim: Optional[int]
     f: int
-
-
-@dataclass(frozen=True)
-class FiltrationReport:
-    """Outcome of the filtration-axiom check; violation is None on success."""
-
-    ok: bool
-    violation: Optional[str]
 
 
 def _check_nonzero(base: MonomialIdeal, saturator: MonomialIdeal) -> None:
@@ -119,43 +109,6 @@ def sample_series(
             power = power.multiply(base)
             ladders = [ladder.multiply(step) for ladder, step in zip(ladders, steps)]
     return samples
-
-
-def symbolic_provider(
-    base: MonomialIdeal, saturator: MonomialIdeal
-) -> FiltrationProvider:
-    """The saturation-power filtration as a provider rule n -> (I^n : J^inf)."""
-    return lambda n: symbolic_power(base, saturator, n)
-
-
-def check_filtration(
-    provider: FiltrationProvider, base: MonomialIdeal, nmax: int
-) -> FiltrationReport:
-    """Verify the multiplicative-filtration axioms up to level nmax.
-
-    Checks J_0 = A, the descending chain, containment of ordinary powers,
-    and multiplicativity J_a * J_b within J_{a+b} for a + b <= nmax.  The
-    first violated axiom is reported; violations are data, not faults.
-    """
-    levels = [provider(n) for n in range(nmax + 1)]
-    if not levels[0].is_unit():
-        return FiltrationReport(False, "J_0 is not the unit ideal")
-    for n in range(nmax):
-        if not levels[n].contains_ideal(levels[n + 1]):
-            return FiltrationReport(False, f"J_{n + 1} is not contained in J_{n}")
-    power = MonomialIdeal.unit(base.ring)
-    for n in range(1, nmax + 1):
-        power = power.multiply(base)
-        if not levels[n].contains_ideal(power):
-            return FiltrationReport(False, f"I^{n} is not contained in J_{n}")
-    for a in range(1, nmax):
-        for b in range(a, nmax - a + 1):
-            product = levels[a].multiply(levels[b])
-            if not levels[a + b].contains_ideal(product):
-                return FiltrationReport(
-                    False, f"J_{a} * J_{b} is not contained in J_{a + b}"
-                )
-    return FiltrationReport(True, None)
 
 
 def dim_stabilization(samples: Sequence[SeriesSample]) -> tuple[Optional[int], int]:

@@ -262,7 +262,7 @@ def render_series_rows(samples: Sequence[SeriesSample]) -> list[dict[str, str]]:
             "n": str(s.n),
             "f": str(s.f),
             "dim": "empty" if s.module_dim is None else str(s.module_dim),
-            "symbolic_gens": str(len(s.symbolic_ideal.gens)),
+            "symbolic_gens": str(len(s.symbolic_ideal)),
         }
         for s in samples
     ]

@@ -71,9 +71,6 @@ class IntPolynomial:
         """Degree of the polynomial; the zero polynomial reports -1."""
         return len(self.coeffs) - 1
 
-    def coefficient(self, i: int) -> int:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
-
     def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
         return IntPolynomial(
             [a + b for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=0)]
@@ -83,17 +80,6 @@ class IntPolynomial:
         return IntPolynomial(
             [a - b for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=0)]
         )
-
-    def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
-        if self.is_zero() or other.is_zero():
-            return IntPolynomial()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return IntPolynomial(out)
 
     def shift(self, k: int) -> "IntPolynomial":
         """Multiply by z^k."""
@@ -233,8 +219,7 @@ def dim_and_mult(numerator: IntPolynomial, ambient_d: int) -> tuple[Optional[int
 
 def quotient_module_data(inner: MonomialIdeal, outer: MonomialIdeal) -> HilbertData:
     """Hilbert data of the quotient module outer/inner (inner must sit inside outer)."""
-    if inner.ring != outer.ring:
-        raise ValueError("inner and outer ideals live in different rings")
+    inner._check_ring(outer)
     d = inner.ring.var_count
     if inner == outer:
         return HilbertData(numerator=IntPolynomial(), ambient_d=d, module_dim=None, e0=0)

@@ -2,11 +2,15 @@ from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import dataclass
 from math import comb
+from typing import Callable, Optional
 
 import pytest
 
-from satpow import IntPolynomial, Monomial, MonomialIdeal, RingContext, minimalize
+from satpow import (
+    IntPolynomial, Monomial, MonomialIdeal, RingContext, height, minimalize, symbolic_power,
+)
 
 
 @pytest.fixture
@@ -25,6 +29,11 @@ def M(*exps: int) -> Monomial:
 
 def ideal(ring: RingContext, *gens: tuple[int, ...]) -> MonomialIdeal:
     return minimalize([Monomial(g) for g in gens], ring)
+
+
+def colon_monomial(i: MonomialIdeal, m: Monomial) -> MonomialIdeal:
+    """(I : m), as the colon by the principal ideal (m)."""
+    return i.colon_ideal(minimalize([m], i.ring))
 
 
 def monomials_up_to(d: int, degree: int) -> list[tuple[int, ...]]:
@@ -116,7 +125,7 @@ def reference_numerator(ideal: MonomialIdeal) -> IntPolynomial:
                 factor = [0] * (sum(g) + 1)
                 factor[0] = 1
                 factor[-1] -= 1
-                result = result * IntPolynomial(factor)
+                result = poly_product(result, IntPolynomial(factor))
         else:
             x = shared[0]
             unit = tuple(1 if i == x else 0 for i in range(d))
@@ -127,6 +136,15 @@ def reference_numerator(ideal: MonomialIdeal) -> IntPolynomial:
         return result
 
     return numerator(minimal(g.exponents for g in ideal.gens))
+
+
+def poly_product(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
+    """The schoolbook product of two integer polynomials."""
+    out = [0] * (len(a.coeffs) + len(b.coeffs))
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            out[i + j] += x * y
+    return IntPolynomial(out)
 
 
 def hilbert_function_oracle(ideal: MonomialIdeal, degree_bound: int) -> list[int]:
@@ -167,3 +185,95 @@ def expand_numerator(numerator: IntPolynomial, ambient_d: int, degree_bound: int
             total += c * comb(t - j + ambient_d - 1, ambient_d - 1)
         out.append(total)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Oracles for the filtration axioms and for the minimal primes
+# ---------------------------------------------------------------------------
+
+FiltrationProvider = Callable[[int], MonomialIdeal]
+VariableSubset = frozenset[int]
+
+
+@dataclass(frozen=True)
+class FiltrationReport:
+    """Outcome of the filtration-axiom check; violation is None on success."""
+
+    ok: bool
+    violation: Optional[str]
+
+
+def symbolic_provider(
+    base: MonomialIdeal, saturator: MonomialIdeal
+) -> FiltrationProvider:
+    """The saturation-power filtration as a provider rule n -> (I^n : J^inf)."""
+    return lambda n: symbolic_power(base, saturator, n)
+
+
+def check_filtration(
+    provider: FiltrationProvider, base: MonomialIdeal, nmax: int
+) -> FiltrationReport:
+    """Verify the multiplicative-filtration axioms up to level nmax.
+
+    Checks J_0 = A, the descending chain, containment of ordinary powers,
+    and multiplicativity J_a * J_b within J_{a+b} for a + b <= nmax.  The
+    first violated axiom is reported; violations are data, not faults.
+    """
+    levels = [provider(n) for n in range(nmax + 1)]
+    if not levels[0].is_unit():
+        return FiltrationReport(False, "J_0 is not the unit ideal")
+    for n in range(nmax):
+        if not levels[n].contains_ideal(levels[n + 1]):
+            return FiltrationReport(False, f"J_{n + 1} is not contained in J_{n}")
+    power = MonomialIdeal.unit(base.ring)
+    for n in range(1, nmax + 1):
+        power = power.multiply(base)
+        if not levels[n].contains_ideal(power):
+            return FiltrationReport(False, f"I^{n} is not contained in J_{n}")
+    for a in range(1, nmax):
+        for b in range(a, nmax - a + 1):
+            product = levels[a].multiply(levels[b])
+            if not levels[a + b].contains_ideal(product):
+                return FiltrationReport(
+                    False, f"J_{a} * J_{b} is not contained in J_{a + b}"
+                )
+    return FiltrationReport(True, None)
+
+
+def minimal_primes(ideal: MonomialIdeal) -> list[VariableSubset]:
+    """Inclusion-minimal variable sets hitting every generator's support.
+
+    The minimal primes of a monomial ideal are generated by variables, so
+    they are identified here with these variable-index sets.  The ideal must
+    be nonzero and proper.  Output is sorted by size, then by sorted member
+    list.  The supports are read from ``ideal.gens``, not from the helper
+    that ``height`` uses.
+    """
+    if ideal.is_zero():
+        raise ValueError("the zero ideal has no variable-generated minimal primes")
+    if ideal.is_unit():
+        raise ValueError("the unit ideal has no minimal primes")
+    supports = [frozenset(g.support) for g in ideal.gens]
+    covers: set[VariableSubset] = set()
+
+    def extend(chosen: set[int], remaining: list[frozenset[int]]) -> None:
+        uncovered = [s for s in remaining if not (s & chosen)]
+        if not uncovered:
+            covers.add(frozenset(chosen))
+            return
+        branch = min(uncovered, key=lambda s: (len(s), sorted(s)))
+        rest = [s for s in uncovered if s is not branch]
+        for var in sorted(branch):
+            chosen.add(var)
+            extend(chosen, rest)
+            chosen.discard(var)
+
+    extend(set(), supports)
+
+    minimal = [c for c in covers if not any(o < c for o in covers)]
+    return sorted(minimal, key=lambda c: (len(c), sorted(c)))
+
+
+def dim_quotient(ideal: MonomialIdeal) -> int:
+    """Krull dimension of the quotient ring: variable count minus height."""
+    return ideal.ring.var_count - height(ideal)

@@ -8,17 +8,15 @@ from satpow import (
     RingContext,
     SeriesSample,
     ZeroIdealError,
-    check_filtration,
     dim_stabilization,
     sample_series,
     symbolic_power,
-    symbolic_provider,
 )
 from satpow.cli import default_corpus_path
 from satpow.filtration import _localizations
 from satpow.parsing import load_corpus
 
-from conftest import M, ideal
+from conftest import M, check_filtration, ideal, symbolic_provider
 
 # a 6-vertex graph: the 6-cycle 0-1-2-4-5-3-0 and the chords 0-2, 0-4, 1-3
 EDGE_GRAPH = ((0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (2, 4), (3, 5), (4, 5))

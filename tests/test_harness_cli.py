@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from satpow import cli, harness
+from satpow import cli, core, harness, sample_series
 from satpow.harness import (
     CSV_COLUMNS,
     VERDICT_CONSISTENT,
@@ -15,6 +15,7 @@ from satpow.harness import (
     VERDICT_INSUFFICIENT,
     VerifyRecord,
     exit_code_for,
+    render_series_csv,
     render_series_table,
     render_verify_csv,
     render_verify_json,
@@ -164,6 +165,16 @@ class TestRendering:
         assert render_verify_csv(records) == render_verify_csv(again)
         assert render_verify_json(records) == render_verify_json(again)
         assert render_verify_table(records) == render_verify_table(again)
+
+    def test_series_rows_build_no_monomials(self, monkeypatch):
+        pair = parse_ideal_file(TRIANGLE_FILE)
+        expected = render_series_csv(sample_series(pair.base, pair.saturator, 6))
+
+        def fail(exponents):
+            raise AssertionError("a Monomial was built to count generators")
+
+        monkeypatch.setattr(core, "Monomial", fail)
+        assert render_series_csv(sample_series(pair.base, pair.saturator, 6)) == expected
 
     def test_tables_without_rows_keep_the_header(self):
         assert render_verify_table([]).splitlines()[0].split() == CSV_COLUMNS

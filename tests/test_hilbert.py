@@ -11,8 +11,8 @@ from satpow import (
     Monomial,
     MonomialIdeal,
     RingContext,
+    RingMismatchError,
     dim_and_mult,
-    dim_quotient,
     minimalize,
     numerator_of_quotient,
     quotient_module_data,
@@ -22,8 +22,8 @@ from satpow.core import Packing
 from satpow.hilbert import _LEAF_GENS, _numerator
 
 from conftest import (
-    M, expand_numerator, hilbert_function_oracle, ideal, monomials_up_to, random_ideal,
-    reference_numerator,
+    M, colon_monomial, dim_quotient, expand_numerator, hilbert_function_oracle, ideal,
+    monomials_up_to, poly_product, random_ideal, reference_numerator,
 )
 
 
@@ -35,7 +35,7 @@ class TestIntPolynomial:
     def test_arithmetic(self):
         p = IntPolynomial([1, -1])
         q = IntPolynomial([1, 1])
-        assert (p * q).coeffs == (1, 0, -1)
+        assert poly_product(p, q).coeffs == (1, 0, -1)
         assert (p + q).coeffs == (2,)
         assert (p - q).coeffs == (0, -2)
         assert p.shift(2).coeffs == (0, 0, 1, -1)
@@ -96,8 +96,8 @@ class TestNumerator:
             for v in range(3):
                 for k in (1, 2, 3):
                     x_k = M(*(k if j == v else 0 for j in range(3)))
-                    plus = MonomialIdeal.from_monomials(i.ring, list(i.gens) + [x_k])
-                    colon = i.colon_monomial(x_k)
+                    plus = minimalize(list(i.gens) + [x_k], i.ring)
+                    colon = colon_monomial(i, x_k)
                     combined = numerator_of_quotient(plus) + numerator_of_quotient(colon).shift(k)
                     assert combined == num
 
@@ -126,6 +126,11 @@ class TestDimAndMult:
 
 
 class TestQuotientModule:
+    def test_rings_must_match(self, ring2):
+        other = RingContext(("u", "v"))
+        with pytest.raises(RingMismatchError):
+            quotient_module_data(ideal(ring2, (1, 0)), ideal(other, (1, 0)))
+
     def test_equal_ideals_give_empty_module(self, ring2):
         i = ideal(ring2, (2, 0), (0, 2))
         data = quotient_module_data(i, i)

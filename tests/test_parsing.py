@@ -6,7 +6,7 @@ import re
 import pytest
 
 from satpow import ParseError, RingContext
-from satpow.cli import default_corpus_path
+from satpow.cli import default_corpus_path, main
 from satpow.parsing import (
     format_ideal,
     format_ideal_file,
@@ -154,6 +154,19 @@ class TestCorpus:
         message = "corpus entry 1 (a): unknown variable 'q' in 'x*q'"
         with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
             parse_corpus(json.dumps([good, bad]))
+
+    @pytest.mark.parametrize("name, shown", [(1, "1"), (["y"], "['y']")])
+    def test_non_string_variable_name_rejected(self, name, shown):
+        bad = [{"name": "a", "ring": ["x", name], "I": ["x"], "J": ["x"]}]
+        message = f"corpus entry 0 (a): invalid variable name: {shown}"
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            parse_corpus(json.dumps(bad))
+
+    def test_non_string_variable_name_exits_one(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.json"
+        corpus.write_text(json.dumps([{"name": "a", "ring": ["x", 1], "I": ["x"], "J": ["x"]}]))
+        assert main(["verify", str(corpus)]) == 1
+        assert capsys.readouterr().err == "error: corpus entry 0 (a): invalid variable name: 1\n"
 
     def test_empty_generator_list_rejected(self):
         bad = [{"name": "a", "ring": ["x"], "I": [], "J": ["x"]}]

@@ -5,9 +5,9 @@ import random
 
 import pytest
 
-from satpow import MonomialIdeal, RingContext, dim_quotient, height, minimal_primes
+from satpow import MonomialIdeal, RingContext, height
 
-from conftest import ideal, random_ideal
+from conftest import dim_quotient, ideal, minimal_primes, random_ideal
 
 
 def brute_force_minimal_transversals(supports, d):
