@@ -12,10 +12,11 @@ Every kernel packs the exponent vectors it works on into Python ints (see
 one call can produce, and unpacks only its result.  Every divisibility
 test lays a list of packed monomials side by side in one int (see
 :class:`Row`) and tests a monomial against the whole list in one
-expression.  A colon or saturation by an ideal J is one fold in one
-packing, over the generators of J for a colon and over those of its
-radical for a saturation.  The Hilbert recursion packs once per numerator
-and memoizes on tuples of these ints.
+expression.  An intersection, a colon and a saturation are one fold in
+one packing, over the operands, the colons (I : m) by the generators m of
+J, or the colons (I : x_S^e) by the generators x_S of J's radical, with e
+the largest exponent of I.  The Hilbert recursion packs once per
+numerator and memoizes on tuples of these ints.
 
 Monomials and ideals are immutable after construction and safe to share
 across threads; no operation mutates its inputs.  A ``Row`` grows, and
@@ -25,7 +26,8 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from functools import reduce
+from typing import Iterable, Iterator, Sequence
 
 from .errors import RingMismatchError, ZeroIdealError
 
@@ -144,7 +146,7 @@ class Packing:
         The width holds ``max_exp`` and every exponent of ``ideal``.  Each
         ideal kernel passes the largest exponent of its other operand, or for
         a product the sum of both largest exponents; adding a pure power no
-        higher than that, a colon, a support drop and an lcm keep within it.
+        higher than that, a colon and an lcm keep within it.
         """
         pk = cls(ideal.ring.var_count, max(max_exp, _max_exponent(ideal._exps)))
         return pk, tuple(map(pk.pack, ideal._exps))
@@ -222,14 +224,6 @@ class Packing:
     def colons(self, gens: Iterable[int], m: int) -> Iterator[int]:
         """g / gcd(g, m) for every g in ``gens``."""
         return (self._with_degree(self._excess(g, m)) for g in gens)
-
-    def drop_support(self, gens: Iterable[int], m: int) -> Iterator[int]:
-        """Every g with the exponents on the support of ``m`` set to 0."""
-        keep = 0
-        for s in self.shifts:
-            if m >> s & self.value == 0:
-                keep |= self.value << s
-        return map(self._with_degree, map(keep.__and__, gens))
 
     # -- helpers of the Hilbert recursion --------------------------------------
 
@@ -438,46 +432,60 @@ class MonomialIdeal:
             result = result.multiply(self)
         return result
 
-    def intersect(self, other: "MonomialIdeal") -> "MonomialIdeal":
-        """Intersection, minimalized from pairwise lcms of generators."""
-        self._check_ring(other)
-        pk, mine = Packing.of(self, _max_exponent(other._exps))
-        cands = pk.intersection(mine, list(map(pk.pack, other._exps)))
-        return MonomialIdeal._from_packed(self.ring, pk, cands)
+    def intersect(self, other: "MonomialIdeal", *more: "MonomialIdeal") -> "MonomialIdeal":
+        """Intersection with every operand, folded left to right in one packing."""
+        operands = (other, *more)
+        for o in operands:
+            self._check_ring(o)
+        pk, mine = Packing.of(self, _max_exponent(t for o in operands for t in o._exps))
+        return self._meet(pk, [mine, *(list(map(pk.pack, o._exps)) for o in operands)])
 
     def colon_ideal(self, other: "MonomialIdeal") -> "MonomialIdeal":
         """(I : J) as the intersection of (I : m) over generators m of J."""
         self._check_ring(other)
-        return self._fold(other._exps, Packing.colons, "colon")
+        if other.is_zero():
+            raise ZeroIdealError("colon by the zero ideal")
+        pk, gens = Packing.of(self, _max_exponent(other._exps))
+        return self._meet(pk, (pk.minimal(pk.colons(gens, pk.pack(m))) for m in other._exps))
 
     def saturate_monomial(self, m: Monomial) -> "MonomialIdeal":
         """(I : m^inf): zero out generator exponents on the support of ``m``."""
         return self.saturate_ideal(minimalize([m], self.ring))
 
     def saturate_ideal(self, other: "MonomialIdeal") -> "MonomialIdeal":
-        """(I : J^inf) as the intersection of (I : x_S^inf) over the generators x_S of √J.
+        """(I : J^inf) as the intersection of the localizations of I at J."""
+        return intersection(self.localizations(other))
 
-        (I : J^inf) = (I : √J^inf), so a generator of J whose support holds
-        another's adds nothing and is skipped.
+    def localizations(self, other: "MonomialIdeal") -> list["MonomialIdeal"]:
+        """The distinct inclusion-minimal (I : x_S^inf), x_S over the generators of J's radical.
+
+        Their intersection is (I : J^inf).  Each is the colon (I : x_S^e), e
+        the largest exponent of I; one holding another adds nothing to the
+        intersection.  They come in the canonical order of the x_S, which
+        fixes the order of the intersections.  One of them equals I only if
+        all the others contain I, so then it is the only one kept.
         """
         self._check_ring(other)
-        return self._fold(_minimal_supports(other), Packing.drop_support, "saturation")
+        supports = _minimal_supports(other)
+        if not supports:
+            raise ZeroIdealError("saturation by the zero ideal")
+        pk, gens = Packing.of(self)
+        e = _max_exponent(self._exps)
+        parts: list[list[int]] = []
+        for s in supports:
+            part = pk.minimal(pk.colons(gens, pk.pack(tuple(e * x for x in s))))
+            if part not in parts:
+                parts.append(part)
+        return [
+            MonomialIdeal(self.ring, map(pk.unpack, p))
+            for p in parts
+            if not any(q is not p and all(map(Row(pk, p).has_divisor, q)) for q in parts)
+        ]
 
-    def _fold(self, ms: Sequence[Exponents], part: Callable[..., Iterator[int]], what: str) -> "MonomialIdeal":
-        """The intersection, over the exponent vectors m in ``ms``, of the ideals ``part(pk, gens, m)``.
-
-        One packing serves the fold: a colon, a support drop and an lcm never
-        exceed the largest exponent of this ideal.  Each part and each
-        intermediate intersection is minimalized.
-        """
-        if not ms:
-            raise ZeroIdealError(f"{what} by the zero ideal")
-        pk, gens = Packing.of(self, _max_exponent(ms))
-        first, *rest = map(pk.pack, ms)
-        cands = part(pk, gens, first)
-        for m in rest:
-            cands = pk.intersection(pk.minimal(cands), pk.minimal(part(pk, gens, m)))
-        return MonomialIdeal._from_packed(self.ring, pk, cands)
+    def _meet(self, pk: Packing, parts: Iterable[list[int]]) -> "MonomialIdeal":
+        """The intersection of the ideals with the canonical generators ``parts``, packed by ``pk``."""
+        meet = reduce(lambda a, b: pk.minimal(pk.intersection(a, b)), parts)
+        return MonomialIdeal(self.ring, map(pk.unpack, meet))
 
     # -- guards ---------------------------------------------------------------
 
@@ -502,6 +510,11 @@ def minimalize(gens: Sequence[Monomial], ring: RingContext) -> MonomialIdeal:
     exps = [g.exponents for g in gens]
     pk = Packing(ring.var_count, _max_exponent(exps))
     return MonomialIdeal._from_packed(ring, pk, map(pk.pack, exps))
+
+
+def intersection(ideals: Sequence[MonomialIdeal]) -> MonomialIdeal:
+    """The intersection of one or more ideals; a single ideal is its own."""
+    return ideals[0].intersect(*ideals[1:]) if len(ideals) > 1 else ideals[0]
 
 
 def _minimal_supports(ideal: MonomialIdeal) -> list[Exponents]:

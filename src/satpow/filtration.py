@@ -12,12 +12,12 @@ Saturating by J is saturating by its radical, so
 
     (I^n : J^inf) = intersection over S of pi_S(I)^n,
 
-with S over the inclusion-minimal supports of J's generators.  Each
-pi_S(I) is formed once, as (I : x_S^inf), and kept only if it is distinct
-and inclusion-minimal among them: pi_S(I) containing pi_T(I) gives
-pi_S(I)^n containing pi_T(I)^n, which adds nothing to the intersection.
-The kept ideals are small, so their powers are cheap, where saturating
-I^n itself drops supports from its many generators.
+with S over the inclusion-minimal supports of J's generators.
+``MonomialIdeal.localizations`` keeps only the distinct, inclusion-minimal
+pi_S(I): pi_S(I) containing pi_T(I) gives pi_S(I)^n containing pi_T(I)^n,
+which adds nothing to the intersection.  This module keeps their power
+ladders.  They are small, so their powers are cheap, where saturating I^n
+itself takes colons of its many generators.
 
 Samples for distinct n are independent once the power ladders exist; all
 returned values are immutable.
@@ -25,10 +25,9 @@ returned values are immutable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from typing import Optional, Sequence
 
-from .core import Monomial, MonomialIdeal, _minimal_supports
+from .core import MonomialIdeal, intersection
 from .errors import InsufficientDataError, ZeroIdealError
 from .hilbert import quotient_module_data
 
@@ -47,38 +46,18 @@ class SeriesSample:
     f: int
 
 
-def _check_nonzero(base: MonomialIdeal, saturator: MonomialIdeal) -> None:
+def _check_nonzero(base: MonomialIdeal) -> None:
     if base.is_zero():
         raise ZeroIdealError("symbolic powers of the zero ideal are not defined here")
-    if saturator.is_zero():
-        raise ZeroIdealError("saturation by the zero ideal")
-
-
-def _localizations(base: MonomialIdeal, saturator: MonomialIdeal) -> list[MonomialIdeal]:
-    """The distinct inclusion-minimal (I : x_S^inf), S over the minimal supports of J.
-
-    They come in the canonical order of the x_S, which fixes the order of
-    the intersections.  One of them equals I only if all the others
-    contain I, so then it is the only one kept.
-    """
-    locs: list[MonomialIdeal] = []
-    for s in _minimal_supports(saturator):
-        loc = base.saturate_monomial(Monomial(s))
-        if loc not in locs:
-            locs.append(loc)
-    return [loc for loc in locs if not any(o is not loc and loc.contains_ideal(o) for o in locs)]
-
-
-def _intersection(ideals: Sequence[MonomialIdeal]) -> MonomialIdeal:
-    return reduce(MonomialIdeal.intersect, ideals)
 
 
 def symbolic_power(base: MonomialIdeal, saturator: MonomialIdeal, n: int) -> MonomialIdeal:
     """(I^n : J^inf); the unit ideal for n = 0."""
-    _check_nonzero(base, saturator)
+    _check_nonzero(base)
+    locs = base.localizations(saturator)
     if n < 0:
         raise ValueError(f"symbolic power wants n >= 0, got {n}")
-    return _intersection([loc.power(n) for loc in _localizations(base, saturator)])
+    return intersection([loc.power(n) for loc in locs])
 
 
 def sample_series(
@@ -92,15 +71,15 @@ def sample_series(
     multiplying by its own pi_S(I).  A localization equal to I reuses the
     I^n ladder: the saturation is then I^n itself.
     """
-    _check_nonzero(base, saturator)
+    _check_nonzero(base)
+    locs = base.localizations(saturator)
     if nmax < 1:
         raise ValueError(f"sample_series wants nmax >= 1, got {nmax}")
-    locs = _localizations(base, saturator)
     steps = [] if locs == [base] else locs
     samples = []
     power, ladders = base, steps
     for n in range(1, nmax + 1):
-        symbolic = _intersection(ladders) if ladders else power
+        symbolic = intersection(ladders) if ladders else power
         data = quotient_module_data(power, symbolic)
         samples.append(
             SeriesSample(n=n, symbolic_ideal=symbolic, module_dim=data.module_dim, f=data.e0)

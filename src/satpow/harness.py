@@ -49,7 +49,7 @@ CSV_COLUMNS = [
 SERIES_COLUMNS = ["n", "f", "dim", "symbolic_gens"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class VerifyRecord:
     """Per-entry report row; observation fields are None when the fit failed."""
 
@@ -57,15 +57,15 @@ class VerifyRecord:
     equigenerated: bool
     height: int
     height_ok: bool
-    dim_tail: Optional[int]          # None = empty module tail
-    dim_onset: Optional[int]
-    period: Optional[int]
-    degree: Optional[int]            # None = zero function (when fitted)
-    a_c: Optional[Fraction]
-    a_c_const: Optional[bool]
-    a_c_positive: Optional[bool]
-    a_c1_const: Optional[bool]
-    qp_grade: Optional[int]
+    dim_tail: Optional[int] = None   # None = empty module tail
+    dim_onset: Optional[int] = None
+    period: Optional[int] = None
+    degree: Optional[int] = None     # None = zero function (when fitted)
+    a_c: Optional[Fraction] = None
+    a_c_const: Optional[bool] = None
+    a_c_positive: Optional[bool] = None
+    a_c1_const: Optional[bool] = None
+    qp_grade: Optional[int] = None
     fitted: bool
     verdict: str
 
@@ -103,15 +103,6 @@ def _verify_one(
             equigenerated=equi,
             height=h,
             height_ok=height_ok,
-            dim_tail=None,
-            dim_onset=None,
-            period=None,
-            degree=None,
-            a_c=None,
-            a_c_const=None,
-            a_c_positive=None,
-            a_c1_const=None,
-            qp_grade=None,
             fitted=False,
             verdict=VERDICT_INSUFFICIENT,
         )

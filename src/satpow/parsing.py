@@ -181,7 +181,12 @@ def parse_corpus(text: str) -> list[CorpusEntry]:
             exprs = item.get(key)
             if not isinstance(exprs, list) or not exprs:
                 raise ParseError(f"{where} ({name}): '{key}' must be a non-empty list")
-            ideals[key] = _parse_block(map(str, exprs), ring, f"{where} ({name})")
+            for e in exprs:
+                if not isinstance(e, str):
+                    raise ParseError(
+                        f"{where} ({name}): '{key}' generators must be strings, got {json.dumps(e)}"
+                    )
+            ideals[key] = _parse_block(exprs, ring, f"{where} ({name})")
         if ideals["I"].is_unit():
             raise ParseError(f"{where} ({name}): the base ideal I must be proper")
         expect = item.get("expect", {})

@@ -8,6 +8,7 @@ across a power of two.
 from __future__ import annotations
 
 import random
+from functools import reduce
 from itertools import combinations
 
 import pytest
@@ -15,8 +16,10 @@ import pytest
 from satpow import (
     IntPolynomial, Monomial, RingContext, divides, minimalize, numerator_of_quotient, symbolic_power,
 )
+from satpow.cli import default_corpus_path
 from satpow.core import Packing, Row
 from satpow.hilbert import _LEAF_GENS, _pick_pivot
+from satpow.parsing import load_corpus
 
 from conftest import colon_monomial, reference_minimal, reference_numerator
 
@@ -144,6 +147,32 @@ def folded(i_gens, j_gens, part) -> list[tuple[int, ...]]:
     return result
 
 
+def meet(*ideals: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The intersection of ideals given by canonical generators, on tuples."""
+    return reduce(
+        lambda a, b: reference_minimal(tuple(map(max, g, h)) for g in a for h in b), ideals
+    )
+
+
+def check_colon_and_saturation(r: RingContext, ri: list, rj: list):
+    """Colon, saturation and localizations of I by J against tuple folds.
+
+    The localizations must be saturations of I by single generators of J's
+    radical, pairwise not contained in one another (so distinct), with the
+    saturation as their intersection.
+    """
+    i, j = build(r, ri), build(r, rj)
+    saturation = folded(ri, rj, lambda x, y: 0 if y else x)
+    assert exps_of(i.colon_ideal(j)) == folded(ri, rj, lambda x, y: max(x - y, 0))
+    assert exps_of(i.saturate_ideal(j)) == saturation
+    locs = list(map(exps_of, i.localizations(j)))
+    singles = [folded(ri, [m], lambda x, y: 0 if y else x) for m in rj]
+    assert all(loc in singles for loc in locs)
+    for a, b in combinations(locs, 2):
+        assert not all(member(a, g) for g in b) and not all(member(b, g) for g in a)
+    assert meet(*locs) == saturation
+
+
 def test_colon_and_saturate_ideal_match_a_tuple_fold():
     rng = random.Random(151)
     for r, a, _, _ in instances(151, 6):
@@ -155,12 +184,23 @@ def test_colon_and_saturate_ideal_match_a_tuple_fold():
         rj: list[tuple[int, ...]] = []
         while not 2 <= len(rj) <= 4:
             rj = reference_minimal(tuple(rng.choice(above) for _ in range(d)) for _ in range(4))
-        i, j = build(r, a), build(r, rj)
-        ri = reference_minimal(a)
-        colon = folded(ri, rj, lambda x, y: max(x - y, 0))
-        saturation = folded(ri, rj, lambda x, y: 0 if y else x)
-        assert exps_of(i.colon_ideal(j)) == colon
-        assert exps_of(i.saturate_ideal(j)) == saturation
+        check_colon_and_saturation(r, reference_minimal(a), rj)
+    # (I : x_S^e) with e the largest exponent of I puts |S| * e in the degree
+    # field: saturate by one full-support generator (|S| = d) and by the
+    # maximal ideal (|S| = 1), with I exponents at a field boundary
+    for d in range(1, 8):
+        for k in range(1, 15):
+            pool = [0, 1, 2**k - 1, 2**k]
+            ri: list[tuple[int, ...]] = []
+            while not ri or d > 1 and len(ri) < 2:
+                ri = reference_minimal(tuple(rng.choice(pool) for _ in range(d)) for _ in range(5))
+            full = tuple(rng.choice([1, 2**k - 1, 2**k]) for _ in range(d))
+            maximal = [tuple(int(v == u) for v in range(d)) for u in range(d)]
+            check_colon_and_saturation(ring(d), ri, [full])
+            check_colon_and_saturation(ring(d), ri, maximal)
+    for entry in load_corpus(default_corpus_path()):
+        pair = entry.pair
+        check_colon_and_saturation(pair.base.ring, exps_of(pair.base), exps_of(pair.saturator))
 
 
 def test_symbolic_power_matches_the_fold():

@@ -162,6 +162,29 @@ class TestCorpus:
         with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
             parse_corpus(json.dumps(bad))
 
+    @pytest.mark.parametrize(
+        "key, gens, shown",
+        [
+            ("J", [1], "1"),
+            ("I", ["x*y", True], "true"),
+            ("I", ["x", None], "null"),
+            ("J", [["x"]], '["x"]'),
+        ],
+    )
+    def test_non_string_generator_rejected(self, key, gens, shown):
+        bad = {"name": "a", "ring": ["x", "y"], "I": ["x"], "J": ["y"]}
+        bad[key] = gens
+        message = f"corpus entry 0 (a): '{key}' generators must be strings, got {shown}"
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            parse_corpus(json.dumps([bad]))
+
+    def test_non_string_generator_exits_one(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.json"
+        corpus.write_text(json.dumps([{"name": "a", "ring": ["x"], "I": ["x"], "J": [1]}]))
+        assert main(["verify", str(corpus)]) == 1
+        message = "error: corpus entry 0 (a): 'J' generators must be strings, got 1\n"
+        assert capsys.readouterr().err == message
+
     def test_non_string_variable_name_exits_one(self, tmp_path, capsys):
         corpus = tmp_path / "corpus.json"
         corpus.write_text(json.dumps([{"name": "a", "ring": ["x", 1], "I": ["x"], "J": ["x"]}]))
