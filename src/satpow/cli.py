@@ -10,10 +10,9 @@ or a computation that ran out of memory or recursion depth.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
-from importlib import resources
-from pathlib import Path
-from typing import Optional, Sequence
+from collections.abc import Sequence
 
 from . import harness
 from .errors import InconsistencyError, InsufficientDataError, ParseError
@@ -44,9 +43,9 @@ def _at_least(low: int):
     return parse
 
 
-def default_corpus_path() -> Path:
-    """The corpus shipped inside the package."""
-    return Path(str(resources.files("satpow").joinpath("data/corpus.json")))
+def default_corpus_path() -> str:
+    """The path, as a ``str``, of the corpus shipped inside the package."""
+    return os.path.join(os.path.dirname(__file__), "data", "corpus.json")
 
 
 def _build_parser() -> _Parser:
@@ -103,9 +102,10 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _emit(text: str, out: Optional[str]) -> None:
+def _emit(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        with open(out, "w", encoding="utf-8") as file:
+            file.write(text)
     else:
         sys.stdout.write(text)
 
@@ -167,7 +167,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     return 0
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

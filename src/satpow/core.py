@@ -25,24 +25,22 @@ lives within one kernel call.
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable, Iterator, Sequence
 from functools import reduce
-from typing import Iterable, Iterator, Sequence
 
 from .errors import RingMismatchError, ZeroIdealError
 
 Exponents = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class RingContext:
+class RingContext(namedtuple("RingContext", "var_names")):
     """Ambient polynomial ring: a count of variables and their names."""
 
-    var_names: tuple[str, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        names = tuple(self.var_names)
-        object.__setattr__(self, "var_names", names)
+    def __new__(cls, var_names: Iterable[str]) -> RingContext:
+        names = tuple(var_names)
         if not names:
             raise ValueError("a ring needs at least one variable")
         for name in names:
@@ -50,6 +48,7 @@ class RingContext:
                 raise ValueError(f"invalid variable name: {name!r}")
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate variable names: {names}")
+        return super().__new__(cls, names)
 
     @property
     def var_count(self) -> int:

@@ -24,26 +24,22 @@ returned values are immutable.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from collections import namedtuple
+from collections.abc import Sequence
 
 from .core import MonomialIdeal, intersection
 from .errors import InsufficientDataError, ZeroIdealError
 from .hilbert import quotient_module_data
 
 
-@dataclass(frozen=True)
-class SeriesSample:
+class SeriesSample(namedtuple("SeriesSample", "n symbolic_ideal module_dim f")):
     """One row of the series: n, the saturated ideal, and dim/e0 of the quotient.
 
     ``module_dim`` is None when the quotient is the empty module (the
     saturated power equals the ordinary power), in which case f is 0.
     """
 
-    n: int
-    symbolic_ideal: MonomialIdeal
-    module_dim: Optional[int]
-    f: int
+    __slots__ = ()
 
 
 def _check_nonzero(base: MonomialIdeal) -> None:
@@ -53,11 +49,10 @@ def _check_nonzero(base: MonomialIdeal) -> None:
 
 def symbolic_power(base: MonomialIdeal, saturator: MonomialIdeal, n: int) -> MonomialIdeal:
     """(I^n : J^inf); the unit ideal for n = 0."""
-    _check_nonzero(base)
-    locs = base.localizations(saturator)
     if n < 0:
         raise ValueError(f"symbolic power wants n >= 0, got {n}")
-    return intersection([loc.power(n) for loc in locs])
+    _check_nonzero(base)
+    return intersection([loc.power(n) for loc in base.localizations(saturator)])
 
 
 def sample_series(
@@ -71,10 +66,10 @@ def sample_series(
     multiplying by its own pi_S(I).  A localization equal to I reuses the
     I^n ladder: the saturation is then I^n itself.
     """
-    _check_nonzero(base)
-    locs = base.localizations(saturator)
     if nmax < 1:
         raise ValueError(f"sample_series wants nmax >= 1, got {nmax}")
+    _check_nonzero(base)
+    locs = base.localizations(saturator)
     steps = [] if locs == [base] else locs
     samples = []
     power, ladders = base, steps
@@ -90,7 +85,7 @@ def sample_series(
     return samples
 
 
-def dim_stabilization(samples: Sequence[SeriesSample]) -> tuple[Optional[int], int]:
+def dim_stabilization(samples: Sequence[SeriesSample]) -> tuple[int | None, int]:
     """Eventual constant of the dimension sequence, with its onset n.
 
     Trusts the longest constant suffix of the observed window (the onset is

@@ -17,9 +17,8 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional, Sequence
+from collections import namedtuple
+from collections.abc import Sequence
 
 from .errors import InsufficientDataError
 from .filtration import SeriesSample, dim_stabilization, sample_series
@@ -49,25 +48,27 @@ CSV_COLUMNS = [
 SERIES_COLUMNS = ["n", "f", "dim", "symbolic_gens"]
 
 
-@dataclass(frozen=True, kw_only=True)
-class VerifyRecord:
-    """Per-entry report row; observation fields are None when the fit failed."""
+class VerifyRecord(
+    namedtuple(
+        "VerifyRecord",
+        "name equigenerated height height_ok fitted verdict"
+        " dim_tail dim_onset period degree a_c a_c_const a_c_positive a_c1_const qp_grade",
+        defaults=(None,) * 9,
+    )
+):
+    """Per-entry report row; observation fields are None when the fit failed.
 
-    name: str
-    equigenerated: bool
-    height: int
-    height_ok: bool
-    dim_tail: Optional[int] = None   # None = empty module tail
-    dim_onset: Optional[int] = None
-    period: Optional[int] = None
-    degree: Optional[int] = None     # None = zero function (when fitted)
-    a_c: Optional[Fraction] = None
-    a_c_const: Optional[bool] = None
-    a_c_positive: Optional[bool] = None
-    a_c1_const: Optional[bool] = None
-    qp_grade: Optional[int] = None
-    fitted: bool
-    verdict: str
+    Built by keyword only.  ``dim_tail`` None is the empty module tail, and
+    ``degree`` None, when fitted, the zero function.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, **fields: object) -> VerifyRecord:
+        return super().__new__(cls, **fields)
+
+    def __getnewargs_ex__(self) -> tuple[tuple, dict[str, object]]:  # for copy and pickle
+        return (), self._asdict()
 
 
 def run_series(pair: IdealPair, nmax: int) -> list[SeriesSample]:

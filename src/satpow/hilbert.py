@@ -31,9 +31,8 @@ equal ideals is the empty module and computes no numerator.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import zip_longest
-from typing import Optional
 
 from .core import MonomialIdeal, Packing
 from .errors import InconsistencyError
@@ -105,17 +104,13 @@ class IntPolynomial:
 _ONE = IntPolynomial((1,))
 
 
-@dataclass(frozen=True)
-class HilbertData:
+class HilbertData(namedtuple("HilbertData", "numerator ambient_d module_dim e0")):
     """Numerator, dimension, and multiplicity of a graded quotient module.
 
     ``module_dim`` is None for the empty module (numerator 0, e0 = 0).
     """
 
-    numerator: IntPolynomial
-    ambient_d: int
-    module_dim: Optional[int]
-    e0: int
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +189,7 @@ def numerator_of_quotient(ideal: MonomialIdeal) -> IntPolynomial:
     return _numerator(gens, pk, {})
 
 
-def dim_and_mult(numerator: IntPolynomial, ambient_d: int) -> tuple[Optional[int], int]:
+def dim_and_mult(numerator: IntPolynomial, ambient_d: int) -> tuple[int | None, int]:
     """Factor K = (1-z)^s * h with h(1) != 0; return (ambient_d - s, h(1)).
 
     The zero numerator denotes the empty module: (None, 0).  A nonpositive

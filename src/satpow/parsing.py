@@ -10,15 +10,15 @@ An ideal file declares the ring and the two named ideals::
 
 Blank lines and ``#`` comments are allowed.  A corpus file is a JSON array
 of named entries carrying the same data plus optional expected invariants.
-Serialization emits canonical generator order, so parse o serialize is the
-identity on canonical files.
+Both are read as UTF-8, with or without a byte order mark.  Serialization
+emits canonical generator order, so parse o serialize is the identity on
+canonical files.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Iterable, Optional
+from collections import namedtuple
+from collections.abc import Iterable
 
 from .core import Monomial, MonomialIdeal, RingContext, minimalize
 from .errors import ParseError
@@ -76,18 +76,18 @@ def _parse_block(exprs: Iterable[str], ring: RingContext, where: str) -> Monomia
         raise ParseError(f"{where}: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class IdealPair:
-    """A ring with its two named ideals, as read from an ideal file."""
+class IdealPair(namedtuple("IdealPair", "ring base saturator")):
+    """A ring with its two named ideals, as read from an ideal file.
 
-    ring: RingContext
-    base: MonomialIdeal      # the I block
-    saturator: MonomialIdeal  # the J block
+    ``base`` is the I block and ``saturator`` the J block.
+    """
+
+    __slots__ = ()
 
 
 def parse_ideal_file(text: str) -> IdealPair:
     """Parse the ``ring`` / ``I:`` / ``J:`` file format."""
-    ring: Optional[RingContext] = None
+    ring: RingContext | None = None
     blocks: dict[str, MonomialIdeal] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -132,21 +132,19 @@ def format_ideal_file(pair: IdealPair) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_ideal_file(path: str | Path) -> IdealPair:
-    return parse_ideal_file(Path(path).read_text(encoding="utf-8"))
+def load_ideal_file(path: str) -> IdealPair:
+    with open(path, encoding="utf-8-sig") as file:
+        return parse_ideal_file(file.read())
 
 
 # ---------------------------------------------------------------------------
 # Corpus format
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CorpusEntry:
-    """One named (I, J) pair with optional expected invariants."""
+class CorpusEntry(namedtuple("CorpusEntry", "name pair expect")):
+    """One named (I, J) pair with its expected invariants, a possibly empty dict."""
 
-    name: str
-    pair: IdealPair
-    expect: dict = field(default_factory=dict)
+    __slots__ = ()
 
 
 def parse_corpus(text: str) -> list[CorpusEntry]:
@@ -204,5 +202,6 @@ def parse_corpus(text: str) -> list[CorpusEntry]:
     return entries
 
 
-def load_corpus(path: str | Path) -> list[CorpusEntry]:
-    return parse_corpus(Path(path).read_text(encoding="utf-8"))
+def load_corpus(path: str) -> list[CorpusEntry]:
+    with open(path, encoding="utf-8-sig") as file:
+        return parse_corpus(file.read())

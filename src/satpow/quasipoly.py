@@ -10,17 +10,16 @@ tails exactly or fail loudly.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Optional, Sequence
 
 from .errors import InsufficientDataError
 
 ExactNumber = int | Fraction
 
 
-@dataclass(frozen=True)
-class QuasiPolynomial:
+class QuasiPolynomial(namedtuple("QuasiPolynomial", "period degree coeffs onset")):
     """Fitted quasi-polynomial: period, degree, per-residue coefficient table.
 
     ``coeffs[i][r]`` is the coefficient of n^i on the residue class
@@ -30,10 +29,7 @@ class QuasiPolynomial:
     first sampled n from which evaluation reproduces the samples exactly.
     """
 
-    period: int
-    degree: Optional[int]
-    coeffs: tuple[tuple[Fraction, ...], ...]
-    onset: int
+    __slots__ = ()
 
     def is_zero(self) -> bool:
         return self.degree is None
@@ -104,7 +100,7 @@ def _interpolate(xs: Sequence[int], ys: Sequence[Fraction]) -> list[Fraction]:
 
 def _fit_class(
     class_ns: Sequence[int], vals: Sequence[Fraction], min_tail: int
-) -> Optional[tuple[list[Fraction], int]]:
+) -> tuple[list[Fraction], int] | None:
     """Polynomial fit of the longest suffix of one residue class.
 
     Scans difference orders k = 1, 2, ...; order k with a trailing run of z
@@ -114,7 +110,7 @@ def _fit_class(
     n, onset n) or None.
     """
     m = len(vals)
-    best: Optional[tuple[int, int]] = None  # (suffix start j0, order k)
+    best: tuple[int, int] | None = None  # (suffix start j0, order k)
     diffs = list(vals)
     for k in range(1, m):
         diffs = [diffs[i + 1] - diffs[i] for i in range(len(diffs) - 1)]
@@ -136,7 +132,7 @@ def _fit_class(
 
 def _try_period(
     ns: Sequence[int], vs: Sequence[Fraction], g: int, min_tail: int
-) -> Optional[QuasiPolynomial]:
+) -> QuasiPolynomial | None:
     rows: list[tuple[list[Fraction], int]] = []
     for r in range(g):
         pts = [(n, v) for n, v in zip(ns, vs) if n % g == r]

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 
 import pytest
 
@@ -34,6 +35,27 @@ class TestMonomial:
         assert M(1, 2) == M(1, 2)
         assert hash(M(1, 2)) == hash(M(1, 2))
         assert M(1, 2) != M(2, 1)
+
+
+class TestRingContext:
+    def test_names_are_kept_as_a_tuple(self):
+        ring = RingContext(["x", "y"])
+        assert ring.var_names == ("x", "y")
+        assert ring.var_count == 2
+        assert ring == RingContext(("x", "y"))
+
+    @pytest.mark.parametrize(
+        "names, message",
+        [
+            ((), "at least one variable"),
+            (("x", 1), "invalid variable name: 1"),
+            (("x", "2y"), "invalid variable name: '2y'"),
+            (("x", "y", "x"), "duplicate variable names"),
+        ],
+    )
+    def test_bad_names_rejected(self, names, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            RingContext(names)
 
 
 class TestDivides:

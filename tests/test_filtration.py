@@ -62,6 +62,15 @@ class TestSymbolicPower:
         with pytest.raises(ZeroIdealError):
             symbolic_power(i, zero, 2)
 
+    def test_bad_n_is_rejected_before_any_work(self, ring2):
+        # a zero saturator would raise ZeroIdealError, which is a ValueError too
+        i = ideal(ring2, (1, 0))
+        zero = MonomialIdeal.zero(ring2)
+        with pytest.raises(ValueError, match="^symbolic power wants n >= 0, got -1$"):
+            symbolic_power(i, zero, -1)
+        with pytest.raises(ValueError, match="^sample_series wants nmax >= 1, got 0$"):
+            sample_series(i, zero, 0)
+
 
 class TestSampleSeries:
     def test_saturation_fixed_series_is_zero(self, ring2):

@@ -120,6 +120,10 @@ class TestExitCodes:
             fitted=verdict != VERDICT_INSUFFICIENT, verdict=verdict,
         )
 
+    def test_record_is_keyword_only(self):
+        with pytest.raises(TypeError):
+            VerifyRecord("r", True, 2, True, False, VERDICT_INSUFFICIENT)
+
     def test_all_consistent_is_zero(self):
         assert exit_code_for([self._record(VERDICT_CONSISTENT)]) == 0
 
@@ -327,6 +331,20 @@ class TestCli:
         bad.write_bytes("ring x\nI: x\nJ: x # \u00e9\n".encode("latin-1"))
         assert cli.main(["show", str(bad)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_files_with_a_byte_order_mark_read_alike(self, tmp_path, capsys):
+        # as Windows editors save UTF-8
+        corpus = json.dumps([TRIANGLE_ENTRY, MIXED_ENTRY])
+        outputs = []
+        for bom in ("", "\ufeff"):
+            ideal, entries = tmp_path / f"pair{len(bom)}.ideal", tmp_path / f"corpus{len(bom)}.json"
+            ideal.write_text(bom + TRIANGLE_FILE, encoding="utf-8")
+            entries.write_text(bom + corpus, encoding="utf-8")
+            assert cli.main(["show", str(ideal)]) == 0
+            assert cli.main(["verify", str(entries), "--min-tail", "2", "--format", "csv"]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
+        assert outputs[0].out.startswith("ring x y z\n") and outputs[0].err == ""
 
     def test_parse_error_exits_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.ideal"

@@ -2,10 +2,18 @@
 from __future__ import annotations
 
 import ast
+import copy
+import os
+import pickle
+import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import satpow
+from satpow.harness import VerifyRecord
+from satpow.parsing import CorpusEntry, IdealPair
 
 PACKAGE = Path(satpow.__file__).parent
 
@@ -29,6 +37,22 @@ def test_modules_import_only_the_standard_library():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         foreign = sorted(set(absolute_imports(tree)) - allowed)
         assert not foreign, f"{path.name} imports {foreign}"
+
+
+# Every satpow command is a fresh process, so what importing the CLI loads is
+# paid on every run; these modules cost the most and satpow needs none of them.
+NOT_AT_START_UP = ["typing", "dataclasses", "inspect", "pathlib", "importlib.resources", "tempfile"]
+
+
+def test_cli_start_up_loads_no_heavy_module():
+    code = "import sys, satpow.cli, satpow.parsing; print(*sorted(sys.modules))"
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    run = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    loaded = set(run.stdout.split())
+    assert "satpow.cli" in loaded
+    assert sorted(loaded.intersection(NOT_AT_START_UP)) == []
 
 
 def test_the_guard_sees_foreign_imports():
@@ -82,3 +106,35 @@ def test_an_ideal_has_one_stored_form():
     assert ideal.gens == (satpow.Monomial((2, 0)), satpow.Monomial((0, 1)))
     assert ideal.gens is not ideal.gens
     assert satpow.MonomialIdeal.unit(ring) == satpow.MonomialIdeal(ring, [(0, 0)])
+
+
+def _records():
+    """One of each record type, with a field to assign to."""
+    ring = satpow.RingContext(("x",))
+    ideal = satpow.MonomialIdeal(ring, [(1,)])
+    pair = IdealPair(ring=ring, base=ideal, saturator=ideal)
+    verify = VerifyRecord(
+        name="a", equigenerated=True, height=1, height_ok=False, fitted=False, verdict="insufficient-data"
+    )
+    return [
+        (ring, "var_names"),
+        (satpow.SeriesSample(n=1, symbolic_ideal=ideal, module_dim=None, f=0), "f"),
+        (satpow.quotient_module_data(ideal, ideal), "e0"),
+        (satpow.fit([(n, 0) for n in range(1, 6)]), "period"),
+        (pair, "base"),
+        (CorpusEntry(name="a", pair=pair, expect={}), "name"),
+        (verify, "verdict"),
+    ]
+
+
+RECORDS = _records()
+
+
+@pytest.mark.parametrize("record, field", RECORDS, ids=[type(r).__name__ for r, _ in RECORDS])
+def test_records_are_immutable_and_copy(record, field):
+    with pytest.raises(AttributeError):
+        setattr(record, field, getattr(record, field))
+    with pytest.raises(AttributeError):
+        record.extra = 1
+    assert copy.copy(record) == record
+    assert pickle.loads(pickle.dumps(record)) == record
