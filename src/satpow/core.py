@@ -12,11 +12,14 @@ Every kernel packs the exponent vectors it works on into Python ints (see
 one call can produce, and unpacks only its result.  Every divisibility
 test lays a list of packed monomials side by side in one int (see
 :class:`Row`) and tests a monomial against the whole list in one
-expression.  An intersection, a colon and a saturation are one fold in
-one packing, over the operands, the colons (I : m) by the generators m of
-J, or the colons (I : x_S^e) by the generators x_S of J's radical, with e
-the largest exponent of I.  The Hilbert recursion packs once per
-numerator and memoizes on tuples of these ints.
+expression; the antichain filter adds the elements it keeps to its row
+one degree block at a time.  The lcms, and so the colons, of a list by
+one monomial are one loop with no call per element.  An intersection, a
+colon and a saturation are one fold in one packing, over the operands,
+the colons (I : m) by the generators m of J, or the colons (I : x_S^e)
+by the generators x_S of J's radical, with e the largest exponent of I.
+The Hilbert recursion packs once per numerator and memoizes on tuples of
+these ints.
 
 Monomials and ideals are immutable after construction and safe to share
 across threads; no operation mutates its inputs.  A ``Row`` grows, and
@@ -164,16 +167,6 @@ class Packing:
     def degree(self, p: int) -> int:
         return p >> self.top
 
-    def _with_degree(self, fields: int) -> int:
-        """``fields`` (exponent fields only) with its degree field filled in."""
-        return fields | fields * self._ones & self._degree
-
-    def _excess(self, a: int, b: int) -> int:
-        """Per exponent field, a_i - b_i where that is positive, else 0; no degree."""
-        diff = (a | self._exp_guard) - b
-        ge = diff & self._exp_guard  # guard bits of the fields with a_i >= b_i
-        return diff & (ge - (ge >> (self.width - 1)))
-
     # -- the antichain filter -------------------------------------------------
 
     def minimal(self, cands: Iterable[int]) -> list[int]:
@@ -181,13 +174,18 @@ class Packing:
 
         In canonical order a divisor comes before its multiples, and a
         distinct element of equal degree never divides; duplicates are gone.
-        So each candidate is tested against the row of those kept before it.
+        So each candidate is tested against the row of those kept at lower
+        degrees: the elements kept at one degree join the row as one block
+        just before the first candidate of the next degree is tested.
         """
         kept: list[int] = []
         row = Row(self)
+        top, degree, start = self.top, -1, 0  # kept[start:] is the block of ``degree``
         for t in sorted(set(cands), key=self.low.__xor__):
+            if t >> top != degree:
+                row.extend(kept[start:])
+                degree, start = t >> top, len(kept)
             if not row.has_divisor(t):
-                row.append(t)
                 kept.append(t)
         return kept
 
@@ -202,6 +200,7 @@ class Packing:
         taken one generator g of the shorter remainder at a time, and the
         lcms of g are minimalized among themselves before they join the
         candidates, which drops most of them before the filter over all.
+        The lcms of g with the whole other remainder come from one ``lcms`` loop.
         """
         cands: list[int] = []
         out_a: list[int] = []
@@ -213,16 +212,27 @@ class Packing:
         if len(out_a) < len(out_b):
             out_a, out_b = out_b, out_a
         for g in out_b:
-            cands += self.minimal([self.lcm(a, g) for a in out_a])
+            cands += self.minimal(self.lcms(out_a, g))
         return cands
 
-    def lcm(self, a: int, b: int) -> int:
-        """lcm(a, b), made per field as b_i plus the excess of a_i over b_i."""
-        return b + self._with_degree(self._excess(a, b))
+    def lcms(self, gens: Iterable[int], g: int) -> list[int]:
+        """lcm(a, g) for every a in ``gens``, in one loop with no call per element.
+
+        Field i is g_i plus the excess max(a_i - g_i, 0), read off the guard
+        bits of (a | G) - g, G the exponent guards; a product sums the degree.
+        """
+        exp_guard, shift, ones, degree = self._exp_guard, self.width - 1, self._ones, self._degree
+        out: list[int] = []
+        for a in gens:
+            diff = (a | exp_guard) - g
+            ge = diff & exp_guard  # guard bits of the fields with a_i >= g_i
+            excess = diff & (ge - (ge >> shift))
+            out.append(g + (excess | excess * ones & degree))
+        return out
 
     def colons(self, gens: Iterable[int], m: int) -> Iterator[int]:
-        """g / gcd(g, m) for every g in ``gens``."""
-        return (self._with_degree(self._excess(g, m)) for g in gens)
+        """g / gcd(g, m), which is lcm(g, m) / m, for every g in ``gens``."""
+        return map((-m).__add__, self.lcms(gens, m))
 
     # -- helpers of the Hilbert recursion --------------------------------------
 
@@ -299,7 +309,8 @@ class Row:
     and K_j == G iff a_j divides p.  K_j + spare - G lies between
     spare - G > 0 and the spare bit, and reaches the spare bit iff
     K_j == G, so no slot carries into the next either, and a spare bit
-    survives the last mask iff its slot's element divides p.
+    survives the last mask iff its slot's element divides p.  ``extend``
+    adds a block of elements and rebuilds the masks once, not per element.
     """
 
     __slots__ = ("_guard", "_slot", "_end", "_row", "_rep", "_guards", "_spares", "_lift")
@@ -317,11 +328,16 @@ class Row:
         self._spares = self._rep << (self._slot - 1)
         self._lift = self._spares - self._guards
 
-    def append(self, p: int) -> None:
-        """Put ``p`` in a new slot after the others."""
-        self._row |= p << self._end
-        self._rep |= 1 << self._end
-        self._end += self._slot
+    def extend(self, block: Sequence[int]) -> None:
+        """Put the elements of ``block`` in new slots after the others, and rebuild the masks once."""
+        if not block:
+            return
+        row, rep, end, slot = self._row, self._rep, self._end, self._slot
+        for p in block:
+            row |= p << end
+            rep |= 1 << end
+            end += slot
+        self._row, self._rep, self._end = row, rep, end
         self._masks()
 
     def has_divisor(self, p: int) -> bool:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 from functools import reduce
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -248,6 +248,7 @@ def test_row_matches_a_tuple_oracle():
     # multiple of 8) or one bit below it, where the spare bit of a slot sits
     # on the last bit of a byte, plus one at random; rows around 64 elements
     # and one of 600, with the only divisor first, in the middle or last.
+    # The lcms of each row with p are checked in the same packings.
     rng = random.Random(163)
     residues = set()
     for d in range(1, 8):
@@ -271,11 +272,42 @@ def test_row_matches_a_tuple_oracle():
                     expected = member(gens, p)
                     assert Row(pk, packed).has_divisor(pk.pack(p)) == expected, (d, max_exp, len(gens))
                     half = len(packed) // 2
-                    appended = Row(pk, packed[:half])
-                    for g in packed[half:]:
-                        appended.append(g)
-                    assert appended.has_divisor(pk.pack(p)) == expected, (d, max_exp, len(gens))
+                    extended = Row(pk, packed[:half])
+                    for block in (packed[half : half + 1], packed[half + 1 : half + 3], packed[half + 3 :]):
+                        extended.extend(block)
+                    assert extended.has_divisor(pk.pack(p)) == expected, (d, max_exp, len(gens))
+                    for g, lcm in zip(gens, pk.lcms(packed, pk.pack(p))):
+                        joined = tuple(map(max, g, p))
+                        assert pk.unpack(lcm) == joined and pk.degree(lcm) == sum(joined), (d, max_exp, g, p)
+                        assert not lcm & pk.guard
     assert {0, 7} <= residues
+
+
+def packed_minimal(d: int, cands: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    pk = Packing(d, max(map(max, cands)))
+    return list(map(pk.unpack, pk.minimal(map(pk.pack, cands))))
+
+
+def test_minimal_at_degree_block_boundaries():
+    # Elements kept at one degree join the row as one block before the next
+    # degree is tested. The first candidate of degree 2, y*z, has one
+    # divisor, z, the last element kept at degree 1.
+    assert packed_minimal(3, [(0, 0, 1), (0, 1, 1), (1, 0, 0), (0, 0, 2), (0, 3, 0)]) == [
+        (1, 0, 0), (0, 0, 1), (0, 3, 0)
+    ]
+    # An equigenerated list keeps all its distinct elements, in canonical order.
+    cubics = [t for t in product(range(4), repeat=3) if sum(t) == 3]
+    shuffled = cubics * 2
+    random.Random(167).shuffle(shuffled)
+    assert packed_minimal(3, shuffled) == sorted(cubics, reverse=True)
+    # Duplicates of kept and of dropped elements at several degrees.
+    cands = [(2, 0), (0, 1), (2, 1), (0, 1), (3, 0), (2, 0), (1, 1), (2, 1), (0, 3), (1, 1), (3, 0)]
+    assert packed_minimal(2, cands) == [(0, 1), (2, 0)] == reference_minimal(cands)
+    rng = random.Random(173)
+    for d in range(1, 5):
+        for _ in range(50):
+            cands = [tuple(rng.randint(0, 3) for _ in range(d)) for _ in range(rng.randint(1, 30))]
+            assert packed_minimal(d, cands + cands[::2]) == reference_minimal(cands)
 
 
 def test_contains_matches_oracle():
