@@ -14,12 +14,16 @@ test lays a list of packed monomials side by side in one int (see
 :class:`Row`) and tests a monomial against the whole list in one
 expression; the antichain filter adds the elements it keeps to its row
 one degree block at a time.  The lcms, and so the colons, of a list by
-one monomial are one loop with no call per element.  An intersection, a
-colon and a saturation are one fold in one packing, over the operands,
-the colons (I : m) by the generators m of J, or the colons (I : x_S^e)
-by the generators x_S of J's radical, with e the largest exponent of I.
-The Hilbert recursion packs once per numerator and memoizes on tuples of
-these ints.
+one monomial are one loop with no call per element.  A product is one
+``Packing.product`` step, and a power a ladder of such steps in one
+packing wide enough for its top rung.  An intersection, a colon and a
+saturation are one fold, ``Packing.meet``, in one packing, over the
+operands, the colons (I : m) by the generators m of J, or the colons
+(I : x_S^e) by the generators x_S of J's radical, with e the largest
+exponent of I.  ``MonomialIdeal.packed_localizations`` hands those colons
+out still packed, in a packing that also holds their n-th powers, so a
+whole series of powers and saturations, and the Hilbert numerators of
+each, runs in the one packing and unpacks only the ideals it returns.
 
 Monomials and ideals are immutable after construction and safe to share
 across threads; no operation mutates its inputs.  A ``Row`` grows, and
@@ -146,9 +150,11 @@ class Packing:
         """A packing for ``ideal`` and its generators packed, in canonical order.
 
         The width holds ``max_exp`` and every exponent of ``ideal``.  Each
-        ideal kernel passes the largest exponent of its other operand, or for
-        a product the sum of both largest exponents; adding a pure power no
-        higher than that, a colon and an lcm keep within it.
+        ideal kernel passes the largest exponent of its other operand, for
+        a product the sum of both largest exponents, and for an n-th power,
+        or a series of powers up to the n-th, n times the largest exponent;
+        adding a pure power no higher than that, a colon and an lcm keep
+        within it.
         """
         pk = cls(ideal.ring.var_count, max(max_exp, _max_exponent(ideal._exps)))
         return pk, tuple(map(pk.pack, ideal._exps))
@@ -188,6 +194,20 @@ class Packing:
             if not row.has_divisor(t):
                 kept.append(t)
         return kept
+
+    # -- products, powers and the fold ----------------------------------------
+
+    def product(self, gens_a: Iterable[int], gens_b: Sequence[int]) -> list[int]:
+        """Canonical generators of the product of two ideals: every pairwise sum, minimalized."""
+        return self.minimal([c for a in gens_a for c in map(a.__add__, gens_b)])
+
+    def power(self, gens: Sequence[int], n: int) -> list[int]:
+        """Canonical generators of the ``n``-th power, n >= 1, as a ladder of products."""
+        return reduce(self.product, [gens] * (n - 1), list(gens))
+
+    def meet(self, parts: Iterable[list[int]]) -> list[int]:
+        """Canonical generators of the intersection of the canonical ``parts``, folded left to right."""
+        return reduce(lambda a, b: self.minimal(self.intersection(a, b)), parts)
 
     # -- candidate generators --------------------------------------------------
 
@@ -364,9 +384,9 @@ class MonomialIdeal:
         self._exps: tuple[Exponents, ...] = tuple(exps)
 
     @classmethod
-    def _from_packed(cls, ring: RingContext, pk: Packing, cands: Iterable[int]) -> "MonomialIdeal":
-        """The ideal generated by the packed ``cands``."""
-        return cls(ring, map(pk.unpack, pk.minimal(cands)))
+    def _from_packed(cls, ring: RingContext, pk: Packing, gens: Iterable[int]) -> "MonomialIdeal":
+        """The ideal with the canonical packed generators ``gens``."""
+        return cls(ring, map(pk.unpack, gens))
 
     @classmethod
     def zero(cls, ring: RingContext) -> "MonomialIdeal":
@@ -431,21 +451,20 @@ class MonomialIdeal:
         self._check_ring(other)
         pk, mine = Packing.of(self, _max_exponent(self._exps) + _max_exponent(other._exps))
         theirs = list(map(pk.pack, other._exps))
-        cands = [c for a in mine for c in map(a.__add__, theirs)]
-        return MonomialIdeal._from_packed(self.ring, pk, cands)
+        return MonomialIdeal._from_packed(self.ring, pk, pk.product(mine, theirs))
 
     def power(self, n: int) -> "MonomialIdeal":
         """``n``-fold product, with I^0 the unit ideal.
 
-        Computed by iterated multiplication, minimalizing after each step to
-        keep intermediate generator sets small.
+        A ladder of products in one packing wide enough for I^n,
+        minimalizing after each step to keep the rungs small.
         """
         if n < 0:
             raise ValueError(f"power wants n >= 0, got {n}")
-        result = MonomialIdeal.unit(self.ring)
-        for _ in range(n):
-            result = result.multiply(self)
-        return result
+        if n == 0:
+            return MonomialIdeal.unit(self.ring)
+        pk, gens = Packing.of(self, n * _max_exponent(self._exps))
+        return MonomialIdeal._from_packed(self.ring, pk, pk.power(gens, n))
 
     def intersect(self, other: "MonomialIdeal", *more: "MonomialIdeal") -> "MonomialIdeal":
         """Intersection with every operand, folded left to right in one packing."""
@@ -469,38 +488,51 @@ class MonomialIdeal:
 
     def saturate_ideal(self, other: "MonomialIdeal") -> "MonomialIdeal":
         """(I : J^inf) as the intersection of the localizations of I at J."""
-        return intersection(self.localizations(other))
+        pk, _, parts = self.packed_localizations(other)
+        return self._meet(pk, parts)
 
     def localizations(self, other: "MonomialIdeal") -> list["MonomialIdeal"]:
         """The distinct inclusion-minimal (I : x_S^inf), x_S over the generators of J's radical.
 
-        Their intersection is (I : J^inf).  Each is the colon (I : x_S^e), e
-        the largest exponent of I; one holding another adds nothing to the
-        intersection.  They come in the canonical order of the x_S, which
-        fixes the order of the intersections.  One of them equals I only if
-        all the others contain I, so then it is the only one kept.
+        Their intersection is (I : J^inf); see :meth:`packed_localizations`.
+        """
+        pk, _, parts = self.packed_localizations(other)
+        return [MonomialIdeal._from_packed(self.ring, pk, p) for p in parts]
+
+    def packed_localizations(
+        self, other: "MonomialIdeal", n: int = 1
+    ) -> tuple[Packing, list[int], list[list[int]]]:
+        """A packing, the generators of I and the localizations of I at J, all packed.
+
+        The packing holds the ``n``-th powers of I and of the localizations,
+        and every intersection of those.  Each localization is the colon
+        (I : x_S^e), x_S over the generators of J's radical and e the largest
+        exponent of I; one holding another adds nothing to the intersection,
+        so only the distinct inclusion-minimal ones are kept.  They come in
+        the canonical order of the x_S, which fixes the order of the
+        intersections.  One of them equals I only if all the others contain
+        I, so then it is the only one kept.
         """
         self._check_ring(other)
         supports = _minimal_supports(other)
         if not supports:
             raise ZeroIdealError("saturation by the zero ideal")
-        pk, gens = Packing.of(self)
         e = _max_exponent(self._exps)
+        pk, gens = Packing.of(self, n * e)
         parts: list[list[int]] = []
         for s in supports:
             part = pk.minimal(pk.colons(gens, pk.pack(tuple(e * x for x in s))))
             if part not in parts:
                 parts.append(part)
-        return [
-            MonomialIdeal(self.ring, map(pk.unpack, p))
-            for p in parts
+        kept = [
+            p for p in parts
             if not any(q is not p and all(map(Row(pk, p).has_divisor, q)) for q in parts)
         ]
+        return pk, list(gens), kept
 
     def _meet(self, pk: Packing, parts: Iterable[list[int]]) -> "MonomialIdeal":
         """The intersection of the ideals with the canonical generators ``parts``, packed by ``pk``."""
-        meet = reduce(lambda a, b: pk.minimal(pk.intersection(a, b)), parts)
-        return MonomialIdeal(self.ring, map(pk.unpack, meet))
+        return MonomialIdeal._from_packed(self.ring, pk, pk.meet(parts))
 
     # -- guards ---------------------------------------------------------------
 
@@ -524,12 +556,7 @@ def minimalize(gens: Sequence[Monomial], ring: RingContext) -> MonomialIdeal:
             )
     exps = [g.exponents for g in gens]
     pk = Packing(ring.var_count, _max_exponent(exps))
-    return MonomialIdeal._from_packed(ring, pk, map(pk.pack, exps))
-
-
-def intersection(ideals: Sequence[MonomialIdeal]) -> MonomialIdeal:
-    """The intersection of one or more ideals; a single ideal is its own."""
-    return ideals[0].intersect(*ideals[1:]) if len(ideals) > 1 else ideals[0]
+    return MonomialIdeal._from_packed(ring, pk, pk.minimal(map(pk.pack, exps)))
 
 
 def _minimal_supports(ideal: MonomialIdeal) -> list[Exponents]:

@@ -19,17 +19,21 @@ which adds nothing to the intersection.  This module keeps their power
 ladders.  They are small, so their powers are cheap, where saturating I^n
 itself takes colons of its many generators.
 
-Samples for distinct n are independent once the power ladders exist; all
-returned values are immutable.
+A series lives in one ``core.Packing``, sized for its top power: the
+localizations, every rung of every ladder, each intersection and the
+Hilbert numerators of each quotient work on the same packed ints.  Only
+the saturations handed back are unpacked.  Samples for distinct n are
+independent once the power ladders exist; all returned values are
+immutable.
 """
 from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Sequence
 
-from .core import MonomialIdeal, intersection
+from .core import MonomialIdeal
 from .errors import InsufficientDataError, ZeroIdealError
-from .hilbert import quotient_module_data
+from .hilbert import packed_quotient_data
 
 
 class SeriesSample(namedtuple("SeriesSample", "n symbolic_ideal module_dim f")):
@@ -52,36 +56,43 @@ def symbolic_power(base: MonomialIdeal, saturator: MonomialIdeal, n: int) -> Mon
     if n < 0:
         raise ValueError(f"symbolic power wants n >= 0, got {n}")
     _check_nonzero(base)
-    return intersection([loc.power(n) for loc in base.localizations(saturator)])
+    pk, _, locs = base.packed_localizations(saturator, n)  # rejects a zero J, also at n = 0
+    if n == 0:
+        return MonomialIdeal.unit(base.ring)
+    return MonomialIdeal._from_packed(base.ring, pk, pk.meet([pk.power(loc, n) for loc in locs]))
 
 
 def sample_series(
     base: MonomialIdeal, saturator: MonomialIdeal, nmax: int
 ) -> list[SeriesSample]:
-    """Samples for n = 1..nmax, from incremental power ladders.
+    """Samples for n = 1..nmax, from incremental power ladders in one packing.
 
     One ladder holds I^n, the inner ideal of each quotient.  The saturation
     (I^n : J^inf) is the intersection of one more ladder per kept
     localization pi_S(I) (see the module docstring), each built by
     multiplying by its own pi_S(I).  A localization equal to I reuses the
-    I^n ladder: the saturation is then I^n itself.
+    I^n ladder: the saturation is then I^n itself.  The packing holds
+    I^nmax, so every rung stays packed from I to the last quotient.
     """
     if nmax < 1:
         raise ValueError(f"sample_series wants nmax >= 1, got {nmax}")
     _check_nonzero(base)
-    locs = base.localizations(saturator)
-    steps = [] if locs == [base] else locs
+    pk, gens, locs = base.packed_localizations(saturator, nmax)
+    steps = [] if locs == [gens] else locs
     samples = []
-    power, ladders = base, steps
+    power, ladders = gens, steps
     for n in range(1, nmax + 1):
-        symbolic = intersection(ladders) if ladders else power
-        data = quotient_module_data(power, symbolic)
-        samples.append(
-            SeriesSample(n=n, symbolic_ideal=symbolic, module_dim=data.module_dim, f=data.e0)
-        )
+        symbolic = pk.meet(ladders) if ladders else power
+        data = packed_quotient_data(pk, power, symbolic)
+        samples.append(SeriesSample(
+            n=n,
+            symbolic_ideal=MonomialIdeal._from_packed(base.ring, pk, symbolic),
+            module_dim=data.module_dim,
+            f=data.e0,
+        ))
         if n < nmax:
-            power = power.multiply(base)
-            ladders = [ladder.multiply(step) for ladder, step in zip(ladders, steps)]
+            power = pk.product(power, gens)
+            ladders = [pk.product(ladder, step) for ladder, step in zip(ladders, steps)]
     return samples
 
 

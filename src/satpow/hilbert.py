@@ -23,20 +23,24 @@ on the exponents.  There are two base cases:
   complete intersection, K = prod(1 - z^deg g), with r factors in place of
   2^r terms.
 
-The generators are packed once per ``numerator_of_quotient`` call by
-``core.Packing``; one field width serves the whole recursion, because
+The recursion runs on generators packed by ``core.Packing``, in the
+packing they come in: ``packed_quotient_data`` takes the two packed lists
+of a quotient as the series of ``filtration`` holds them, and
+``numerator_of_quotient`` and ``quotient_module_data`` pack their ideals
+once per call.  One field width serves the whole recursion, because
 neither I + (x^k) nor I : x^k raises the largest exponent.  Both branches
 of a split come from one pass over the generators, ``Packing.split``.
-Numerators of intermediate ideals are memoized in a dict local to that
-call, keyed by the canonical tuple of packed generators.  A quotient of
-equal ideals is the empty module and computes no numerator.
+Numerators of intermediate ideals are memoized in a dict local to one
+numerator, keyed by the canonical tuple of packed generators.  A quotient
+of equal ideals is the empty module and computes no numerator.
 """
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Iterable
 from itertools import zip_longest
 
-from .core import MonomialIdeal, Packing
+from .core import MonomialIdeal, Packing, Row, _max_exponent
 from .errors import InconsistencyError
 
 
@@ -218,15 +222,28 @@ def dim_and_mult(numerator: IntPolynomial, ambient_d: int) -> tuple[int | None, 
 def quotient_module_data(inner: MonomialIdeal, outer: MonomialIdeal) -> HilbertData:
     """Hilbert data of the quotient module outer/inner (inner must sit inside outer)."""
     inner._check_ring(outer)
-    d = inner.ring.var_count
+    pk, packed_inner = Packing.of(inner, _max_exponent(outer._exps))
+    return packed_quotient_data(pk, packed_inner, map(pk.pack, outer._exps))
+
+
+def packed_quotient_data(pk: Packing, inner: Iterable[int], outer: Iterable[int]) -> HilbertData:
+    """Hilbert data of outer/inner, for the canonical generators of both packed by ``pk``.
+
+    Equal ideals give the empty module.  Otherwise every generator of the
+    inner ideal must lie in the outer one, and the numerator is that of
+    the inner ideal less that of the outer one, each with its own memo.
+    """
+    inner, outer = tuple(inner), tuple(outer)
+    d = len(pk.shifts)
     if inner == outer:
         return HilbertData(numerator=IntPolynomial(), ambient_d=d, module_dim=None, e0=0)
-    if not outer.contains_ideal(inner):
-        g = next(g for g in inner.gens if not outer.contains(g))
-        raise ValueError(
-            f"containment violated: generator {g!r} of the inner ideal "
-            "is not in the outer ideal"
-        )
-    k = numerator_of_quotient(inner) - numerator_of_quotient(outer)
+    row = Row(pk, outer)
+    for g in inner:
+        if not row.has_divisor(g):
+            raise ValueError(
+                f"containment violated: generator with exponents {pk.unpack(g)} "
+                "of the inner ideal is not in the outer ideal"
+            )
+    k = _numerator(inner, pk, {}) - _numerator(outer, pk, {})
     module_dim, e0 = dim_and_mult(k, d)
     return HilbertData(numerator=k, ambient_d=d, module_dim=module_dim, e0=e0)

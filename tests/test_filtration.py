@@ -9,9 +9,11 @@ from satpow import (
     SeriesSample,
     ZeroIdealError,
     dim_stabilization,
+    quotient_module_data,
     sample_series,
     symbolic_power,
 )
+from satpow import hilbert
 from satpow.cli import default_corpus_path
 from satpow.parsing import load_corpus
 
@@ -198,8 +200,29 @@ class TestLocalizedLadders:
     def test_series_matches_the_fold_on_the_corpus(self):
         for entry in load_corpus(default_corpus_path()):
             base, saturator = entry.pair.base, entry.pair.saturator
-            for s in sample_series(base, saturator, 6):
-                assert s.symbolic_ideal == base.power(s.n).saturate_ideal(saturator), entry.name
+            for s in sample_series(base, saturator, 12):
+                power = base.power(s.n)
+                saturation = power.saturate_ideal(saturator)
+                assert s.symbolic_ideal == saturation, entry.name
+                data = quotient_module_data(power, saturation)
+                assert (s.f, s.module_dim) == (data.e0, data.module_dim), (entry.name, s.n)
+
+    def test_series_does_not_depend_on_its_length(self):
+        # the packing of a series is sized from nmax, so its rungs are packed
+        # with a different field width for each nmax
+        for entry in load_corpus(default_corpus_path()):
+            base, saturator = entry.pair.base, entry.pair.saturator
+            assert sample_series(base, saturator, 12)[:6] == sample_series(base, saturator, 6), entry.name
+
+    def test_unit_saturator_computes_no_numerator(self, monkeypatch):
+        # every saturation equals I^n, so each quotient is the empty module
+        def fail(gens, pk, memo):
+            raise AssertionError("numerator computed for a quotient of equal ideals")
+
+        monkeypatch.setattr(hilbert, "_numerator", fail)
+        entry = next(e for e in load_corpus(default_corpus_path()) if e.name == "unit-saturator")
+        samples = sample_series(entry.pair.base, entry.pair.saturator, 8)
+        assert [(s.f, s.module_dim) for s in samples] == [(0, None)] * 8
 
     def test_symbolic_power_matches_the_fold_on_the_edge_graph(self):
         # (I^7 : m^inf) has 870 generators, so the antichain filter of the

@@ -259,6 +259,12 @@ class TestCli:
         assert cli.main(argv) == 0
         assert out.read_bytes() == (DATA / "verify-n12.csv").read_bytes()
 
+    def test_verify_matches_stored_json_past_n20(self, capsys):
+        # the shipped corpus at --nmax 30, as computed before a series was
+        # held in one packing sized from nmax
+        assert cli.main(["verify", "--nmax", "30", "--format", "json"]) == 0
+        assert capsys.readouterr().out.encode() == (DATA / "verify-n30.json").read_bytes()
+
     def test_symbolic_matches_stored_output(self, tmp_path, capsys):
         # (I^6 : m^inf) for a 6-vertex edge graph, as computed before the
         # saturation was built from localized power ladders
