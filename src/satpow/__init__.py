@@ -4,7 +4,7 @@ Computes (I^n : J^inf), Hilbert-series numerators, dimensions and
 multiplicities of the quotients (I^n : J^inf)/I^n, and fits the resulting
 integer series as exact quasi-polynomials.
 """
-from .core import Monomial, MonomialIdeal, RingContext, divides, minimalize
+from .core import MonomialIdeal, RingContext, minimalize
 from .errors import (
     InconsistencyError,
     InsufficientDataError,
@@ -26,10 +26,8 @@ from .theory import height
 __version__ = "0.1.0"
 
 __all__ = [
-    "Monomial",
     "MonomialIdeal",
     "RingContext",
-    "divides",
     "minimalize",
     "InconsistencyError",
     "InsufficientDataError",

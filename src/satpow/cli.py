@@ -5,7 +5,7 @@ symbolic, series, fit) or on a corpus file (verify).  Exit codes: 0 success,
 1 usage or parse error (an option out of range, an unreadable or malformed
 file), 2 insufficient data for a requested fit, 3 an engine bug (a proved
 stabilization check failed, or any other ``ValueError`` escaped the engine)
-or a computation that ran out of memory or recursion depth.
+or a computation too large for memory, recursion depth or index sizes.
 """
 from __future__ import annotations
 
@@ -189,6 +189,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 3
     except MemoryError:
         print("error: out of memory: the input is too large to compute", file=sys.stderr)
+        return 3
+    except OverflowError:
+        print("error: size overflow: the input is too large to compute", file=sys.stderr)
         return 3
     except RecursionError:
         print("error: recursion depth exceeded: the input is too deep to compute", file=sys.stderr)

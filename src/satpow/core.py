@@ -3,9 +3,8 @@
 Monomials are exponent vectors over a fixed ambient polynomial ring; no
 coefficient field is ever materialized.  Ideals carry their canonical
 minimal generating set (an antichain under divisibility, sorted in a fixed
-total order), so ideal equality is generator-list equality.  An ideal stores
-that set as exponent tuples and nothing else; ``gens`` builds ``Monomial``
-objects from them on each read.
+total order), so ideal equality is generator-list equality.  A monomial is
+an exponent tuple outside the kernels; ``gens`` returns the stored tuples.
 
 Every kernel packs the exponent vectors it works on into Python ints (see
 :class:`Packing`), with a field width taken from the largest exponent that
@@ -25,9 +24,9 @@ out still packed, in a packing that also holds their n-th powers, so a
 whole series of powers and saturations, and the Hilbert numerators of
 each, runs in the one packing and unpacks only the ideals it returns.
 
-Monomials and ideals are immutable after construction and safe to share
-across threads; no operation mutates its inputs.  A ``Row`` grows, and
-lives within one kernel call.
+Ideals are immutable after construction and safe to share across threads;
+no operation mutates its inputs.  A ``Row`` grows, and lives within one
+kernel call.
 """
 from __future__ import annotations
 
@@ -60,44 +59,6 @@ class RingContext(namedtuple("RingContext", "var_names")):
     @property
     def var_count(self) -> int:
         return len(self.var_names)
-
-
-class Monomial:
-    """A monomial as a tuple of non-negative exponents, with cached degree."""
-
-    __slots__ = ("exponents", "degree")
-
-    def __init__(self, exponents: Iterable[int]):
-        exps = tuple(exponents)
-        for e in exps:
-            if not isinstance(e, int) or e < 0:
-                raise ValueError(f"exponents must be non-negative integers, got {e!r}")
-        self.exponents: Exponents = exps
-        self.degree: int = sum(exps)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Monomial) and self.exponents == other.exponents
-
-    def __hash__(self) -> int:
-        return hash(self.exponents)
-
-    def __repr__(self) -> str:
-        return f"Monomial({list(self.exponents)})"
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        """Indices of variables with positive exponent."""
-        return tuple(i for i, e in enumerate(self.exponents) if e > 0)
-
-
-def divides(a: Monomial, b: Monomial) -> bool:
-    """True iff every exponent of ``a`` is at most the matching one of ``b``."""
-    if len(a.exponents) != len(b.exponents):
-        raise RingMismatchError(
-            f"monomials live in different rings ({len(a.exponents)} vs {len(b.exponents)} variables)"
-        )
-    pk = Packing(len(a.exponents), _max_exponent((a.exponents, b.exponents)))
-    return Row(pk, [pk.pack(a.exponents)]).has_divisor(pk.pack(b.exponents))
 
 
 # ---------------------------------------------------------------------------
@@ -397,9 +358,9 @@ class MonomialIdeal:
         return cls(ring, [(0,) * ring.var_count])
 
     @property
-    def gens(self) -> tuple[Monomial, ...]:
-        """The minimal generators in canonical order, built anew on each read."""
-        return tuple(map(Monomial, self._exps))
+    def gens(self) -> tuple[Exponents, ...]:
+        """The minimal generators in canonical order, as the stored exponent tuples."""
+        return self._exps
 
     def __len__(self) -> int:
         """The number of minimal generators."""
@@ -433,10 +394,6 @@ class MonomialIdeal:
         return f"MonomialIdeal({self.ring.var_names}, {len(self._exps)} gens)"
 
     # -- membership ----------------------------------------------------------
-
-    def contains(self, m: Monomial) -> bool:
-        """True iff some minimal generator divides ``m``."""
-        return self.contains_ideal(minimalize([m], self.ring))
 
     def contains_ideal(self, other: "MonomialIdeal") -> bool:
         """True iff every generator of ``other`` lies in this ideal."""
@@ -482,7 +439,7 @@ class MonomialIdeal:
         pk, gens = Packing.of(self, _max_exponent(other._exps))
         return self._meet(pk, (pk.minimal(pk.colons(gens, pk.pack(m))) for m in other._exps))
 
-    def saturate_monomial(self, m: Monomial) -> "MonomialIdeal":
+    def saturate_monomial(self, m: Exponents) -> "MonomialIdeal":
         """(I : m^inf): zero out generator exponents on the support of ``m``."""
         return self.saturate_ideal(minimalize([m], self.ring))
 
@@ -543,18 +500,20 @@ class MonomialIdeal:
             )
 
 
-def minimalize(gens: Sequence[Monomial], ring: RingContext) -> MonomialIdeal:
-    """Canonical minimal generating set of the ideal generated by ``gens``.
+def minimalize(gens: Iterable[Sequence[int]], ring: RingContext) -> MonomialIdeal:
+    """Canonical minimal generating set of the ideal generated by the exponent vectors ``gens``.
 
     Every input generator is divisible by some output generator, and no
     output generator divides another.  An empty input yields the zero ideal.
     """
-    for g in gens:
-        if len(g.exponents) != ring.var_count:
+    exps = list(map(tuple, gens))
+    for t in exps:
+        if len(t) != ring.var_count:
             raise RingMismatchError(
-                f"monomial has {len(g.exponents)} exponents, ring has {ring.var_count} variables"
+                f"monomial has {len(t)} exponents, ring has {ring.var_count} variables"
             )
-    exps = [g.exponents for g in gens]
+        if not all(isinstance(e, int) and e >= 0 for e in t):
+            raise ValueError(f"exponents must be non-negative integers, got {t!r}")
     pk = Packing(ring.var_count, _max_exponent(exps))
     return MonomialIdeal._from_packed(ring, pk, pk.minimal(map(pk.pack, exps)))
 

@@ -13,11 +13,11 @@ Saturating by J is saturating by its radical, so
     (I^n : J^inf) = intersection over S of pi_S(I)^n,
 
 with S over the inclusion-minimal supports of J's generators.
-``MonomialIdeal.localizations`` keeps only the distinct, inclusion-minimal
-pi_S(I): pi_S(I) containing pi_T(I) gives pi_S(I)^n containing pi_T(I)^n,
-which adds nothing to the intersection.  This module keeps their power
-ladders.  They are small, so their powers are cheap, where saturating I^n
-itself takes colons of its many generators.
+``MonomialIdeal.packed_localizations`` keeps only the distinct,
+inclusion-minimal pi_S(I): pi_S(I) containing pi_T(I) gives pi_S(I)^n
+containing pi_T(I)^n, which adds nothing to the intersection.  This
+module keeps their power ladders.  They are small, so their powers are
+cheap, where saturating I^n itself takes colons of its many generators.
 
 A series lives in one ``core.Packing``, sized for its top power: the
 localizations, every rung of every ladder, each intersection and the

@@ -222,8 +222,8 @@ def dim_and_mult(numerator: IntPolynomial, ambient_d: int) -> tuple[int | None, 
 def quotient_module_data(inner: MonomialIdeal, outer: MonomialIdeal) -> HilbertData:
     """Hilbert data of the quotient module outer/inner (inner must sit inside outer)."""
     inner._check_ring(outer)
-    pk, packed_inner = Packing.of(inner, _max_exponent(outer._exps))
-    return packed_quotient_data(pk, packed_inner, map(pk.pack, outer._exps))
+    pk, packed_inner = Packing.of(inner, _max_exponent(outer.gens))
+    return packed_quotient_data(pk, packed_inner, map(pk.pack, outer.gens))
 
 
 def packed_quotient_data(pk: Packing, inner: Iterable[int], outer: Iterable[int]) -> HilbertData:

@@ -20,12 +20,12 @@ import json
 from collections import namedtuple
 from collections.abc import Iterable
 
-from .core import Monomial, MonomialIdeal, RingContext, minimalize
+from .core import Exponents, MonomialIdeal, RingContext, minimalize
 from .errors import ParseError
 
 
-def parse_monomial(text: str, ring: RingContext) -> Monomial:
-    """Parse a product-of-powers expression over the ring's variables."""
+def parse_monomial(text: str, ring: RingContext) -> Exponents:
+    """Parse a product-of-powers expression over the ring's variables into its exponent tuple."""
     stripped = "".join(text.split())
     if not stripped:
         raise ParseError("empty monomial expression")
@@ -47,13 +47,13 @@ def parse_monomial(text: str, ring: RingContext) -> Monomial:
             exps[index[name]] += int(power)
         else:
             exps[index[name]] += 1
-    return Monomial(exps)
+    return tuple(exps)
 
 
-def format_monomial(m: Monomial, ring: RingContext) -> str:
-    """Canonical text form: ``x^2*y`` style, or ``1`` for the unit."""
+def format_monomial(m: Exponents, ring: RingContext) -> str:
+    """Canonical text form of an exponent tuple: ``x^2*y`` style, or ``1`` for the unit."""
     parts = []
-    for name, e in zip(ring.var_names, m.exponents):
+    for name, e in zip(ring.var_names, m):
         if e == 1:
             parts.append(name)
         elif e > 1:

@@ -9,7 +9,7 @@ from typing import Callable, Optional
 import pytest
 
 from satpow import (
-    IntPolynomial, Monomial, MonomialIdeal, RingContext, height, minimalize, symbolic_power,
+    IntPolynomial, MonomialIdeal, RingContext, height, minimalize, symbolic_power,
 )
 
 
@@ -23,17 +23,27 @@ def ring3() -> RingContext:
     return RingContext(("x", "y", "z"))
 
 
-def M(*exps: int) -> Monomial:
-    return Monomial(exps)
+def M(*exps: int) -> tuple[int, ...]:
+    return exps
 
 
 def ideal(ring: RingContext, *gens: tuple[int, ...]) -> MonomialIdeal:
-    return minimalize([Monomial(g) for g in gens], ring)
+    return minimalize(gens, ring)
 
 
-def colon_monomial(i: MonomialIdeal, m: Monomial) -> MonomialIdeal:
+def contains(i: MonomialIdeal, m: tuple[int, ...]) -> bool:
+    """True iff the monomial ``m`` lies in ``i``, as containment of the principal ideal (m)."""
+    return i.contains_ideal(minimalize([m], i.ring))
+
+
+def colon_monomial(i: MonomialIdeal, m: tuple[int, ...]) -> MonomialIdeal:
     """(I : m), as the colon by the principal ideal (m)."""
     return i.colon_ideal(minimalize([m], i.ring))
+
+
+def support(m: tuple[int, ...]) -> tuple[int, ...]:
+    """Indices of the variables with a positive exponent in ``m``."""
+    return tuple(i for i, e in enumerate(m) if e > 0)
 
 
 def monomials_up_to(d: int, degree: int) -> list[tuple[int, ...]]:
@@ -93,7 +103,7 @@ def random_ideal(
     d = ring.var_count
     n_gens = rng.randint(1, max_gens)
     gens = [
-        Monomial(tuple(rng.randint(0, max_exp) for _ in range(d)))
+        tuple(rng.randint(0, max_exp) for _ in range(d))
         for _ in range(n_gens)
     ]
     return minimalize(gens, ring)
@@ -135,7 +145,7 @@ def reference_numerator(ideal: MonomialIdeal) -> IntPolynomial:
         memo[gens] = result
         return result
 
-    return numerator(minimal(g.exponents for g in ideal.gens))
+    return numerator(minimal(ideal.gens))
 
 
 def poly_product(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
@@ -156,7 +166,7 @@ def hilbert_function_oracle(ideal: MonomialIdeal, degree_bound: int) -> list[int
     """
     if degree_bound < 0:
         raise ValueError("degree bound must be non-negative")
-    gens = [g.exponents for g in ideal.gens]
+    gens = ideal.gens
     d = ideal.ring.var_count
     return [
         sum(not member(gens, exps) for exps in compositions(t, d))
@@ -253,7 +263,7 @@ def minimal_primes(ideal: MonomialIdeal) -> list[VariableSubset]:
         raise ValueError("the zero ideal has no variable-generated minimal primes")
     if ideal.is_unit():
         raise ValueError("the unit ideal has no minimal primes")
-    supports = [frozenset(g.support) for g in ideal.gens]
+    supports = [frozenset(support(g)) for g in ideal.gens]
     covers: set[VariableSubset] = set()
 
     def extend(chosen: set[int], remaining: list[frozenset[int]]) -> None:

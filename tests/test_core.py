@@ -7,34 +7,25 @@ import re
 import pytest
 
 from satpow import (
-    Monomial,
     MonomialIdeal,
     RingContext,
     RingMismatchError,
     ZeroIdealError,
-    divides,
     minimalize,
 )
 
-from conftest import M, colon_monomial, ideal, member, monomials_up_to, random_ideal
+from conftest import M, colon_monomial, contains, ideal, member, monomials_up_to, random_ideal
 
 
 class TestMonomial:
-    def test_degree_is_sum_of_exponents(self):
-        assert M(2, 1, 0).degree == 3
-        assert M(0, 0).degree == 0
+    """A monomial is an exponent tuple; ``minimalize`` validates it on the way in."""
 
-    def test_rejects_negative_exponents(self):
+    def test_rejects_negative_exponents(self, ring2):
+        for exps in [(1, -1), (1, 0.5), (1, "2")]:
+            with pytest.raises(ValueError):
+                minimalize([exps], ring2)
         with pytest.raises(ValueError):
-            Monomial((1, -1))
-
-    def test_support(self):
-        assert M(2, 0, 3).support == (0, 2)
-
-    def test_equality_and_hash(self):
-        assert M(1, 2) == M(1, 2)
-        assert hash(M(1, 2)) == hash(M(1, 2))
-        assert M(1, 2) != M(2, 1)
+            ideal(ring2, (1, 0)).saturate_monomial((0, -1))
 
 
 class TestRingContext:
@@ -59,23 +50,25 @@ class TestRingContext:
 
 
 class TestDivides:
-    def test_basic(self):
-        assert divides(M(1, 0), M(1, 2))
-        assert not divides(M(2, 0), M(1, 2))
+    """Divisibility of monomials, as containment of principal ideals."""
 
-    def test_reflexive(self):
-        assert divides(M(3, 1), M(3, 1))
+    def test_basic(self, ring2):
+        assert ideal(ring2, (1, 0)).contains_ideal(ideal(ring2, (1, 2)))
+        assert not ideal(ring2, (2, 0)).contains_ideal(ideal(ring2, (1, 2)))
 
-    def test_dimension_mismatch(self):
+    def test_reflexive(self, ring2):
+        assert ideal(ring2, (3, 1)).contains_ideal(ideal(ring2, (3, 1)))
+
+    def test_dimension_mismatch(self, ring2):
         with pytest.raises(RingMismatchError):
-            divides(M(1, 0), M(1, 0, 0))
+            minimalize([(1, 0), (1, 0, 0)], ring2)
 
 
 class TestMinimalize:
     def test_drops_dominated_generator(self, ring2):
         # {x^2, x^2 y, y} -> {x^2, y}
         result = ideal(ring2, (2, 0), (2, 1), (0, 1))
-        assert {g.exponents for g in result.gens} == {(2, 0), (0, 1)}
+        assert set(result.gens) == {(2, 0), (0, 1)}
 
     def test_empty_input_is_zero_ideal(self, ring2):
         assert minimalize([], ring2).is_zero()
@@ -89,6 +82,11 @@ class TestMinimalize:
         with pytest.raises(RingMismatchError):
             minimalize([M(1, 0, 0)], ring2)
 
+    def test_any_exponent_sequences_give_tuples(self, ring2):
+        result = minimalize(iter([[1, 2], range(2), [3, 0]]), ring2)
+        assert result == ideal(ring2, (0, 1), (1, 2), (3, 0))
+        assert result.gens == ((0, 1), (3, 0))
+
     def test_canonical_order_is_deterministic(self, ring2):
         a = ideal(ring2, (2, 0), (1, 1), (0, 2))
         b = ideal(ring2, (0, 2), (2, 0), (1, 1))
@@ -99,10 +97,9 @@ class TestMinimalize:
         # raw input generators for every monomial of degree <= 12
         rng = random.Random(20260811)
         raw = [tuple(rng.randint(0, 4) for _ in range(3)) for _ in range(50)]
-        out = minimalize([Monomial(t) for t in raw], ring3)
-        out_exps = [g.exponents for g in out.gens]
+        out = minimalize(raw, ring3)
         for w in monomials_up_to(3, 12):
-            assert member(raw, w) == member(out_exps, w)
+            assert member(raw, w) == member(out.gens, w)
 
     def test_output_is_antichain(self, ring3):
         rng = random.Random(7)
@@ -110,7 +107,7 @@ class TestMinimalize:
             result = random_ideal(rng, ring3)
             gens = result.gens
             for a, b in itertools.permutations(gens, 2):
-                assert not divides(a, b)
+                assert not member([a], b)
 
 
 class TestMultiplyAndPower:
@@ -126,7 +123,7 @@ class TestMultiplyAndPower:
 
     def test_square_of_maximal_ideal(self, ring2):
         sq = ideal(ring2, (1, 0), (0, 1)).power(2)
-        assert {g.exponents for g in sq.gens} == {(2, 0), (1, 1), (0, 2)}
+        assert set(sq.gens) == {(2, 0), (1, 1), (0, 2)}
 
     def test_power_zero_is_unit(self, ring2):
         assert ideal(ring2, (1, 0)).power(0).is_unit()
@@ -141,7 +138,7 @@ class TestMultiplyAndPower:
         # divisibility minimalization, done with test-local arithmetic
         tri = ideal(ring3, (1, 1, 0), (0, 1, 1), (1, 0, 1))
         raw = [
-            tuple(a + b for a, b in zip(g1.exponents, g2.exponents))
+            tuple(a + b for a, b in zip(g1, g2))
             for g1, g2 in itertools.combinations_with_replacement(tri.gens, 2)
         ]
         expected = {
@@ -151,7 +148,7 @@ class TestMultiplyAndPower:
                 other != t and all(o <= x for o, x in zip(other, t)) for other in raw
             )
         }
-        assert {g.exponents for g in tri.power(2).gens} == expected
+        assert set(tri.power(2).gens) == expected
         assert expected == {
             (2, 2, 0), (0, 2, 2), (2, 0, 2), (2, 1, 1), (1, 2, 1), (1, 1, 2),
         }
@@ -183,11 +180,8 @@ class TestIntersect:
             a = random_ideal(rng, ring3)
             b = random_ideal(rng, ring3)
             meet = a.intersect(b)
-            ae = [g.exponents for g in a.gens]
-            be = [g.exponents for g in b.gens]
-            me = [g.exponents for g in meet.gens]
             for w in window:
-                assert member(me, w) == (member(ae, w) and member(be, w))
+                assert member(meet.gens, w) == (member(a.gens, w) and member(b.gens, w))
 
 
 class TestColon:
@@ -203,26 +197,21 @@ class TestColon:
         i = ideal(ring2, (3, 0), (1, 2), (0, 4))
         m = (1, 1)
         result = colon_monomial(i, M(*m))
-        ie = [g.exponents for g in i.gens]
-        re = [g.exponents for g in result.gens]
         for w in monomials_up_to(2, 8):
             shifted = tuple(a + b for a, b in zip(w, m))
-            assert member(re, w) == member(ie, shifted)
-        assert {g.exponents for g in result.gens} == {(2, 0), (0, 1)}
+            assert member(result.gens, w) == member(i.gens, shifted)
+        assert set(result.gens) == {(2, 0), (0, 1)}
 
     def test_colon_ideal_against_membership(self, ring2):
         # ((x^2) : (x, y)) via the membership oracle w*J <= I over deg <= 8
         i = ideal(ring2, (2, 0))
         j = ideal(ring2, (1, 0), (0, 1))
         result = i.colon_ideal(j)
-        ie = [g.exponents for g in i.gens]
-        re = [g.exponents for g in result.gens]
-        je = [g.exponents for g in j.gens]
         for w in monomials_up_to(2, 8):
             expected = all(
-                member(ie, tuple(a + b for a, b in zip(w, m))) for m in je
+                member(i.gens, tuple(a + b for a, b in zip(w, m))) for m in j.gens
             )
-            assert member(re, w) == expected
+            assert member(result.gens, w) == expected
         assert result == ideal(ring2, (2, 0))
 
     def test_colon_by_unit_ideal_is_identity(self, ring2):
@@ -231,7 +220,7 @@ class TestColon:
 
     def test_one_in_colon_by_itself(self, ring2):
         i = ideal(ring2, (2, 0), (0, 3))
-        assert i.colon_ideal(i).contains(M(0, 0))
+        assert contains(i.colon_ideal(i), M(0, 0))
 
     def test_colon_by_zero_rejected(self, ring2):
         with pytest.raises(ZeroIdealError):
@@ -245,8 +234,8 @@ class TestColon:
             m = tuple(rng.randint(0, 2) for _ in range(2))
             colon = colon_monomial(i, M(*m))
             for w in monomials_up_to(2, 8):
-                shifted = Monomial(tuple(a + b for a, b in zip(w, m)))
-                assert colon.contains(Monomial(w)) == i.contains(shifted)
+                shifted = tuple(a + b for a, b in zip(w, m))
+                assert contains(colon, w) == contains(i, shifted)
 
 
 class TestSaturate:
@@ -269,7 +258,7 @@ class TestSaturate:
     def test_triangle_square_saturation_contains_xyz(self, ring3):
         tri = ideal(ring3, (1, 1, 0), (0, 1, 1), (1, 0, 1))
         sat = tri.power(2).saturate_ideal(ideal(ring3, (1, 1, 1)))
-        assert sat.contains(M(1, 1, 1))
+        assert contains(sat, M(1, 1, 1))
 
     def test_saturate_by_zero_rejected(self, ring2):
         with pytest.raises(ZeroIdealError):
@@ -279,7 +268,7 @@ class TestSaturate:
         rng = random.Random(19)
         for _ in range(15):
             i = random_ideal(rng, ring3)
-            m = Monomial(tuple(rng.randint(0, 2) for _ in range(3)))
+            m = tuple(rng.randint(0, 2) for _ in range(3))
             expected = i
             while True:
                 nxt = colon_monomial(expected, m)
@@ -301,8 +290,8 @@ class TestSaturate:
 class TestPredicates:
     def test_contains(self, ring2):
         i = ideal(ring2, (2, 0), (0, 1))
-        assert i.contains(M(1, 3))
-        assert not i.contains(M(1, 0))
+        assert contains(i, M(1, 3))
+        assert not contains(i, M(1, 0))
 
     def test_equals_is_canonical_list_equality(self, ring3):
         a = ideal(ring3, (1, 1, 0), (0, 1, 1))
@@ -330,4 +319,4 @@ class TestPredicates:
         unit = MonomialIdeal.unit(ring2)
         assert zero.is_zero() and not zero.is_unit()
         assert unit.is_unit() and not unit.is_zero()
-        assert unit.contains(M(0, 0))
+        assert contains(unit, M(0, 0))

@@ -17,7 +17,7 @@ from satpow import hilbert
 from satpow.cli import default_corpus_path
 from satpow.parsing import load_corpus
 
-from conftest import M, check_filtration, ideal, symbolic_provider
+from conftest import M, check_filtration, contains, ideal, symbolic_provider
 
 # a 6-vertex graph: the 6-cycle 0-1-2-4-5-3-0 and the chords 0-2, 0-4, 1-3
 EDGE_GRAPH = ((0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (2, 4), (3, 5), (4, 5))
@@ -45,11 +45,11 @@ class TestSymbolicPower:
 
     def test_triangle_square(self, triangle, variables, ring3):
         sat = symbolic_power(triangle, variables, 2)
-        assert {g.exponents for g in sat.gens} == {
+        assert set(sat.gens) == {
             (1, 1, 1), (2, 2, 0), (2, 0, 2), (0, 2, 2),
         }
-        assert sat.contains(M(1, 1, 1))
-        assert not triangle.power(2).contains(M(1, 1, 1))
+        assert contains(sat, M(1, 1, 1))
+        assert not contains(triangle.power(2), M(1, 1, 1))
 
     def test_unit_saturator_gives_ordinary_powers(self, triangle, ring3):
         unit = MonomialIdeal.unit(ring3)

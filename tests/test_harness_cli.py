@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from satpow import cli, core, harness, sample_series
+from satpow import cli, harness
 from satpow.harness import (
     CSV_COLUMNS,
     VERDICT_CONSISTENT,
@@ -15,7 +18,6 @@ from satpow.harness import (
     VERDICT_INSUFFICIENT,
     VerifyRecord,
     exit_code_for,
-    render_series_csv,
     render_series_table,
     render_verify_csv,
     render_verify_json,
@@ -170,16 +172,6 @@ class TestRendering:
         assert render_verify_json(records) == render_verify_json(again)
         assert render_verify_table(records) == render_verify_table(again)
 
-    def test_series_rows_build_no_monomials(self, monkeypatch):
-        pair = parse_ideal_file(TRIANGLE_FILE)
-        expected = render_series_csv(sample_series(pair.base, pair.saturator, 6))
-
-        def fail(exponents):
-            raise AssertionError("a Monomial was built to count generators")
-
-        monkeypatch.setattr(core, "Monomial", fail)
-        assert render_series_csv(sample_series(pair.base, pair.saturator, 6)) == expected
-
     def test_tables_without_rows_keep_the_header(self):
         assert render_verify_table([]).splitlines()[0].split() == CSV_COLUMNS
         assert render_series_table([]) == "n  f  dim  symbolic_gens\n-  -  ---  -------------\n"
@@ -289,7 +281,8 @@ class TestCli:
         assert cli.main(["verify"]) == 3
 
     @pytest.mark.parametrize(
-        "exc, resource", [(MemoryError, "out of memory"), (RecursionError, "recursion depth")]
+        "exc, resource",
+        [(MemoryError, "out of memory"), (RecursionError, "recursion depth"), (OverflowError, "size overflow")],
     )
     def test_exhausted_resource_exits_three(self, ideal_file, monkeypatch, capsys, exc, resource):
         def exhaust(ideal):
@@ -300,6 +293,20 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith("error: ") and resource in err
+
+    def test_sizes_past_an_index_exit_three_end_to_end(self, tmp_path):
+        # past 2^63 a list length overflows before anything is allocated
+        huge = str(2**64)
+        path = tmp_path / "huge.ideal"
+        path.write_text(f"ring x y\nI: x^{huge}\nJ: x\n", encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        for argv in (["hilbert", str(path)], ["power", str(path), "-n", huge]):
+            run = subprocess.run(
+                [sys.executable, "-m", "satpow.cli", *argv], env=env, capture_output=True, text=True
+            )
+            assert run.returncode == 3, (argv, run.stderr)
+            assert "Traceback" not in run.stderr
+            assert run.stderr.count("\n") == 1 and run.stderr.startswith("error: ")
 
     def test_usage_error_exits_one(self, capsys):
         assert cli.main(["power"]) == 1

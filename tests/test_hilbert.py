@@ -8,7 +8,6 @@ import pytest
 from satpow import (
     InconsistencyError,
     IntPolynomial,
-    Monomial,
     MonomialIdeal,
     RingContext,
     RingMismatchError,
@@ -237,7 +236,7 @@ def ideal_with_gens(rng: random.Random, ring: RingContext, count: int, max_exp: 
     d = ring.var_count
     while True:
         i = minimalize(
-            [Monomial(tuple(rng.randint(0, max_exp) for _ in range(d))) for _ in range(count)],
+            [tuple(rng.randint(0, max_exp) for _ in range(d)) for _ in range(count)],
             ring,
         )
         if len(i.gens) == count:

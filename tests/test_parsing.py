@@ -25,16 +25,16 @@ def ring3():
 
 class TestParseMonomial:
     def test_power_product(self, ring3):
-        assert parse_monomial("x^2*y", ring3).exponents == (2, 1, 0)
+        assert parse_monomial("x^2*y", ring3) == (2, 1, 0)
 
     def test_unit(self, ring3):
-        assert parse_monomial("1", ring3).exponents == (0, 0, 0)
+        assert parse_monomial("1", ring3) == (0, 0, 0)
 
     def test_repeated_factors_multiply(self, ring3):
-        assert parse_monomial("x*x*y^0", ring3).exponents == (2, 0, 0)
+        assert parse_monomial("x*x*y^0", ring3) == (2, 0, 0)
 
     def test_whitespace_insensitive(self, ring3):
-        assert parse_monomial("  x ^ 2 *  y ", ring3).exponents == (2, 1, 0)
+        assert parse_monomial("  x ^ 2 *  y ", ring3) == (2, 1, 0)
 
     def test_unknown_variable(self, ring3):
         with pytest.raises(ParseError, match="unknown variable"):
@@ -72,6 +72,11 @@ class TestParseMonomial:
         for text in ("x^2*y", "1", "x*y*z", "z^5"):
             m = parse_monomial(text, ring3)
             assert parse_monomial(format_monomial(m, ring3), ring3) == m
+
+    def test_a_monomial_is_an_exponent_tuple(self, ring3):
+        m = parse_monomial("y*z^3", ring3)
+        assert type(m) is tuple and m == (0, 1, 3)
+        assert format_monomial((0, 1, 3), ring3) == "y*z^3"
 
 
 class TestIdealFile:
