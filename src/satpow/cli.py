@@ -16,9 +16,10 @@ from collections.abc import Sequence
 
 from . import harness
 from .errors import InconsistencyError, InsufficientDataError, ParseError
-from .filtration import symbolic_power
+from .filtration import sample_series, symbolic_power
 from .hilbert import dim_and_mult, numerator_of_quotient
 from .parsing import format_ideal, format_ideal_file, load_corpus, load_ideal_file
+from .quasipoly import fit
 
 
 class _UsageError(Exception):
@@ -146,7 +147,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     elif args.command == "symbolic":
         print(format_ideal(symbolic_power(pair.base, pair.saturator, args.n)))
     elif args.command == "series":
-        samples = harness.run_series(pair, args.nmax)
+        samples = sample_series(pair.base, pair.saturator, args.nmax)
         render = {
             "table": harness.render_series_table,
             "csv": harness.render_series_csv,
@@ -154,9 +155,8 @@ def _dispatch(args: argparse.Namespace) -> int:
         }[args.format]
         _emit(render(samples), args.out)
     elif args.command == "fit":
-        samples, qp = harness.run_fit(
-            pair, args.nmax, g_max=args.gmax, min_tail=args.min_tail
-        )
+        samples = sample_series(pair.base, pair.saturator, args.nmax)
+        qp = fit([(s.n, s.f) for s in samples], g_max=args.gmax, min_tail=args.min_tail)
         if args.format == "json":
             _emit(harness.render_quasipolynomial_json(qp), args.out)
         else:

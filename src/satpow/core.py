@@ -217,18 +217,6 @@ class Packing:
 
     # -- helpers of the Hilbert recursion --------------------------------------
 
-    def support_counts(self, gens: Sequence[int]) -> list[int]:
-        """For each variable, the number of elements of ``gens`` with a positive exponent in it."""
-        return [
-            len(gens) - list(map((self.value << s).__and__, gens)).count(0)
-            for s in self.shifts
-        ]
-
-    def exponents(self, gens: Iterable[int], i: int) -> list[int]:
-        """The exponent of variable ``i`` in each element of ``gens``."""
-        s = self.shifts[i]
-        return [g >> s & self.value for g in gens]
-
     def split(self, gens: Sequence[int], i: int, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Canonical generators of I + (x_i^k) and I : x_i^k, for I generated by ``gens``.
 
@@ -447,14 +435,6 @@ class MonomialIdeal:
         """(I : J^inf) as the intersection of the localizations of I at J."""
         pk, _, parts = self.packed_localizations(other)
         return self._meet(pk, parts)
-
-    def localizations(self, other: "MonomialIdeal") -> list["MonomialIdeal"]:
-        """The distinct inclusion-minimal (I : x_S^inf), x_S over the generators of J's radical.
-
-        Their intersection is (I : J^inf); see :meth:`packed_localizations`.
-        """
-        pk, _, parts = self.packed_localizations(other)
-        return [MonomialIdeal._from_packed(self.ring, pk, p) for p in parts]
 
     def packed_localizations(
         self, other: "MonomialIdeal", n: int = 1

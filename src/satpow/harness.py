@@ -22,7 +22,7 @@ from collections.abc import Sequence
 
 from .errors import InsufficientDataError
 from .filtration import SeriesSample, dim_stabilization, sample_series
-from .parsing import CorpusEntry, IdealPair
+from .parsing import CorpusEntry
 from .quasipoly import QuasiPolynomial, coeff_is_constant, fit, grade
 from .theory import height
 
@@ -71,20 +71,6 @@ class VerifyRecord(
         return (), self._asdict()
 
 
-def run_series(pair: IdealPair, nmax: int) -> list[SeriesSample]:
-    """The (n, f, dim) series for n = 1..nmax."""
-    return sample_series(pair.base, pair.saturator, nmax)
-
-
-def run_fit(
-    pair: IdealPair, nmax: int, g_max: int = 6, min_tail: int = 3
-) -> tuple[list[SeriesSample], QuasiPolynomial]:
-    """Series plus its fitted quasi-polynomial."""
-    samples = run_series(pair, nmax)
-    qp = fit([(s.n, s.f) for s in samples], g_max=g_max, min_tail=min_tail)
-    return samples, qp
-
-
 def _verify_one(
     entry: CorpusEntry, nmax: int, g_max: int, min_tail: int
 ) -> VerifyRecord:
@@ -94,7 +80,7 @@ def _verify_one(
     height_ok = h >= 2
     hypotheses = equi and height_ok
 
-    samples = run_series(entry.pair, nmax)
+    samples = sample_series(base, entry.pair.saturator, nmax)
     try:
         dim_tail, dim_onset = dim_stabilization(samples)
         qp = fit([(s.n, s.f) for s in samples], g_max=g_max, min_tail=min_tail)

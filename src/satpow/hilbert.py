@@ -136,11 +136,12 @@ def _pick_pivot(gens: tuple[int, ...], pk: Packing) -> tuple[int, int]:
     is the only generator with x_i exponent >= j, so k < j: x_i^k is never in
     I, and both branches of the split are strictly larger ideals.
     """
-    counts = pk.support_counts(gens)
+    counts = [len(gens) - list(map((pk.value << s).__and__, gens)).count(0) for s in pk.shifts]
     best = max(range(len(counts)), key=counts.__getitem__)
     if counts[best] < 2:
         return (-1, 0)
-    powers = sorted(e for e in pk.exponents(gens, best) if e > 0)
+    s = pk.shifts[best]
+    powers = sorted(e for e in (g >> s & pk.value for g in gens) if e > 0)
     return (best, powers[(len(powers) - 1) // 2])
 
 

@@ -155,23 +155,6 @@ def _try_period(
     return QuasiPolynomial(period=g, degree=c, coeffs=table, onset=onset)
 
 
-def _collapse_period(qp: QuasiPolynomial) -> QuasiPolynomial:
-    """Canonicalize to the minimal period by collapsing residue columns."""
-    if qp.degree is None or qp.period == 1:
-        return qp
-    for g2 in range(1, qp.period):
-        if qp.period % g2 != 0:
-            continue
-        if all(
-            row[r] == row[r % g2] for row in qp.coeffs for r in range(qp.period)
-        ):
-            table = tuple(row[:g2] for row in qp.coeffs)
-            return QuasiPolynomial(
-                period=g2, degree=qp.degree, coeffs=table, onset=qp.onset
-            )
-    return qp
-
-
 def fit(
     samples: Sequence[tuple[int, ExactNumber]],
     g_max: int = 6,
@@ -181,7 +164,7 @@ def fit(
 
     ``samples`` are (n, value) pairs at consecutive n with exact values (int
     or Fraction; floats are rejected).  Periods are tried in ascending order
-    and the first that fits is canonicalized to the minimal period.  Every
+    and the first that fits is the minimal one.  Every
     residue class must be verified by at least ``min_tail`` vanishing
     difference entries beyond the points that pin its polynomial; when no
     period <= g_max manages that, InsufficientDataError asks the caller for a
@@ -203,10 +186,14 @@ def fit(
             raise TypeError("samples must be exact (int or Fraction), not float")
         vs.append(Fraction(v))
 
-    for g in range(1, g_max + 1):
+    # A period above len(vs) // (min_tail + 1) leaves some residue class with
+    # fewer than min_tail + 1 samples, which _try_period rejects.  A fit whose
+    # columns repeat with a proper divisor g2 of g is never reached: each class
+    # mod g2 then lies on one polynomial from its latest onset on, so g2 fit first.
+    for g in range(1, min(g_max, len(vs) // (min_tail + 1)) + 1):
         attempt = _try_period(ns, vs, g, min_tail)
         if attempt is not None:
-            return _collapse_period(attempt)
+            return attempt
     raise InsufficientDataError(
         f"no quasi-polynomial of period <= {g_max} fits the sample tail with "
         f"{min_tail} verification points per class; increase the sample window"

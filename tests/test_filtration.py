@@ -237,12 +237,14 @@ class TestLocalizedLadders:
     def test_contained_localizations_are_pruned(self):
         # c4-square: the localizations at a and c are (b, d), at b and d (a, c)
         c4 = next(e for e in load_corpus(default_corpus_path()) if e.name == "c4-square")
-        assert [len(loc.gens) for loc in c4.pair.base.localizations(c4.pair.saturator)] == [2, 2]
+        _, _, parts = c4.pair.base.packed_localizations(c4.pair.saturator)
+        assert [len(p) for p in parts] == [2, 2]
         # a 6-vertex edge graph with J the maximal ideal: the localization at
         # vertex 0 is generated by its four neighbours and holds the one at 5
         ring = RingContext(tuple("abcdef"))
         graph = ideal(ring, *(tuple(int(v in e) for v in range(6)) for e in EDGE_GRAPH))
         maximal = ideal(ring, *(tuple(int(v == u) for v in range(6)) for u in range(6)))
-        locs = graph.localizations(maximal)
+        pk, _, parts = graph.packed_localizations(maximal)
+        locs = [MonomialIdeal(ring, map(pk.unpack, p)) for p in parts]
         assert len(locs) == 5
         assert not any(a is not b and a.contains_ideal(b) for a in locs for b in locs)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from satpow import cli, harness
+from satpow import cli, fit, harness, sample_series
 from satpow.harness import (
     CSV_COLUMNS,
     VERDICT_CONSISTENT,
@@ -22,8 +22,6 @@ from satpow.harness import (
     render_verify_csv,
     render_verify_json,
     render_verify_table,
-    run_fit,
-    run_series,
     run_verify,
 )
 from satpow.parsing import load_corpus, parse_corpus, parse_ideal_file
@@ -65,12 +63,13 @@ def small_corpus(*entries):
 class TestRunners:
     def test_run_series_counts(self):
         pair = parse_ideal_file(TRIANGLE_FILE)
-        samples = run_series(pair, 4)
+        samples = sample_series(pair.base, pair.saturator, 4)
         assert [s.f for s in samples] == [0, 1, 3, 7]
 
     def test_run_fit_triangle(self):
         pair = parse_ideal_file(TRIANGLE_FILE)
-        samples, qp = run_fit(pair, 12, g_max=6, min_tail=2)
+        samples = sample_series(pair.base, pair.saturator, 12)
+        qp = fit([(s.n, s.f) for s in samples], g_max=6, min_tail=2)
         assert (qp.period, qp.degree) == (2, 3)
         assert qp.coeffs[3] == (Fraction(1, 12), Fraction(1, 12))
         assert qp.coeffs[2] == (Fraction(1, 8), Fraction(1, 8))
@@ -331,10 +330,10 @@ class TestCli:
         assert err.count("\n") == 1 and err.startswith("error: ")
 
     def test_internal_value_error_exits_three(self, ideal_file, monkeypatch, capsys):
-        def broken(pair, nmax):
+        def broken(base, saturator, nmax):
             raise ValueError("a broken invariant")
 
-        monkeypatch.setattr(harness, "run_series", broken)
+        monkeypatch.setattr(cli, "sample_series", broken)
         assert cli.main(["series", ideal_file]) == 3
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "engine bug" in err and "a broken invariant" in err

@@ -72,8 +72,9 @@ PUBLIC = [
 ]
 
 # Names that left the package: test-only oracles now in tests/conftest.py,
-# members that had no caller, and the monomial class with its divisibility
-# function: a monomial is an exponent tuple.
+# members that had no caller or one caller they were folded into, the
+# monomial class with its divisibility function (a monomial is an exponent
+# tuple), and the period collapse that the ascending search made a no-op.
 REMOVED_FROM_PACKAGE = [
     "check_filtration", "symbolic_provider", "FiltrationReport", "minimal_primes", "dim_quotient",
     "Monomial", "divides",
@@ -81,9 +82,12 @@ REMOVED_FROM_PACKAGE = [
 REMOVED_MEMBERS = {
     satpow.MonomialIdeal: [
         "from_monomials", "is_proper", "__iter__", "__contains__", "__mul__", "__pow__", "colon_monomial", "_gens",
-        "contains",
+        "contains", "localizations",
     ],
     satpow.IntPolynomial: ["coefficient", "__mul__"],
+    satpow.core.Packing: ["support_counts", "exponents"],
+    satpow.harness: ["run_series", "run_fit"],
+    satpow.quasipoly: ["_collapse_period"],
 }
 
 

@@ -165,7 +165,8 @@ def check_colon_and_saturation(r: RingContext, ri: list, rj: list):
     saturation = folded(ri, rj, lambda x, y: 0 if y else x)
     assert exps_of(i.colon_ideal(j)) == folded(ri, rj, lambda x, y: max(x - y, 0))
     assert exps_of(i.saturate_ideal(j)) == saturation
-    locs = list(map(exps_of, i.localizations(j)))
+    pk, _, parts = i.packed_localizations(j)
+    locs = [list(map(pk.unpack, p)) for p in parts]
     singles = [folded(ri, [m], lambda x, y: 0 if y else x) for m in rj]
     assert all(loc in singles for loc in locs)
     for a, b in combinations(locs, 2):

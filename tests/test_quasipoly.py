@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from satpow import InsufficientDataError, coeff_is_constant, evaluate, fit, grade
-from satpow.quasipoly import QuasiPolynomial, _collapse_period
+from satpow import InsufficientDataError, coeff_is_constant, evaluate, fit, grade, quasipoly
+from satpow.quasipoly import QuasiPolynomial
 
 
 def series(fn, n_lo, n_hi):
@@ -106,6 +106,17 @@ class TestValidation:
         qp = fit(samples, g_max=3)
         assert qp.period == 3
 
+    def test_periods_too_long_for_the_window_are_not_tried(self, monkeypatch):
+        # 12 samples: above period 12 // (3 + 1) = 3 some class holds fewer than 4
+        tried = []
+        try_period = quasipoly._try_period
+        monkeypatch.setattr(
+            quasipoly, "_try_period", lambda ns, vs, g, t: tried.append(g) or try_period(ns, vs, g, t)
+        )
+        with pytest.raises(InsufficientDataError, match="period <= 50 "):
+            fit(series(lambda n: n**3 * (n % 5), 1, 12), g_max=50, min_tail=3)
+        assert tried == [1, 2, 3]
+
     def test_short_window_fails_loudly(self):
         with pytest.raises(InsufficientDataError):
             fit([(1, 1), (2, 4), (3, 9)])
@@ -126,9 +137,12 @@ def random_quasipoly(rng: random.Random, g_max: int = 4, c_max: int = 3) -> Quas
     if all(v == 0 for v in top):
         top[rng.randrange(g)] = Fraction(rng.randint(1, 9), rng.randint(1, 6))
         rows[c] = tuple(top)
-    return _collapse_period(
-        QuasiPolynomial(period=g, degree=c, coeffs=tuple(rows), onset=1)
+    # the table at its minimal period: the least divisor of g whose columns repeat
+    d = min(
+        d for d in range(1, g + 1)
+        if g % d == 0 and all(row[r] == row[r % d] for row in rows for r in range(g))
     )
+    return QuasiPolynomial(period=d, degree=c, coeffs=tuple(row[:d] for row in rows), onset=1)
 
 
 class TestRoundTrip:
@@ -161,17 +175,20 @@ class TestRoundTrip:
                     assert evaluate(refit, n) == v
 
     def test_minimality_of_fitted_period(self):
+        # f(n) = n + (n mod 2) written with period 4: columns a, b, a, b fit at period 2
+        long = QuasiPolynomial(period=4, degree=1, coeffs=((0, 1, 0, 1), (1, 1, 1, 1)), onset=1)
+        qp = fit([(n, evaluate(long, n)) for n in range(1, 25)], g_max=4, min_tail=2)
+        assert (qp.period, qp.degree) == (2, 1)
+        assert qp.coeffs == ((0, 1), (1, 1))
+        assert [evaluate(qp, n) for n in range(1, 9)] == [n + n % 2 for n in range(1, 9)]
+        # random tables repeated 2 or 3 times: the fit returns the short table
         rng = random.Random(59)
         for _ in range(30):
-            qp = random_quasipoly(rng)
-            if qp.degree is None or qp.period == 1:
-                continue
-            for divisor in range(1, qp.period):
-                if qp.period % divisor != 0:
-                    continue
-                collapsed_differs = any(
-                    row[r] != row[r % divisor]
-                    for row in qp.coeffs
-                    for r in range(qp.period)
-                )
-                assert collapsed_differs
+            short = random_quasipoly(rng, g_max=3)
+            g = short.period * rng.randint(2, 3)
+            coeffs = tuple(row * (g // short.period) for row in short.coeffs)
+            long = QuasiPolynomial(period=g, degree=short.degree, coeffs=coeffs, onset=1)
+            window = (long.degree + 2) * g + 5
+            qp = fit([(n, evaluate(long, n)) for n in range(1, window + 1)], g_max=g, min_tail=2)
+            assert (qp.period, qp.degree) == (short.period, short.degree)
+            assert qp.coeffs == short.coeffs
