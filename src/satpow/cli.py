@@ -83,7 +83,6 @@ def _build_parser() -> _Parser:
 
     p = add_file_command("fit", "series plus its fitted quasi-polynomial")
     p.add_argument("--nmax", type=_at_least(1), default=12)
-    p.add_argument("--gmax", type=_at_least(1), default=6)
     p.add_argument("--min-tail", type=_at_least(2), default=3)
     p.add_argument("--format", choices=["table", "json"], default="table")
     p.add_argument("--out", help="write output to this path instead of stdout")
@@ -96,7 +95,6 @@ def _build_parser() -> _Parser:
         help="corpus JSON file (defaults to the shipped corpus)",
     )
     p.add_argument("--nmax", type=_at_least(1), default=12)
-    p.add_argument("--gmax", type=_at_least(1), default=6)
     p.add_argument("--min-tail", type=_at_least(2), default=3)
     p.add_argument("--format", choices=["table", "csv", "json"], default="table")
     p.add_argument("--out", help="write output to this path instead of stdout")
@@ -115,9 +113,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "verify":
         corpus_path = args.corpus if args.corpus else default_corpus_path()
         entries = load_corpus(corpus_path)
-        records = harness.run_verify(
-            entries, nmax=args.nmax, g_max=args.gmax, min_tail=args.min_tail
-        )
+        records = harness.run_verify(entries, nmax=args.nmax, min_tail=args.min_tail)
         render = {
             "table": harness.render_verify_table,
             "csv": harness.render_verify_csv,
@@ -156,7 +152,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         _emit(render(samples), args.out)
     elif args.command == "fit":
         samples = sample_series(pair.base, pair.saturator, args.nmax)
-        qp = fit([(s.n, s.f) for s in samples], g_max=args.gmax, min_tail=args.min_tail)
+        qp = fit([(s.n, s.f) for s in samples], min_tail=args.min_tail)
         if args.format == "json":
             _emit(harness.render_quasipolynomial_json(qp), args.out)
         else:

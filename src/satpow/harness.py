@@ -51,15 +51,16 @@ SERIES_COLUMNS = ["n", "f", "dim", "symbolic_gens"]
 class VerifyRecord(
     namedtuple(
         "VerifyRecord",
-        "name equigenerated height height_ok fitted verdict"
+        "name equigenerated height verdict"
         " dim_tail dim_onset period degree a_c a_c_const a_c_positive a_c1_const qp_grade",
         defaults=(None,) * 9,
     )
 ):
     """Per-entry report row; observation fields are None when the fit failed.
 
-    Built by keyword only.  ``dim_tail`` None is the empty module tail, and
-    ``degree`` None, when fitted, the zero function.
+    Built by keyword only.  A record is fitted exactly when ``period`` is not
+    None; the height hypothesis is ``height >= 2``.  ``dim_tail`` None is the
+    empty module tail, and ``degree`` None, when fitted, the zero function.
     """
 
     __slots__ = ()
@@ -71,26 +72,21 @@ class VerifyRecord(
         return (), self._asdict()
 
 
-def _verify_one(
-    entry: CorpusEntry, nmax: int, g_max: int, min_tail: int
-) -> VerifyRecord:
+def _verify_one(entry: CorpusEntry, nmax: int, min_tail: int) -> VerifyRecord:
     base = entry.pair.base
     equi = base.is_equigenerated()
     h = height(base)
-    height_ok = h >= 2
-    hypotheses = equi and height_ok
+    hypotheses = equi and h >= 2
 
     samples = sample_series(base, entry.pair.saturator, nmax)
     try:
         dim_tail, dim_onset = dim_stabilization(samples)
-        qp = fit([(s.n, s.f) for s in samples], g_max=g_max, min_tail=min_tail)
+        qp = fit([(s.n, s.f) for s in samples], min_tail=min_tail)
     except InsufficientDataError:
         return VerifyRecord(
             name=entry.name,
             equigenerated=equi,
             height=h,
-            height_ok=height_ok,
-            fitted=False,
             verdict=VERDICT_INSUFFICIENT,
         )
 
@@ -119,7 +115,6 @@ def _verify_one(
         name=entry.name,
         equigenerated=equi,
         height=h,
-        height_ok=height_ok,
         dim_tail=dim_tail,
         dim_onset=dim_onset,
         period=qp.period,
@@ -129,7 +124,6 @@ def _verify_one(
         a_c_positive=a_c_positive,
         a_c1_const=a_c1_const,
         qp_grade=grade(qp),
-        fitted=True,
         verdict=verdict,
     )
 
@@ -137,11 +131,14 @@ def _verify_one(
 def run_verify(
     entries: Sequence[CorpusEntry],
     nmax: int = 12,
-    g_max: int = 6,
+    *,
     min_tail: int = 3,
 ) -> list[VerifyRecord]:
-    """One record per corpus entry, in input order; no entry is skipped."""
-    return [_verify_one(e, nmax, g_max, min_tail) for e in entries]
+    """One record per corpus entry, in input order; no entry is skipped.
+
+    Each fit tries the periods 1 .. nmax // (min_tail + 1) that the window holds.
+    """
+    return [_verify_one(e, nmax, min_tail) for e in entries]
 
 
 def exit_code_for(records: Sequence[VerifyRecord]) -> int:
@@ -168,28 +165,17 @@ def _cell(value: object) -> str:
 
 
 def _record_cells(r: VerifyRecord) -> dict[str, str]:
-    if not r.fitted:
-        g = c = a_c = a_c_const = a_c1_const = qp_grade = None
-        dim_tail = None
-    else:
-        g = r.period
-        c = "zero-function" if r.degree is None else r.degree
-        a_c = r.a_c
-        a_c_const = r.a_c_const
-        a_c1_const = r.a_c1_const
-        qp_grade = r.qp_grade
-        dim_tail = "empty" if r.dim_tail is None else r.dim_tail
     return {
         "name": r.name,
         "equigenerated": _cell(r.equigenerated),
         "height": _cell(r.height),
-        "dim_tail": _cell(dim_tail),
-        "g": _cell(g),
-        "c": _cell(c),
-        "a_c": _cell(a_c),
-        "a_c_const": _cell(a_c_const),
-        "a_c1_const": _cell(a_c1_const),
-        "grade": _cell(qp_grade),
+        "dim_tail": _cell("empty" if r.period is not None and r.dim_tail is None else r.dim_tail),
+        "g": _cell(r.period),
+        "c": _cell("zero-function" if r.period is not None and r.degree is None else r.degree),
+        "a_c": _cell(r.a_c),
+        "a_c_const": _cell(r.a_c_const),
+        "a_c1_const": _cell(r.a_c1_const),
+        "grade": _cell(r.qp_grade),
         "verdict": r.verdict,
     }
 

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterable
-from itertools import zip_longest
+from itertools import accumulate, zip_longest
 
 from .core import MonomialIdeal, Packing, Row, _max_exponent
 from .errors import InconsistencyError
@@ -91,20 +91,6 @@ class IntPolynomial:
         if self.is_zero():
             return self
         return IntPolynomial((0,) * k + self.coeffs)
-
-    def value_at_one(self) -> int:
-        return sum(self.coeffs)
-
-    def divide_one_minus_z(self) -> "IntPolynomial":
-        """Exact synthetic division by (1 - z); requires a root at z = 1."""
-        if self.value_at_one() != 0:
-            raise ValueError("polynomial has no root at z = 1")
-        quotient: list[int] = []
-        partial = 0
-        for c in self.coeffs[:-1]:
-            partial += c
-            quotient.append(partial)
-        return IntPolynomial(quotient)
 
 
 _ONE = IntPolynomial((1,))
@@ -205,16 +191,16 @@ def dim_and_mult(numerator: IntPolynomial, ambient_d: int) -> tuple[int | None, 
     """
     if numerator.is_zero():
         return (None, 0)
-    h = numerator
+    h = numerator.coeffs
     s = 0
-    while h.value_at_one() == 0:
-        h = h.divide_one_minus_z()
+    while sum(h) == 0:
+        h = tuple(accumulate(h))[:-1]  # h / (1 - z): its prefix sums, the last being h(1) = 0
         s += 1
     if s > ambient_d:
         raise InconsistencyError(
             f"numerator vanishes to order {s} at z=1, above the ambient {ambient_d}"
         )
-    e0 = h.value_at_one()
+    e0 = sum(h)
     if e0 <= 0:
         raise InconsistencyError(f"nonzero module computed multiplicity {e0} <= 0")
     return (ambient_d - s, e0)

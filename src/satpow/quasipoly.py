@@ -143,35 +143,33 @@ def _try_period(
             return None
         rows.append(fit_r)
     onset = max(o for _, o in rows)
+    # c < 0, every class a zero tail, only at g = 1: the samples then end in
+    # at least g * min_tail + 1 zeros, which fit g = 1 first
     c = max(len(poly) - 1 for poly, _ in rows)
-    if c < 0:
-        return QuasiPolynomial(period=1, degree=None, coeffs=(), onset=onset)
     table = tuple(
         tuple(
             rows[r][0][i] if i < len(rows[r][0]) else Fraction(0) for r in range(g)
         )
         for i in range(c + 1)
     )
-    return QuasiPolynomial(period=g, degree=c, coeffs=table, onset=onset)
+    return QuasiPolynomial(period=g, degree=c if c >= 0 else None, coeffs=table, onset=onset)
 
 
 def fit(
     samples: Sequence[tuple[int, ExactNumber]],
-    g_max: int = 6,
+    *,
     min_tail: int = 3,
 ) -> QuasiPolynomial:
     """Minimal-period quasi-polynomial exactly interpolating the sample tail.
 
     ``samples`` are (n, value) pairs at consecutive n with exact values (int
-    or Fraction; floats are rejected).  Periods are tried in ascending order
-    and the first that fits is the minimal one.  Every
-    residue class must be verified by at least ``min_tail`` vanishing
-    difference entries beyond the points that pin its polynomial; when no
-    period <= g_max manages that, InsufficientDataError asks the caller for a
-    longer sample window rather than extrapolating.
+    or Fraction; floats are rejected).  Periods g = 1 .. len(samples) //
+    (min_tail + 1) are tried in ascending order and the first that fits is
+    the minimal one.  Every residue class must be verified by at least
+    ``min_tail`` vanishing difference entries beyond the points that pin its
+    polynomial; when no period manages that, InsufficientDataError asks the
+    caller for a longer sample window rather than extrapolating.
     """
-    if g_max < 1:
-        raise ValueError(f"g_max must be >= 1, got {g_max}")
     if min_tail < 2:
         raise ValueError(f"min_tail must be >= 2, got {min_tail}")
     if not samples:
@@ -190,11 +188,11 @@ def fit(
     # fewer than min_tail + 1 samples, which _try_period rejects.  A fit whose
     # columns repeat with a proper divisor g2 of g is never reached: each class
     # mod g2 then lies on one polynomial from its latest onset on, so g2 fit first.
-    for g in range(1, min(g_max, len(vs) // (min_tail + 1)) + 1):
+    for g in range(1, len(vs) // (min_tail + 1) + 1):
         attempt = _try_period(ns, vs, g, min_tail)
         if attempt is not None:
             return attempt
     raise InsufficientDataError(
-        f"no quasi-polynomial of period <= {g_max} fits the sample tail with "
-        f"{min_tail} verification points per class; increase the sample window"
+        f"no quasi-polynomial fits the {len(vs)} samples with {min_tail} "
+        "verification points per residue class; increase the sample window"
     )

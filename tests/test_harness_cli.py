@@ -69,7 +69,7 @@ class TestRunners:
     def test_run_fit_triangle(self):
         pair = parse_ideal_file(TRIANGLE_FILE)
         samples = sample_series(pair.base, pair.saturator, 12)
-        qp = fit([(s.n, s.f) for s in samples], g_max=6, min_tail=2)
+        qp = fit([(s.n, s.f) for s in samples], min_tail=2)
         assert (qp.period, qp.degree) == (2, 3)
         assert qp.coeffs[3] == (Fraction(1, 12), Fraction(1, 12))
         assert qp.coeffs[2] == (Fraction(1, 8), Fraction(1, 8))
@@ -78,7 +78,7 @@ class TestRunners:
         records = run_verify(small_corpus(TRIANGLE_ENTRY), nmax=12, min_tail=2)
         (r,) = records
         assert r.verdict == VERDICT_CONSISTENT
-        assert r.equigenerated and r.height == 2 and r.height_ok
+        assert r.equigenerated and r.height == 2
         assert (r.dim_tail, r.dim_onset) == (0, 2)
         assert (r.period, r.degree) == (2, 3)
         assert r.a_c == Fraction(1, 12)
@@ -90,21 +90,21 @@ class TestRunners:
         (r,) = records
         assert r.verdict == VERDICT_HYPOTHESIS
         assert not r.equigenerated
-        assert r.fitted
+        assert r.period is not None
         assert r.degree == 2 and r.a_c == 1
 
     def test_verify_zero_function_trivially_consistent(self):
         records = run_verify(small_corpus(UNIT_J_ENTRY), nmax=8, min_tail=2)
         (r,) = records
         assert r.verdict == VERDICT_CONSISTENT
-        assert r.degree is None and r.fitted
+        assert r.degree is None and r.period is not None
         assert r.dim_tail is None
 
     def test_verify_insufficient_data(self):
         records = run_verify(small_corpus(TRIANGLE_ENTRY), nmax=5, min_tail=3)
         (r,) = records
         assert r.verdict == VERDICT_INSUFFICIENT
-        assert not r.fitted and r.period is None
+        assert r.period is None
 
     def test_every_entry_gets_exactly_one_verdict(self):
         entries = load_corpus(cli.default_corpus_path())
@@ -114,16 +114,16 @@ class TestRunners:
 
 class TestExitCodes:
     def _record(self, verdict):
+        fitted = verdict != VERDICT_INSUFFICIENT
         return VerifyRecord(
-            name="r", equigenerated=True, height=2, height_ok=True,
-            dim_tail=0, dim_onset=1, period=1, degree=0, a_c=Fraction(1),
-            a_c_const=True, a_c_positive=True, a_c1_const=True, qp_grade=-1,
-            fitted=verdict != VERDICT_INSUFFICIENT, verdict=verdict,
+            name="r", equigenerated=True, height=2,
+            dim_tail=0, dim_onset=1, period=1 if fitted else None, degree=0, a_c=Fraction(1),
+            a_c_const=True, a_c_positive=True, a_c1_const=True, qp_grade=-1, verdict=verdict,
         )
 
     def test_record_is_keyword_only(self):
         with pytest.raises(TypeError):
-            VerifyRecord("r", True, 2, True, False, VERDICT_INSUFFICIENT)
+            VerifyRecord("r", True, 2, VERDICT_INSUFFICIENT)
 
     def test_all_consistent_is_zero(self):
         assert exit_code_for([self._record(VERDICT_CONSISTENT)]) == 0
@@ -230,6 +230,20 @@ class TestCli:
     def test_fit_insufficient_data_exits_two(self, ideal_file, capsys):
         assert cli.main(["fit", ideal_file, "--nmax", "6"]) == 2
 
+    @pytest.mark.parametrize("nmax, min_tail", [("2", "3"), ("5", "2")])
+    def test_insufficient_data_names_the_window(self, ideal_file, capsys, nmax, min_tail):
+        assert cli.main(["fit", ideal_file, "--nmax", nmax, "--min-tail", min_tail]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            f"insufficient data: no quasi-polynomial fits the {nmax} samples with {min_tail} "
+            "verification points per residue class; increase the sample window\n"
+        )
+
+    def test_fit_takes_no_period_cap(self, ideal_file, capsys):
+        assert cli.main(["fit", ideal_file, "--gmax", "6"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+
     def test_verify_default_corpus(self, capsys):
         assert cli.main(["verify", "--min-tail", "2", "--format", "csv"]) == 0
         out = capsys.readouterr().out
@@ -271,10 +285,10 @@ class TestCli:
 
     def test_verify_engine_bug_exits_three(self, monkeypatch):
         broken = VerifyRecord(
-            name="broken", equigenerated=True, height=2, height_ok=True,
+            name="broken", equigenerated=True, height=2,
             dim_tail=0, dim_onset=1, period=2, degree=1, a_c=None,
             a_c_const=False, a_c_positive=False, a_c1_const=True, qp_grade=1,
-            fitted=True, verdict=VERDICT_INCONSISTENT,
+            verdict=VERDICT_INCONSISTENT,
         )
         monkeypatch.setattr(harness, "run_verify", lambda *a, **k: [broken])
         assert cli.main(["verify"]) == 3
@@ -318,7 +332,6 @@ class TestCli:
             ["power", "FILE", "-n", "two"],
             ["symbolic", "FILE", "-n", "-1"],
             ["series", "FILE", "--nmax", "0"],
-            ["fit", "FILE", "--gmax", "0"],
             ["fit", "FILE", "--min-tail", "1"],
             ["verify", "--nmax", "0"],
             ["verify", "--min-tail", "1"],

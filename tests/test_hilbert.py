@@ -40,11 +40,8 @@ class TestIntPolynomial:
         assert p.shift(2).coeffs == (0, 0, 1, -1)
 
     def test_divide_one_minus_z(self):
-        # 1 - z^3 = (1 - z)(1 + z + z^2)
-        p = IntPolynomial([1, 0, 0, -1])
-        assert p.divide_one_minus_z().coeffs == (1, 1, 1)
-        with pytest.raises(ValueError):
-            IntPolynomial([1, 1]).divide_one_minus_z()
+        # 1 - z^3 = (1 - z)(1 + z + z^2): one factor of (1 - z), and h(1) = 3
+        assert dim_and_mult(IntPolynomial([1, 0, 0, -1]), 1) == (0, 3)
 
 
 class TestNumerator:

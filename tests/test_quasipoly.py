@@ -99,12 +99,23 @@ class TestValidation:
         with pytest.raises(ValueError):
             fit([(n, 5) for n in range(1, 7)], min_tail=1)
 
-    def test_period_beyond_gmax_fails_loudly(self):
-        samples = series(lambda n: n % 3, 1, 30)
+    def test_period_beyond_the_window_fails_loudly(self):
+        # 9 samples hold periods up to 9 // (3 + 1) = 2; one period more reaches 3
         with pytest.raises(InsufficientDataError):
-            fit(samples, g_max=2)
-        qp = fit(samples, g_max=3)
+            fit(series(lambda n: n % 3, 1, 9))
+        qp = fit(series(lambda n: n % 3, 1, 12))
         assert qp.period == 3
+
+    def test_the_window_alone_bounds_the_period(self):
+        qp = fit(series(lambda n: (3, 0, 5, 1, 6, 2, 4)[n % 7], 1, 21), min_tail=2)
+        assert (qp.period, qp.degree) == (7, 0)
+
+    def test_min_tail_is_keyword_only_and_the_period_takes_no_cap(self):
+        samples = [(n, 5) for n in range(1, 13)]
+        with pytest.raises(TypeError):
+            fit(samples, g_max=6)
+        with pytest.raises(TypeError):
+            fit(samples, 3)
 
     def test_periods_too_long_for_the_window_are_not_tried(self, monkeypatch):
         # 12 samples: above period 12 // (3 + 1) = 3 some class holds fewer than 4
@@ -113,8 +124,8 @@ class TestValidation:
         monkeypatch.setattr(
             quasipoly, "_try_period", lambda ns, vs, g, t: tried.append(g) or try_period(ns, vs, g, t)
         )
-        with pytest.raises(InsufficientDataError, match="period <= 50 "):
-            fit(series(lambda n: n**3 * (n % 5), 1, 12), g_max=50, min_tail=3)
+        with pytest.raises(InsufficientDataError, match="the 12 samples with 3 verification"):
+            fit(series(lambda n: n**3 * (n % 5), 1, 12), min_tail=3)
         assert tried == [1, 2, 3]
 
     def test_short_window_fails_loudly(self):
@@ -152,7 +163,7 @@ class TestRoundTrip:
             qp = random_quasipoly(rng)
             window = (qp.degree + 2) * qp.period + 5
             samples = [(n, evaluate(qp, n)) for n in range(1, window + 1)]
-            refit = fit(samples, g_max=qp.period, min_tail=2)
+            refit = fit(samples, min_tail=2)
             assert refit.period == qp.period
             assert refit.degree == qp.degree
             assert refit.coeffs == qp.coeffs
@@ -169,7 +180,7 @@ class TestRoundTrip:
                 (n, v + (Fraction(rng.randint(1, 5)) if i < head else 0))
                 for i, (n, v) in enumerate(samples)
             ]
-            refit = fit(noisy, g_max=qp.period, min_tail=2)
+            refit = fit(noisy, min_tail=2)
             for n, v in noisy:
                 if n >= refit.onset:
                     assert evaluate(refit, n) == v
@@ -177,7 +188,7 @@ class TestRoundTrip:
     def test_minimality_of_fitted_period(self):
         # f(n) = n + (n mod 2) written with period 4: columns a, b, a, b fit at period 2
         long = QuasiPolynomial(period=4, degree=1, coeffs=((0, 1, 0, 1), (1, 1, 1, 1)), onset=1)
-        qp = fit([(n, evaluate(long, n)) for n in range(1, 25)], g_max=4, min_tail=2)
+        qp = fit([(n, evaluate(long, n)) for n in range(1, 25)], min_tail=2)
         assert (qp.period, qp.degree) == (2, 1)
         assert qp.coeffs == ((0, 1), (1, 1))
         assert [evaluate(qp, n) for n in range(1, 9)] == [n + n % 2 for n in range(1, 9)]
@@ -189,6 +200,6 @@ class TestRoundTrip:
             coeffs = tuple(row * (g // short.period) for row in short.coeffs)
             long = QuasiPolynomial(period=g, degree=short.degree, coeffs=coeffs, onset=1)
             window = (long.degree + 2) * g + 5
-            qp = fit([(n, evaluate(long, n)) for n in range(1, window + 1)], g_max=g, min_tail=2)
+            qp = fit([(n, evaluate(long, n)) for n in range(1, window + 1)], min_tail=2)
             assert (qp.period, qp.degree) == (short.period, short.degree)
             assert qp.coeffs == short.coeffs
