@@ -143,8 +143,8 @@ def _try_period(
             return None
         rows.append(fit_r)
     onset = max(o for _, o in rows)
-    # c < 0, every class a zero tail, only at g = 1: the samples then end in
-    # at least g * min_tail + 1 zeros, which fit g = 1 first
+    # c < 0 (every class a zero tail) happens only at g = 1: it leaves at least
+    # g * min_tail + 1 trailing zero samples, which fit g = 1 first
     c = max(len(poly) - 1 for poly, _ in rows)
     table = tuple(
         tuple(
