@@ -2,14 +2,9 @@
 
 For a monomial ideal I in d variables the Hilbert series of A/I is written
 over the full ambient denominator, H(z) = K(z)/(1-z)^d with K an integer
-polynomial.  K is computed by Bigatti's pivot splitting: for a variable x
-lying in at least two generator supports and a pivot x^k not in I,
-
-    K(A/I) = K(A/(I + (x^k))) + z^k * K(A/(I : x^k)).
-
-Taking k as the median exponent of x halves the generators that contain x on
-each side, so the recursion depth depends on the number of generators, not
-on the exponents.  There are two base cases:
+polynomial.  A variable that no generator uses multiplies H by 1/(1-z),
+which the denominator already holds, so K depends on the generators alone.
+It is computed in one of three ways, tried in this order:
 
 * an ideal with at most ``_LEAF_GENS`` generators takes the inclusion-
   exclusion sum over subsets S of its generators, the sum of
@@ -18,10 +13,35 @@ on the exponents.  There are two base cases:
   generator doubles with one ``Packing.lcms`` loop, so term j is the lcm
   of the generators at the bits of j, with sign the parity of those bits.
   It beats a split only while r is small: leaves of 4, 5 and 6 generators
-  measured alike on the shipped corpus, and 8 slower;
-* a larger ideal whose generators have pairwise disjoint supports is a
-  complete intersection, K = prod(1 - z^deg g), with r factors in place of
-  2^r terms.
+  measured alike, and 8 slower, on the shipped corpus while its numerators
+  still took the split; now none of them does, as they use at most three
+  variables;
+* an ideal whose generators use at most three variables, w, x and y, takes
+  a sweep over the levels of w.  The monomials of w-degree c outside I are
+  w^c times those of k[x, y] outside I_c, the ideal of the (x, y) parts of
+  the generators with w exponent at most c.  So H is the sum over c of
+  z^c K_c(z)/(1-z)^2, with K_c the numerator of k[x, y]/I_c, and as K_c
+  changes only where c is the w exponent of a generator, the sum
+  telescopes to K = 1 + sum over the generators g, taken by increasing w,
+  of z^(w_g) times the change in K_c when g's (x, y) part joins I_c.  The
+  minimal generators of I_c sorted by x form a staircase p_1 .. p_s with
+  K_c = 1 - sum z^(deg p_i) + sum z^(deg lcm(p_i, p_i+1)), the alternating
+  sum of its minimal free resolution, and lcm(p_i, p_i+1) has the x of
+  p_i+1 and the y of p_i.  So a generator's change is local: the points its
+  part divides leave, their terms and the corners between them and their
+  neighbours go, and the new point and its two corners come in.  Each
+  point enters and leaves the staircase at most once, so the sweep is a
+  sort and r bisections with no recursion, and K is exact as each K_c is;
+* any other ideal is split by Bigatti's pivot: for a variable x lying in
+  at least two generator supports and a pivot x^k not in I,
+
+      K(A/I) = K(A/(I + (x^k))) + z^k * K(A/(I : x^k)).
+
+  Taking k as the median exponent of x halves the generators that contain
+  x on each side, so the recursion depth depends on the number of
+  generators, not on the exponents.  When no variable lies in two
+  supports, the generators are a complete intersection,
+  K = prod(1 - z^deg g), with r factors in place of 2^r terms.
 
 The recursion runs on generators packed by ``core.Packing``, in the
 packing they come in: ``packed_quotient_data`` takes the two packed lists
@@ -36,9 +56,12 @@ of equal ideals is the empty module and computes no numerator.
 """
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from collections.abc import Iterable
+from functools import reduce
 from itertools import accumulate, zip_longest
+from operator import or_
 
 from .core import MonomialIdeal, Packing, Row, _max_exponent
 from .errors import InconsistencyError
@@ -110,7 +133,7 @@ class HilbertData(namedtuple("HilbertData", "numerator ambient_d module_dim e0")
 # ---------------------------------------------------------------------------
 
 # Ideals with at most this many generators get their numerator from the
-# 2^r-term inclusion-exclusion sum instead of a split.
+# 2^r-term inclusion-exclusion sum instead of a sweep or a split.
 _LEAF_GENS = 5
 
 
@@ -147,6 +170,51 @@ def _inclusion_exclusion(gens: tuple[int, ...], pk: Packing) -> IntPolynomial:
     return IntPolynomial(coeffs)
 
 
+def _active_fields(gens: tuple[int, ...], pk: Packing) -> list[int]:
+    """Shifts of the fields that some generator has a positive exponent in."""
+    used = reduce(or_, gens, 0)
+    return [s for s in pk.shifts if used >> s & pk.value]
+
+
+def _sweep(gens: tuple[int, ...], pk: Packing, active: list[int]) -> IntPolynomial:
+    """K for generators that use only the at most three fields ``active``, by the level sweep.
+
+    The fields are read as (w, x, y), with zeros in front for missing ones.
+    The staircase is held as its x exponents, increasing, and its y
+    exponents, decreasing.  A point that a staircase point divides changes
+    nothing and is skipped, so any generating set gives the K of its ideal.
+    """
+    value = pk.value
+    pad = (0,) * (3 - len(active))
+    points = sorted(pad + tuple(g >> s & value for s in active) for g in gens)
+    coeffs = [0] * (sum(map(max, zip(*points))) + 1)  # no term exceeds max w + max x + max y
+    coeffs[0] = 1
+    xs: list[int] = []
+    ys: list[int] = []
+    for w, x, y in points:
+        hi = bisect_right(xs, x)
+        if hi and ys[hi - 1] <= y:
+            continue  # a staircase point divides (x, y)
+        lo = bisect_left(xs, x, 0, hi)
+        end = len(xs)
+        while hi < end and ys[hi] >= y:
+            hi += 1
+        # xs[lo:hi], ys[lo:hi] are the points that (x, y) divides; the old
+        # chain runs from the left neighbour lo - 1 to the right one hi
+        for u in range(max(lo - 1, 0), min(hi, end - 1)):
+            coeffs[w + xs[u + 1] + ys[u]] -= 1
+        for u in range(lo, hi):
+            coeffs[w + xs[u] + ys[u]] += 1
+        coeffs[w + x + y] -= 1
+        if lo:
+            coeffs[w + x + ys[lo - 1]] += 1
+        if hi < end:
+            coeffs[w + xs[hi] + y] += 1
+        xs[lo:hi] = [x]
+        ys[lo:hi] = [y]
+    return IntPolynomial(coeffs)
+
+
 def _numerator(
     gens: tuple[int, ...],
     pk: Packing,
@@ -158,6 +226,8 @@ def _numerator(
 
     if len(gens) <= _LEAF_GENS:
         result = _inclusion_exclusion(gens, pk)
+    elif len(active := _active_fields(gens, pk)) <= 3:
+        result = _sweep(gens, pk, active)
     else:
         pivot, k = _pick_pivot(gens, pk)
         if pivot < 0:

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import itertools
 import random
 import sys
+from collections.abc import Sequence
+from math import comb
 
 import pytest
 
@@ -21,8 +24,8 @@ from satpow.core import Packing
 from satpow.hilbert import _LEAF_GENS, _numerator
 
 from conftest import (
-    M, colon_monomial, dim_quotient, expand_numerator, hilbert_function_oracle, ideal,
-    monomials_up_to, poly_product, random_ideal, reference_numerator,
+    M, colon_monomial, compositions, dim_quotient, expand_numerator, hilbert_function_oracle,
+    ideal, monomials_up_to, poly_product, random_ideal, reference_numerator,
 )
 
 
@@ -74,7 +77,7 @@ class TestNumerator:
             assert expand_numerator(k, 3, 10) == hilbert_function_oracle(i, 10)
 
     def test_matches_degree_one_oracle(self):
-        # the library's x^k pivot against the test-local degree-1 recursion
+        # the library's leaf, sweep and x^k pivot against the test-local degree-1 recursion
         rng = random.Random(43)
         for d in (2, 3, 4):
             ring = RingContext(("x", "y", "z", "w")[:d])
@@ -242,8 +245,8 @@ def ideal_with_gens(rng: random.Random, ring: RingContext, count: int, max_exp: 
 
 @pytest.mark.parametrize("offset", [-1, 0, 1])
 def test_leaf_size_boundary_matches_oracle(offset):
-    # the closed-form leaf up to _LEAF_GENS generators, a split or the
-    # complete-intersection product past it
+    # the closed-form leaf up to _LEAF_GENS generators, a sweep, a split or
+    # the complete-intersection product past it
     count = _LEAF_GENS + offset
     rng = random.Random(59 + offset)
     for d in (4, 5):
@@ -274,3 +277,134 @@ def test_high_exponents_past_the_leaves_keep_the_recursion_limit():
         expected[e * j] = c
     assert num == IntPolynomial(expected)
     assert sys.getrecursionlimit() == limit
+
+
+# ---------------------------------------------------------------------------
+# The level sweep: ideals whose generators use at most three variables
+# ---------------------------------------------------------------------------
+
+def ideal_in_active(rng: random.Random, ring: RingContext, active: Sequence[int], count: int, max_exp: int):
+    """A random ideal of ``ring`` with more than ``_LEAF_GENS`` generators, all in the ``active`` variables.
+
+    Its generating set is a staircase of ``_LEAF_GENS + 1`` points in the
+    first two active variables, so that two active variables suffice, and
+    ``count`` random points; ``max_exp`` must be at least ``_LEAF_GENS``.
+    """
+    while True:
+        xs = sorted(rng.sample(range(max_exp + 1), _LEAF_GENS + 1))
+        ys = sorted(rng.sample(range(max_exp + 1), _LEAF_GENS + 1), reverse=True)
+        points = [(x, y, rng.randint(0, max_exp)) for x, y in zip(xs, ys)]
+        points += [tuple(rng.randint(0, max_exp) for _ in range(3)) for _ in range(count)]
+        gens = []
+        for p in points:
+            g = [0] * ring.var_count
+            for v, e in zip(active, p):
+                g[v] = e
+            gens.append(tuple(g))
+        i = minimalize(gens, ring)
+        if len(i.gens) > _LEAF_GENS:
+            return i
+
+
+def in_every_order(ring: RingContext, gens: Sequence[tuple[int, ...]]) -> list[MonomialIdeal]:
+    """The ideal of ``gens``, three-variable tuples, placed on each ordered triple of ``ring``'s variables."""
+    out = []
+    for slots in itertools.permutations(range(ring.var_count), 3):
+        placed = []
+        for g in gens:
+            e = [0] * ring.var_count
+            for v, x in zip(slots, g):
+                e[v] = x
+            placed.append(tuple(e))
+        out.append(minimalize(placed, ring))
+    return out
+
+
+# equal exponents of one variable across levels of another, so that a point
+# lands on the x of a staircase point and replaces it
+EQUAL_X = [(0, 2, 5), (1, 2, 3), (2, 2, 1), (0, 4, 2), (3, 0, 6), (1, 5, 0), (4, 1, 1), (0, 6, 1)]
+# pure powers beside mixed generators
+PURE_POWERS = [(6, 0, 0), (0, 5, 0), (0, 0, 4), (2, 2, 0), (0, 3, 1), (1, 0, 2), (1, 1, 1)]
+
+
+class TestSweep:
+    @pytest.mark.parametrize("d", [3, 4])
+    @pytest.mark.parametrize("active_count", [2, 3])
+    def test_random_ideals_match_both_oracles(self, d, active_count):
+        rng = random.Random(61 + 10 * d + active_count)
+        ring = RingContext(("x", "y", "z", "w")[:d])
+        for _ in range(12):
+            # in a ring of 3 variables with 3 active, none is unused; the
+            # other shapes leave one or two variables out of every generator
+            active = sorted(rng.sample(range(d), active_count))
+            i = ideal_in_active(rng, ring, active, rng.randint(4, 14), rng.choice((8, 12)))
+            k = numerator_of_quotient(i)
+            assert k == reference_numerator(i)
+            assert expand_numerator(k, d, 9) == hilbert_function_oracle(i, 9)
+
+    @pytest.mark.parametrize("gens", [EQUAL_X, PURE_POWERS], ids=["equal-x", "pure-powers"])
+    def test_shaped_ideals_match_both_oracles(self, gens):
+        for d in (3, 4):
+            ring = RingContext(("x", "y", "z", "w")[:d])
+            for i in in_every_order(ring, gens):
+                assert len(i.gens) > _LEAF_GENS
+                k = numerator_of_quotient(i)
+                assert k == reference_numerator(i)
+                assert expand_numerator(k, d, 10) == hilbert_function_oracle(i, 10)
+
+    def test_any_generating_set_gives_the_numerator_of_its_ideal(self):
+        # the sweep skips a point that a staircase point divides, so a
+        # generating set that is not minimal, with generators dominated
+        # within their own level or from a lower one, has the numerator of
+        # the ideal it generates; one active variable occurs only this way,
+        # as an ideal in one variable is principal
+        ring = RingContext(("x", "y", "z", "w"))
+        dominated = [(1, 0, 5), (1, 2, 1), (1, 2, 3), (2, 1, 2), (2, 2, 0), (3, 0, 4), (0, 4, 6)]
+        cases = [[(0, 0, e) for e in (7, 3, 5, 9, 4, 6)]]
+        cases += [[tuple(g[v] for v in order) for g in dominated] for order in itertools.permutations(range(3))]
+        rng = random.Random(67)
+        cases += [[tuple(rng.randint(0, 5) for _ in range(3)) for _ in range(12)] for _ in range(40)]
+        for gens in cases:
+            tuples = [(0,) + tuple(g) for g in gens]
+            pk = Packing(4, 9)
+            packed = tuple(map(pk.pack, tuples))
+            i = minimalize(tuples, ring)
+            k = hilbert._sweep(packed, pk, hilbert._active_fields(packed, pk))
+            assert k == reference_numerator(i)
+            assert expand_numerator(k, 4, 9) == hilbert_function_oracle(i, 9)
+
+    def test_takes_no_split(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("pivot split")
+
+        rng = random.Random(71)
+        ring = RingContext(("x", "y", "z", "w"))
+        tri = ideal(ring, (1, 1, 0, 0), (0, 1, 1, 0), (1, 0, 1, 0))
+        cubes = [tri.power(6), ideal_in_active(rng, ring, (0, 2, 3), 20, 8)]
+        square = ideal(ring, (1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1), (1, 0, 0, 1))
+        monkeypatch.setattr(Packing, "split", fail)
+        for i in cubes:
+            assert len(i.gens) > _LEAF_GENS
+            numerator_of_quotient(i)
+        # four active variables still take the pivot recursion
+        with pytest.raises(AssertionError, match="pivot split"):
+            numerator_of_quotient(square.power(3))
+
+    @pytest.mark.parametrize("n, count", [(30, 496), (60, 1891)])
+    def test_power_of_the_maximal_ideal(self, n, count):
+        ring = RingContext(("x", "y", "z"))
+        i = minimalize(compositions(n, 3), ring)
+        assert len(i.gens) == count
+        assert dim_and_mult(numerator_of_quotient(i), 3) == (0, comb(n + 2, 3))
+
+    def test_unused_variables_leave_the_numerator(self):
+        plane = minimalize(compositions(50, 2), RingContext(("x", "y")))
+        k = numerator_of_quotient(plane)
+        assert dim_and_mult(k, 2) == (0, 1275)
+        for names in (("x", "y", "z"), ("x", "y", "z", "w")):
+            ring = RingContext(names)
+            pad = (0,) * (len(names) - 2)
+            assert numerator_of_quotient(minimalize([g + pad for g in plane.gens], ring)) == k
+        cube = minimalize(compositions(30, 3), RingContext(("x", "y", "z")))
+        widened = minimalize([(0,) + g for g in cube.gens], RingContext(("w", "x", "y", "z")))
+        assert numerator_of_quotient(widened) == numerator_of_quotient(cube)
