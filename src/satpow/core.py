@@ -8,32 +8,38 @@ an exponent tuple outside the kernels; ``gens`` returns the stored tuples.
 
 Every kernel packs the exponent vectors it works on into Python ints (see
 :class:`Packing`), with a field width taken from the largest exponent that
-one call can produce, and unpacks only its result.  Every divisibility
-test lays a list of packed monomials side by side in one int (see
-:class:`Row`) and tests a monomial against the whole list in one
-expression; the antichain filter adds the elements it keeps to its row
-one degree block at a time.  The lcms, and so the colons, of a list by
-one monomial are one loop with no call per element.  A product is one
-``Packing.product`` step, and a power a ladder of such steps in one
-packing wide enough for its top rung.  An intersection, a colon and a
-saturation are one fold, ``Packing.meet``, in one packing, over the
-operands, the colons (I : m) by the generators m of J, or the colons
-(I : x_S^e) by the generators x_S of J's radical, with e the largest
-exponent of I.  ``MonomialIdeal.packed_localizations`` hands those colons
-out still packed, in a packing that also holds their n-th powers, so a
-whole series of powers and saturations, and the Hilbert numerators of
-each, runs in the one packing and unpacks only the ideals it returns.
+one call can produce, and unpacks only its result.  Monomials in at most
+three fields (w, x, y) are a 2-variable staircase per level of w, grown by
+``_stair_insert`` here and in ``hilbert``.  Other divisibility tests lay a
+list of packed monomials side by side in one int (see :class:`Row`) and
+test a monomial against the whole list in one expression; the antichain
+filter adds the elements it keeps to its row one degree block at a time.
+The lcms, and so the colons, of a list by one monomial are one loop with
+no call per element.  A product is one ``Packing.product`` step, a sweep
+in lex order if its sums span several degrees in at most three fields,
+and a power a ladder of such steps in one packing wide enough for its top
+rung.  An intersection, a colon and a saturation are one fold,
+``Packing.meet``, in one packing, over the operands, the colons (I : m) by
+the generators m of J, or the colons (I : x_S^e) by the generators x_S of
+J's radical, with e the largest exponent of I.  A step sweeps the levels
+of w in at most three fields, and else minimalizes the lcm pairs.
+``MonomialIdeal.packed_localizations`` hands those colons out still
+packed, in a packing that also holds their n-th powers, so a whole series
+of powers and saturations, and the Hilbert numerators of each, runs in the
+one packing and unpacks only the ideals it returns.
 
 Ideals are immutable after construction and safe to share across threads;
-no operation mutates its inputs.  A ``Row`` grows, and lives within one
-kernel call.
+no operation mutates its inputs.  A ``Row`` or a staircase grows, and
+lives within one kernel call.
 """
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_left, bisect_right, insort
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
 from functools import reduce
+from itertools import chain, groupby
+from operator import itemgetter, or_
 
 from .errors import RingMismatchError, ZeroIdealError
 
@@ -158,17 +164,88 @@ class Packing:
 
     # -- products, powers and the fold ----------------------------------------
 
-    def product(self, gens_a: Iterable[int], gens_b: Sequence[int]) -> list[int]:
-        """Canonical generators of the product of two ideals: every pairwise sum, minimalized."""
-        return self.minimal([c for a in gens_a for c in map(a.__add__, gens_b)])
+    def product(self, gens_a: Sequence[int], gens_b: Sequence[int]) -> list[int]:
+        """Canonical generators of the product of two canonical ideals: every pairwise sum, minimalized.
+
+        Sums of several degrees (an operand's first and last show it) in at
+        most three fields (w, x, y) go in lex order, divisors first, and each
+        is kept unless an (x, y) part before it divides its own.  ``minimal``
+        filters the others, and tests sums of one degree against nothing.
+        """
+        cands = [c for a in gens_a for c in map(a.__add__, gens_b)]
+        top = self.top
+        mixed = cands and (gens_a[0] >> top != gens_a[-1] >> top or gens_b[0] >> top != gens_b[-1] >> top)
+        fields = self.sweep_fields(gens_a, gens_b) if mixed else None
+        if fields is None:
+            return self.minimal(cands)
+        _, sx, sy = fields
+        value = self.value
+        xs: list[int] = []
+        ys: list[int] = []
+        kept = [
+            p for p in sorted(set(cands), key=self.low.__and__)
+            if _stair_insert(xs, ys, p >> sx & value, p >> sy & value) is not None
+        ]
+        return sorted(kept, key=self.low.__xor__)
 
     def power(self, gens: Sequence[int], n: int) -> list[int]:
         """Canonical generators of the ``n``-th power, n >= 1, as a ladder of products."""
         return reduce(self.product, [gens] * (n - 1), list(gens))
 
     def meet(self, parts: Iterable[list[int]]) -> list[int]:
-        """Canonical generators of the intersection of the canonical ``parts``, folded left to right."""
-        return reduce(lambda a, b: self.minimal(self.intersection(a, b)), parts)
+        """Canonical generators of the intersection of the canonical ``parts``, folded left to right.
+
+        A step is a ``_sweep_meet`` in at most three fields, else the lcm pairs of ``intersection``.
+        """
+        parts = list(parts)
+        if (fields := self.sweep_fields(*parts)) is None:
+            return reduce(lambda a, b: self.minimal(self.intersection(a, b)), parts)
+        return reduce(lambda a, b: self._sweep_meet(a, b, fields), parts)
+
+    def sweep_fields(self, *lists: Iterable[int]) -> tuple[int, int, int] | None:
+        """The shifts (w, x, y) of the at most three fields the ``lists`` use, else None."""
+        used = reduce(or_, chain.from_iterable(lists), 0)
+        active = [s for s in self.shifts if used >> s & self.value]
+        # missing fields come first, past the degree, where every monomial reads 0
+        return None if len(active) > 3 else (self.top + self.width,) * (3 - len(active)) + tuple(active)
+
+    def _sweep_meet(self, gens_a: Sequence[int], gens_b: Sequence[int], fields: tuple[int, int, int]) -> list[int]:
+        """Canonical generators of the intersection of two ideals in the ``fields`` (w, x, y).
+
+        Level c of an ideal is the ideal of the (x, y) parts of its generators
+        with w at most c.  By increasing w, each side's points join its
+        staircase, whose step function f(x) is the least y of a point at or
+        left of x, and level c of the intersection lies above the larger f.
+        Its corners, from one merge, that the levels below lack have w = c.
+        (-1, inf) and (inf, -1) end each side's staircase, and neither divide
+        nor are divided by a point.
+        """
+        sw, sx, sy = fields
+        value, top, inf = self.value, self.top, self.value + 1
+        points = sorted(
+            (p >> sw & value, p >> sx & value, p >> sy & value, side)
+            for side, gens in enumerate((gens_a, gens_b)) for p in gens
+        )
+        (ax, ay), (bx, by) = stairs = ([-1, inf], [inf, -1]), ([-1, inf], [inf, -1])
+        held_x: list[int] = []  # the staircase of the levels below
+        held_y: list[int] = []
+        out: list[int] = []
+        for w, level in groupby(points, itemgetter(0)):
+            for _, x, y, side in level:
+                _stair_insert(*stairs[side], x, y)
+            i = j = 1
+            low = inf
+            while (x := ax[i] if ax[i] < bx[j] else bx[j]) < inf:
+                if ax[i] == x:
+                    i += 1
+                if bx[j] == x:
+                    j += 1
+                y = ay[i - 1] if ay[i - 1] > by[j - 1] else by[j - 1]
+                if y < low:
+                    low = y
+                    if _stair_insert(held_x, held_y, x, y) is not None:
+                        out.append(w << sw | x << sx | y << sy | (w + x + y) << top)
+        return sorted(out, key=self.low.__xor__)
 
     # -- candidate generators --------------------------------------------------
 
@@ -256,6 +333,24 @@ class Packing:
                 free.append(g - e - (e >> s << self.top))
         insort(plus, power, key=self.low.__xor__)
         return tuple(plus), tuple(sorted(held + self.minimal(free), key=self.low.__xor__))
+
+
+def _stair_insert(xs: list[int], ys: list[int], x: int, y: int) -> tuple[int, list[int], list[int]] | None:
+    """Put (x, y) into the staircase of x exponents ``xs``, increasing, and y exponents ``ys``, decreasing.
+
+    None if a staircase point divides (x, y).  Otherwise the points it
+    divides leave, and the result is its position and their xs and ys.
+    """
+    hi = bisect_right(xs, x)
+    if hi and ys[hi - 1] <= y:
+        return None
+    lo = bisect_left(xs, x, 0, hi)
+    while hi < len(xs) and ys[hi] >= y:
+        hi += 1
+    gone = lo, xs[lo:hi], ys[lo:hi]
+    xs[lo:hi] = [x]
+    ys[lo:hi] = [y]
+    return gone
 
 
 class Row:

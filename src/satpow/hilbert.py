@@ -13,9 +13,7 @@ It is computed in one of three ways, tried in this order:
   generator doubles with one ``Packing.lcms`` loop, so term j is the lcm
   of the generators at the bits of j, with sign the parity of those bits.
   It beats a split only while r is small: leaves of 4, 5 and 6 generators
-  measured alike, and 8 slower, on the shipped corpus while its numerators
-  still took the split; now none of them does, as they use at most three
-  variables;
+  measured alike, and 8 slower, when the shipped corpus still took splits;
 * an ideal whose generators use at most three variables, w, x and y, takes
   a sweep over the levels of w.  The monomials of w-degree c outside I are
   w^c times those of k[x, y] outside I_c, the ideal of the (x, y) parts of
@@ -28,10 +26,10 @@ It is computed in one of three ways, tried in this order:
   K_c = 1 - sum z^(deg p_i) + sum z^(deg lcm(p_i, p_i+1)), the alternating
   sum of its minimal free resolution, and lcm(p_i, p_i+1) has the x of
   p_i+1 and the y of p_i.  So a generator's change is local: the points its
-  part divides leave, their terms and the corners between them and their
-  neighbours go, and the new point and its two corners come in.  Each
-  point enters and leaves the staircase at most once, so the sweep is a
-  sort and r bisections with no recursion, and K is exact as each K_c is;
+  part divides leave (``core._stair_insert`` returns them), their terms and
+  the corners between them and their neighbours go, and the new point and
+  its two corners come in.  Each point enters and leaves the staircase at
+  most once, so the sweep is a sort and r bisections with no recursion;
 * any other ideal is split by Bigatti's pivot: for a variable x lying in
   at least two generator supports and a pivot x^k not in I,
 
@@ -56,14 +54,11 @@ of equal ideals is the empty module and computes no numerator.
 """
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from collections.abc import Iterable
-from functools import reduce
 from itertools import accumulate, zip_longest
-from operator import or_
 
-from .core import MonomialIdeal, Packing, Row, _max_exponent
+from .core import MonomialIdeal, Packing, Row, _max_exponent, _stair_insert
 from .errors import InconsistencyError
 
 
@@ -170,48 +165,38 @@ def _inclusion_exclusion(gens: tuple[int, ...], pk: Packing) -> IntPolynomial:
     return IntPolynomial(coeffs)
 
 
-def _active_fields(gens: tuple[int, ...], pk: Packing) -> list[int]:
-    """Shifts of the fields that some generator has a positive exponent in."""
-    used = reduce(or_, gens, 0)
-    return [s for s in pk.shifts if used >> s & pk.value]
+def _sweep(gens: tuple[int, ...], pk: Packing, fields: tuple[int, int, int]) -> IntPolynomial:
+    """K for generators that use only the three ``fields`` (w, x, y) of ``Packing.sweep_fields``, by the level sweep.
 
-
-def _sweep(gens: tuple[int, ...], pk: Packing, active: list[int]) -> IntPolynomial:
-    """K for generators that use only the at most three fields ``active``, by the level sweep.
-
-    The fields are read as (w, x, y), with zeros in front for missing ones.
-    The staircase is held as its x exponents, increasing, and its y
-    exponents, decreasing.  A point that a staircase point divides changes
-    nothing and is skipped, so any generating set gives the K of its ideal.
+    ``core._stair_insert`` puts each point in the staircase, and skips one
+    that a staircase point divides, so any generating set gives the K of its ideal.
     """
+    sw, sx, sy = fields
     value = pk.value
-    pad = (0,) * (3 - len(active))
-    points = sorted(pad + tuple(g >> s & value for s in active) for g in gens)
+    points = sorted((g >> sw & value, g >> sx & value, g >> sy & value) for g in gens)
     coeffs = [0] * (sum(map(max, zip(*points))) + 1)  # no term exceeds max w + max x + max y
     coeffs[0] = 1
     xs: list[int] = []
     ys: list[int] = []
     for w, x, y in points:
-        hi = bisect_right(xs, x)
-        if hi and ys[hi - 1] <= y:
+        step = _stair_insert(xs, ys, x, y)
+        if step is None:
             continue  # a staircase point divides (x, y)
-        lo = bisect_left(xs, x, 0, hi)
-        end = len(xs)
-        while hi < end and ys[hi] >= y:
-            hi += 1
-        # xs[lo:hi], ys[lo:hi] are the points that (x, y) divides; the old
-        # chain runs from the left neighbour lo - 1 to the right one hi
-        for u in range(max(lo - 1, 0), min(hi, end - 1)):
-            coeffs[w + xs[u + 1] + ys[u]] -= 1
-        for u in range(lo, hi):
-            coeffs[w + xs[u] + ys[u]] += 1
-        coeffs[w + x + y] -= 1
+        lo, gone_x, gone_y = step
+        right = lo + 1 < len(xs)
+        last = ys[lo - 1] if lo else None  # old chain: left neighbour, the points gone, right one
+        for gx, gy in zip(gone_x, gone_y):
+            coeffs[w + gx + gy] += 1
+            if last is not None:
+                coeffs[w + gx + last] -= 1
+            last = gy
+        if right and last is not None:
+            coeffs[w + xs[lo + 1] + last] -= 1
+        coeffs[w + x + y] -= 1  # the new point and its corners come in
         if lo:
             coeffs[w + x + ys[lo - 1]] += 1
-        if hi < end:
-            coeffs[w + xs[hi] + y] += 1
-        xs[lo:hi] = [x]
-        ys[lo:hi] = [y]
+        if right:
+            coeffs[w + xs[lo + 1] + y] += 1
     return IntPolynomial(coeffs)
 
 
@@ -226,8 +211,8 @@ def _numerator(
 
     if len(gens) <= _LEAF_GENS:
         result = _inclusion_exclusion(gens, pk)
-    elif len(active := _active_fields(gens, pk)) <= 3:
-        result = _sweep(gens, pk, active)
+    elif (fields := pk.sweep_fields(gens)) is not None:
+        result = _sweep(gens, pk, fields)
     else:
         pivot, k = _pick_pivot(gens, pk)
         if pivot < 0:

@@ -278,6 +278,21 @@ class TestCli:
         assert cli.main(["symbolic", str(path), "-n", "6"]) == 0
         assert capsys.readouterr().out.encode() == (DATA / "edge-symbolic-n6.txt").read_bytes()
 
+    @pytest.mark.parametrize(
+        "argv, stored",
+        [
+            (["symbolic", "grade-saturating.ideal", "-n", "30"], "grade-saturating-symbolic-n30.txt"),
+            (["colon", "three-vars.ideal"], "three-vars-colon.txt"),
+            (["saturate", "three-vars.ideal"], "three-vars-saturate.txt"),
+        ],
+    )
+    def test_three_variable_outputs_match_stored_bytes(self, argv, stored, capsys):
+        # ideals in three variables, as computed before their intersections
+        # and products took the level sweep
+        argv = [argv[0], str(DATA / argv[1]), *argv[2:]]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out.encode() == (DATA / stored).read_bytes()
+
     def test_verify_insufficient_exits_two(self, tmp_path):
         corpus = tmp_path / "corpus.json"
         corpus.write_text(json.dumps([TRIANGLE_ENTRY]), encoding="utf-8")

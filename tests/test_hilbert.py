@@ -369,7 +369,7 @@ class TestSweep:
             pk = Packing(4, 9)
             packed = tuple(map(pk.pack, tuples))
             i = minimalize(tuples, ring)
-            k = hilbert._sweep(packed, pk, hilbert._active_fields(packed, pk))
+            k = hilbert._sweep(packed, pk, pk.sweep_fields(packed))
             assert k == reference_numerator(i)
             assert expand_numerator(k, 4, 9) == hilbert_function_oracle(i, 9)
 

@@ -10,11 +10,12 @@ from __future__ import annotations
 import random
 from functools import reduce
 from itertools import combinations, product
+from operator import add
 
 import pytest
 
 from satpow import (
-    IntPolynomial, RingContext, minimalize, numerator_of_quotient, symbolic_power,
+    IntPolynomial, MonomialIdeal, RingContext, minimalize, numerator_of_quotient, symbolic_power,
 )
 from satpow.cli import default_corpus_path
 from satpow.core import Packing, Row
@@ -377,3 +378,137 @@ def test_numerators_past_the_leaves_at_boundary_exponents():
                 assert num == subset_sum_numerator(exps_of(i))
                 if k <= 8:
                     assert num == reference_numerator(i)
+
+
+# ---------------------------------------------------------------------------
+# The level sweep: intersections and products in at most three fields
+# ---------------------------------------------------------------------------
+
+def in_active(rng: random.Random, d: int, active: list[int], pool: list[int], count: int) -> list[tuple[int, ...]]:
+    """``count`` exponent vectors of ``d`` variables over ``pool``, zero outside ``active``."""
+    out = []
+    for _ in range(count):
+        e = [0] * d
+        for v in active:
+            e[v] = rng.choice(pool)
+        out.append(tuple(e))
+    return out
+
+
+def pure_power(d: int, v: int, e: int) -> tuple[int, ...]:
+    return tuple(e if u == v else 0 for u in range(d))
+
+
+def sweep_shapes(seed: int):
+    """(ring, parts) with 1, 2 and 3 active variables in rings of 3 to 6 variables.
+
+    Besides random parts, each shape gets the unit ideal, the zero ideal,
+    pure powers of the active variables, parts that share the levels of
+    their first active variable, and a part that contains another.
+    """
+    rng = random.Random(seed)
+    for d in range(3, 7):
+        for k in (1, 2, 3):
+            for _ in range(6):
+                active = sorted(rng.sample(range(d), k))
+                if d == 4 and k == 3 and rng.random() < 0.5:
+                    active = [0, 1, 2]  # as in c3-triangle-cylinder, the last variable unused
+                pool = rng.choice([list(range(5)), [0, 1, 2, 3, 5, 8], [0, 1, 2**7 - 1, 2**7]])
+                a = reference_minimal(in_active(rng, d, active, pool, rng.randint(1, 12)))
+                b = reference_minimal(in_active(rng, d, active, pool, rng.randint(1, 12)))
+                powers = reference_minimal(pure_power(d, v, rng.choice(pool[1:])) for v in active)
+                levels = sorted({g[active[0]] for g in a})  # shared's points sit on a's levels
+                shared = reference_minimal(
+                    tuple(rng.choice(levels) if u == active[0] else x for u, x in enumerate(g))
+                    for g in in_active(rng, d, active, pool, rng.randint(1, 12))
+                )
+                bigger = reference_minimal(a + in_active(rng, d, active, pool, 3))  # contains a
+                yield ring(d), [a, b]
+                yield ring(d), [a, shared, powers]
+                yield ring(d), [bigger, a]
+                yield ring(d), [a, [(0,) * d], b]
+                yield ring(d), [a, [], b]
+                yield ring(d), [powers, b, a]
+
+
+def power_oracle(gens: list[tuple[int, ...]], n: int) -> list[tuple[int, ...]]:
+    """Canonical generators of the ``n``-th power, n >= 1, by pairwise sums on tuples."""
+    result = gens
+    for _ in range(n - 1):
+        result = reference_minimal(tuple(map(add, g, h)) for g in result for h in gens)
+    return result
+
+
+def test_sweep_intersections_match_the_pair_oracle():
+    for r, parts in sweep_shapes(181):
+        ideals = [build(r, p) for p in parts]
+        assert exps_of(ideals[0].intersect(*ideals[1:])) == meet(*parts), parts
+        assert exps_of(ideals[1].intersect(ideals[0])) == meet(parts[1], parts[0]), parts
+
+
+def test_sweep_colons_and_saturations_match_a_tuple_fold():
+    for r, parts in sweep_shapes(191):
+        ri, rj = parts[0], parts[-1]
+        if rj:
+            check_colon_and_saturation(r, ri, rj)
+
+
+def test_sweep_symbolic_powers_match_the_fold():
+    for r, parts in sweep_shapes(193):
+        ri, rj = parts[0], parts[-1]
+        if not ri or not rj or max(map(max, ri + rj)) > 8:
+            continue  # the zero ideal has no symbolic powers; keep the tuple oracle small
+        i, j = build(r, ri), build(r, rj)
+        for n in (1, 2, 3):
+            expected = folded(power_oracle(ri, n), rj, lambda x, y: 0 if y else x)
+            assert exps_of(symbolic_power(i, j, n)) == expected, (ri, rj, n)
+
+
+def test_sweep_products_and_powers_match_pairwise_sums():
+    rng = random.Random(197)
+    for r, parts in sweep_shapes(199):
+        d = r.var_count
+        a, b = parts[0], parts[1]
+        expected = reference_minimal(tuple(map(add, g, h)) for g in a for h in b)
+        assert exps_of(build(r, a).multiply(build(r, b))) == expected, (a, b)
+        # operands of one degree each: sums of one degree, the filter that tests nothing
+        active = [v for v in range(d) if any(g[v] for g in a + b)] or [0]
+        equi = [[g for g in in_active(rng, d, active, list(range(6)), 10) if sum(g) == deg] for deg in (3, 4)]
+        if all(equi):
+            ea, eb = map(reference_minimal, equi)
+            expected = reference_minimal(tuple(map(add, g, h)) for g in ea for h in eb)
+            assert exps_of(build(r, ea).multiply(build(r, eb))) == expected, (ea, eb)
+        if a and max(map(max, a)) <= 8:
+            for n in (2, 3):
+                assert exps_of(build(r, a).power(n)) == power_oracle(a, n), (a, n)
+
+
+def edge_graph() -> MonomialIdeal:
+    """The edge ideal of the 6-cycle 0-1-2-4-5-3-0 with the chords 0-2, 0-4 and 1-3."""
+    edges = [(0, 1), (1, 2), (2, 4), (4, 5), (5, 3), (3, 0), (0, 2), (0, 4), (1, 3)]
+    return build(ring(6), [tuple(int(v in e) for v in range(6)) for e in edges])
+
+
+def test_sweep_meets_take_no_lcm_pairs(monkeypatch):
+    def fail(*args):
+        raise AssertionError("lcm pairs")
+
+    def active(i: MonomialIdeal) -> int:
+        return sum(any(g[v] for g in i.gens) for v in range(i.ring.var_count))
+
+    swept = [e.pair for e in load_corpus(default_corpus_path()) if active(e.pair.base) <= 3]
+    graph = edge_graph()
+    maximal = build(ring(6), [pure_power(6, v, 1) for v in range(6)])
+    monkeypatch.setattr(Packing, "intersection", fail)
+    # nine entries, c3-triangle-cylinder among them with one of four variables unused
+    assert len(swept) == 9 and {p.base.ring.var_count for p in swept} == {2, 3, 4}
+    for p in swept:
+        for n in (1, 2, 5):
+            symbolic_power(p.base, p.saturator, n)
+        p.base.colon_ideal(p.saturator)
+        p.base.intersect(p.saturator, p.base.power(2))
+    for r, parts in sweep_shapes(211):
+        build(r, parts[0]).intersect(*(build(r, q) for q in parts[1:]))
+    # six active variables still take the lcm pairs
+    with pytest.raises(AssertionError, match="lcm pairs"):
+        symbolic_power(graph, maximal, 2)
