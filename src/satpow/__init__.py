@@ -15,7 +15,7 @@ from .errors import (
 from .filtration import SeriesSample, dim_stabilization, sample_series, symbolic_power
 from .hilbert import (
     HilbertData,
-    IntPolynomial,
+    Numerator,
     dim_and_mult,
     numerator_of_quotient,
     quotient_module_data,
@@ -39,7 +39,7 @@ __all__ = [
     "sample_series",
     "symbolic_power",
     "HilbertData",
-    "IntPolynomial",
+    "Numerator",
     "dim_and_mult",
     "numerator_of_quotient",
     "quotient_module_data",

@@ -139,7 +139,10 @@ def _dispatch(args: argparse.Namespace) -> int:
         dim_text = "empty" if module_dim is None else str(module_dim)
         print(f"dim = {dim_text}")
         print(f"e0 = {e0}")
-        print(f"numerator coefficients (z^0 first): {list(numerator.coeffs)}")
+        dense = [0] * (numerator.degrees[-1] + 1 if numerator.degrees else 0)
+        for t, c in zip(numerator.degrees, numerator.coeffs):
+            dense[t] = c
+        print(f"numerator coefficients (z^0 first): {dense}")
     elif args.command == "symbolic":
         print(format_ideal(symbolic_power(pair.base, pair.saturator, args.n)))
     elif args.command == "series":

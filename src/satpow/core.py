@@ -149,7 +149,8 @@ class Packing:
         distinct element of equal degree never divides; duplicates are gone.
         So each candidate is tested against the row of those kept at lower
         degrees: the elements kept at one degree join the row as one block
-        just before the first candidate of the next degree is tested.
+        just before the first candidate of the next degree is tested.  The
+        first degree has nothing below it, and is kept with no test.
         """
         kept: list[int] = []
         row = Row(self)
@@ -158,7 +159,7 @@ class Packing:
             if t >> top != degree:
                 row.extend(kept[start:])
                 degree, start = t >> top, len(kept)
-            if not row.has_divisor(t):
+            if not start or not row.has_divisor(t):  # start is 0 while the row is empty
                 kept.append(t)
         return kept
 
@@ -475,14 +476,6 @@ class MonomialIdeal:
 
     def __repr__(self) -> str:
         return f"MonomialIdeal({self.ring.var_names}, {len(self._exps)} gens)"
-
-    # -- membership ----------------------------------------------------------
-
-    def contains_ideal(self, other: "MonomialIdeal") -> bool:
-        """True iff every generator of ``other`` lies in this ideal."""
-        self._check_ring(other)
-        pk, mine = Packing.of(self, _max_exponent(other._exps))
-        return all(map(Row(pk, mine).has_divisor, map(pk.pack, other._exps)))
 
     # -- arithmetic -----------------------------------------------------------
 

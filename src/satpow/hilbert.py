@@ -4,14 +4,22 @@ For a monomial ideal I in d variables the Hilbert series of A/I is written
 over the full ambient denominator, H(z) = K(z)/(1-z)^d with K an integer
 polynomial.  A variable that no generator uses multiplies H by 1/(1-z),
 which the denominator already holds, so K depends on the generators alone.
-It is computed in one of three ways, tried in this order:
+K is held as sparse terms, a map from degree to nonzero coefficient inside
+the recursion and a ``Numerator`` of sorted degrees and their coefficients
+outside it, so its size follows its number of terms and not its degree:
+x^(10^12) has the two terms 1 and -z^(10^12).  Writing K = (1-z)^s h with
+h(1) != 0, the module has dimension d - s and multiplicity e0 = h(1)
+(Bruns and Herzog, Cohen-Macaulay Rings, 4.1), and ``dim_and_mult`` reads
+both from the binomial moments of the terms, with no division by (1-z).
+Only the CLI's ``hilbert`` report expands K to a dense list, to print it.
+K is computed in one of three ways, tried in this order:
 
 * an ideal with at most ``_LEAF_GENS`` generators takes the inclusion-
   exclusion sum over subsets S of its generators, the sum of
   (-1)^|S| z^(deg lcm S), which is the alternating sum of the Taylor
-  resolution.  Its 2^r terms for r generators are a flat list that each
-  generator doubles with one ``Packing.lcms`` loop, so term j is the lcm
-  of the generators at the bits of j, with sign the parity of those bits.
+  resolution.  Its 2^r terms for r generators are two flat lists, the
+  lcms of the subsets of even and of odd size, that each generator
+  doubles with one ``Packing.lcms`` loop per list.
   It beats a split only while r is small: leaves of 4, 5 and 6 generators
   measured alike, and 8 slower, when the shipped corpus still took splits;
 * an ideal whose generators use at most three variables, w, x and y, takes
@@ -49,78 +57,63 @@ once per call.  One field width serves the whole recursion, because
 neither I + (x^k) nor I : x^k raises the largest exponent.  Both branches
 of a split come from one pass over the generators, ``Packing.split``.
 Numerators of intermediate ideals are memoized in a dict local to one
-numerator, keyed by the canonical tuple of packed generators.  A quotient
+numerator, keyed by the canonical tuple of packed generators; a term map
+is never changed once built, so a memo hit is safe to share.  A quotient
 of equal ideals is the empty module and computes no numerator.
 """
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from collections.abc import Iterable
-from itertools import accumulate, zip_longest
+from math import comb
 
 from .core import MonomialIdeal, Packing, Row, _max_exponent, _stair_insert
 from .errors import InconsistencyError
 
-
-class IntPolynomial:
-    """Dense univariate polynomial with exact integer coefficients.
-
-    Trailing zero coefficients are trimmed; the zero polynomial has an empty
-    coefficient tuple.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: tuple[int, ...] | list[int] = ()):
-        cs = list(coeffs)
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs: tuple[int, ...] = tuple(cs)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, IntPolynomial) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __repr__(self) -> str:
-        return f"IntPolynomial({list(self.coeffs)})"
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def degree(self) -> int:
-        """Degree of the polynomial; the zero polynomial reports -1."""
-        return len(self.coeffs) - 1
-
-    def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
-        return IntPolynomial(
-            [a + b for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=0)]
-        )
-
-    def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
-        return IntPolynomial(
-            [a - b for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=0)]
-        )
-
-    def shift(self, k: int) -> "IntPolynomial":
-        """Multiply by z^k."""
-        if self.is_zero():
-            return self
-        return IntPolynomial((0,) * k + self.coeffs)
+# A numerator inside the recursion: degree -> nonzero coefficient.  A map is
+# never changed once built, as the memo hands the same map to every caller.
+Terms = dict[int, int]
 
 
-_ONE = IntPolynomial((1,))
+class Numerator(namedtuple("Numerator", "degrees coeffs")):
+    """A Hilbert numerator K as sparse terms: increasing degrees and their nonzero coefficients.
 
-
-class HilbertData(namedtuple("HilbertData", "numerator ambient_d module_dim e0")):
-    """Numerator, dimension, and multiplicity of a graded quotient module.
-
-    ``module_dim`` is None for the empty module (numerator 0, e0 = 0).
+    The zero numerator, of the empty module, has no terms.
     """
 
     __slots__ = ()
+
+
+class HilbertData(namedtuple("HilbertData", "module_dim e0")):
+    """Dimension and multiplicity of a graded quotient module.
+
+    ``module_dim`` is None for the empty module, whose e0 is 0.
+    """
+
+    __slots__ = ()
+
+
+def _terms(up: Iterable[int], down: Iterable[int]) -> Terms:
+    """The terms of the sum of z^t over ``up`` less the sum of z^t over ``down``."""
+    count = Counter(up)
+    count.subtract(Counter(down))  # counted first, so the loop runs once per degree
+    return {t: c for t, c in count.items() if c}
+
+
+def _add(a: Terms, b: Terms, k: int, sign: int) -> Terms:
+    """The terms of a + sign * z^k * b, in a new map; neither operand changes."""
+    out = dict(a)
+    for t, c in b.items():
+        t += k
+        c = out.pop(t, 0) + sign * c
+        if c:
+            out[t] = c
+    return out
+
+
+def _record(terms: Terms) -> Numerator:
+    degrees = sorted(terms)
+    return Numerator(tuple(degrees), tuple(map(terms.__getitem__, degrees)))
 
 
 # ---------------------------------------------------------------------------
@@ -149,23 +142,20 @@ def _pick_pivot(gens: tuple[int, ...], pk: Packing) -> tuple[int, int]:
     return (best, powers[(len(powers) - 1) // 2])
 
 
-def _inclusion_exclusion(gens: tuple[int, ...], pk: Packing) -> IntPolynomial:
+def _inclusion_exclusion(gens: tuple[int, ...], pk: Packing) -> Terms:
     """K = sum over subsets S of ``gens`` of (-1)^|S| z^(deg lcm S).
 
     The alternating sum of the Taylor resolution, exact for any generating
     set; the empty ideal gives 1 and the unit ideal 0.
     """
-    terms = [0]  # term j is the lcm of the subset S of gens whose indices are the bits of j
+    even, odd = [0], []  # the lcms of the subsets of even and of odd size
     for g in gens:
-        terms += pk.lcms(terms, g)
+        even, odd = even + pk.lcms(odd, g), odd + pk.lcms(even, g)
     top = pk.top
-    coeffs = [0] * ((terms[-1] >> top) + 1)  # the last term is the lcm of all
-    for j, t in enumerate(terms):
-        coeffs[t >> top] += -1 if j.bit_count() & 1 else 1  # (-1)^|S|, |S| the bits of j
-    return IntPolynomial(coeffs)
+    return _terms([t >> top for t in even], [t >> top for t in odd])
 
 
-def _sweep(gens: tuple[int, ...], pk: Packing, fields: tuple[int, int, int]) -> IntPolynomial:
+def _sweep(gens: tuple[int, ...], pk: Packing, fields: tuple[int, int, int]) -> Terms:
     """K for generators that use only the three ``fields`` (w, x, y) of ``Packing.sweep_fields``, by the level sweep.
 
     ``core._stair_insert`` puts each point in the staircase, and skips one
@@ -174,8 +164,8 @@ def _sweep(gens: tuple[int, ...], pk: Packing, fields: tuple[int, int, int]) -> 
     sw, sx, sy = fields
     value = pk.value
     points = sorted((g >> sw & value, g >> sx & value, g >> sy & value) for g in gens)
-    coeffs = [0] * (sum(map(max, zip(*points))) + 1)  # no term exceeds max w + max x + max y
-    coeffs[0] = 1
+    up, down = [0], []  # the degrees of the terms +z^t and -z^t
+    plus, minus = up.append, down.append
     xs: list[int] = []
     ys: list[int] = []
     for w, x, y in points:
@@ -186,25 +176,21 @@ def _sweep(gens: tuple[int, ...], pk: Packing, fields: tuple[int, int, int]) -> 
         right = lo + 1 < len(xs)
         last = ys[lo - 1] if lo else None  # old chain: left neighbour, the points gone, right one
         for gx, gy in zip(gone_x, gone_y):
-            coeffs[w + gx + gy] += 1
+            plus(w + gx + gy)
             if last is not None:
-                coeffs[w + gx + last] -= 1
+                minus(w + gx + last)
             last = gy
         if right and last is not None:
-            coeffs[w + xs[lo + 1] + last] -= 1
-        coeffs[w + x + y] -= 1  # the new point and its corners come in
+            minus(w + xs[lo + 1] + last)
+        minus(w + x + y)  # the new point and its corners come in
         if lo:
-            coeffs[w + x + ys[lo - 1]] += 1
+            plus(w + x + ys[lo - 1])
         if right:
-            coeffs[w + xs[lo + 1] + y] += 1
-    return IntPolynomial(coeffs)
+            plus(w + xs[lo + 1] + y)
+    return _terms(up, down)
 
 
-def _numerator(
-    gens: tuple[int, ...],
-    pk: Packing,
-    memo: dict[tuple[int, ...], IntPolynomial],
-) -> IntPolynomial:
+def _numerator(gens: tuple[int, ...], pk: Packing, memo: dict[tuple[int, ...], Terms]) -> Terms:
     hit = memo.get(gens)
     if hit is not None:
         return hit
@@ -217,48 +203,48 @@ def _numerator(
         pivot, k = _pick_pivot(gens, pk)
         if pivot < 0:
             # pairwise disjoint supports: complete intersection, K = prod(1 - z^deg)
-            result = _ONE
+            result = {0: 1}
             for deg in map(pk.degree, gens):
-                result = result - result.shift(deg)
+                result = _add(result, result, deg, -1)
         else:
             plus_x, colon_x = pk.split(gens, pivot, k)
-            result = _numerator(plus_x, pk, memo) + _numerator(colon_x, pk, memo).shift(k)
+            result = _add(_numerator(plus_x, pk, memo), _numerator(colon_x, pk, memo), k, 1)
 
     memo[gens] = result
     return result
 
 
-def numerator_of_quotient(ideal: MonomialIdeal) -> IntPolynomial:
+def numerator_of_quotient(ideal: MonomialIdeal) -> Numerator:
     """Numerator K with H_{A/I}(z) = K(z)/(1-z)^d over the ambient d.
 
     The generators are packed once, with one width for the whole recursion;
     intermediate numerators are memoized for the duration of this call only.
     """
     pk, gens = Packing.of(ideal)
-    return _numerator(gens, pk, {})
+    return _record(_numerator(gens, pk, {}))
 
 
-def dim_and_mult(numerator: IntPolynomial, ambient_d: int) -> tuple[int | None, int]:
+def dim_and_mult(numerator: Numerator, ambient_d: int) -> tuple[int | None, int]:
     """Factor K = (1-z)^s * h with h(1) != 0; return (ambient_d - s, h(1)).
 
-    The zero numerator denotes the empty module: (None, 0).  A nonpositive
-    h(1) cannot arise from a genuine module and raises InconsistencyError.
+    The j-th binomial moment of K, the sum of c_t C(t, j) over its terms
+    c_t z^t, is its j-th derivative at z = 1 over j!.  So s is the first j
+    with a nonzero moment, and that moment is (-1)^s h(1).  The zero
+    numerator denotes the empty module: (None, 0).  An s above ambient_d,
+    or a nonpositive h(1), cannot arise from a genuine module and raises
+    InconsistencyError.
     """
-    if numerator.is_zero():
+    if not numerator.degrees:
         return (None, 0)
-    h = numerator.coeffs
-    s = 0
-    while sum(h) == 0:
-        h = tuple(accumulate(h))[:-1]  # h / (1 - z): its prefix sums, the last being h(1) = 0
-        s += 1
-    if s > ambient_d:
-        raise InconsistencyError(
-            f"numerator vanishes to order {s} at z=1, above the ambient {ambient_d}"
-        )
-    e0 = sum(h)
-    if e0 <= 0:
-        raise InconsistencyError(f"nonzero module computed multiplicity {e0} <= 0")
-    return (ambient_d - s, e0)
+    terms = list(zip(numerator.degrees, numerator.coeffs))
+    for s in range(ambient_d + 1):
+        moment = sum(c * comb(t, s) for t, c in terms)
+        if moment:
+            e0 = -moment if s & 1 else moment
+            if e0 <= 0:
+                raise InconsistencyError(f"nonzero module computed multiplicity {e0} <= 0")
+            return (ambient_d - s, e0)
+    raise InconsistencyError(f"numerator vanishes at z=1 to an order above the ambient {ambient_d}")
 
 
 def quotient_module_data(inner: MonomialIdeal, outer: MonomialIdeal) -> HilbertData:
@@ -278,7 +264,7 @@ def packed_quotient_data(pk: Packing, inner: Iterable[int], outer: Iterable[int]
     inner, outer = tuple(inner), tuple(outer)
     d = len(pk.shifts)
     if inner == outer:
-        return HilbertData(numerator=IntPolynomial(), ambient_d=d, module_dim=None, e0=0)
+        return HilbertData(module_dim=None, e0=0)
     row = Row(pk, outer)
     for g in inner:
         if not row.has_divisor(g):
@@ -286,6 +272,5 @@ def packed_quotient_data(pk: Packing, inner: Iterable[int], outer: Iterable[int]
                 f"containment violated: generator with exponents {pk.unpack(g)} "
                 "of the inner ideal is not in the outer ideal"
             )
-    k = _numerator(inner, pk, {}) - _numerator(outer, pk, {})
-    module_dim, e0 = dim_and_mult(k, d)
-    return HilbertData(numerator=k, ambient_d=d, module_dim=module_dim, e0=e0)
+    k = _add(_numerator(inner, pk, {}), _numerator(outer, pk, {}), 0, -1)
+    return HilbertData(*dim_and_mult(_record(k), d))

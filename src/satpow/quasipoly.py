@@ -31,9 +31,6 @@ class QuasiPolynomial(namedtuple("QuasiPolynomial", "period degree coeffs onset"
 
     __slots__ = ()
 
-    def is_zero(self) -> bool:
-        return self.degree is None
-
 
 def evaluate(qp: QuasiPolynomial, n: int) -> Fraction:
     """Exact value sum_i a_i(n mod g) * n^i."""

@@ -9,8 +9,9 @@ from typing import Callable, Optional
 import pytest
 
 from satpow import (
-    IntPolynomial, MonomialIdeal, RingContext, height, minimalize, symbolic_power,
+    MonomialIdeal, Numerator, RingContext, height, minimalize, symbolic_power,
 )
+from satpow.core import Packing, Row
 
 
 @pytest.fixture
@@ -31,9 +32,17 @@ def ideal(ring: RingContext, *gens: tuple[int, ...]) -> MonomialIdeal:
     return minimalize(gens, ring)
 
 
+def contains_ideal(outer: MonomialIdeal, inner: MonomialIdeal) -> bool:
+    """True iff every generator of ``inner`` lies in ``outer``, by one packed ``Row`` of ``outer``."""
+    assert outer.ring == inner.ring
+    pk = Packing(outer.ring.var_count, max(map(max, outer.gens + inner.gens), default=0))
+    row = Row(pk, list(map(pk.pack, outer.gens)))
+    return all(row.has_divisor(pk.pack(g)) for g in inner.gens)
+
+
 def contains(i: MonomialIdeal, m: tuple[int, ...]) -> bool:
     """True iff the monomial ``m`` lies in ``i``, as containment of the principal ideal (m)."""
-    return i.contains_ideal(minimalize([m], i.ring))
+    return contains_ideal(i, minimalize([m], i.ring))
 
 
 def colon_monomial(i: MonomialIdeal, m: tuple[int, ...]) -> MonomialIdeal:
@@ -109,15 +118,16 @@ def random_ideal(
     return minimalize(gens, ring)
 
 
-def reference_numerator(ideal: MonomialIdeal) -> IntPolynomial:
+def reference_numerator(ideal: MonomialIdeal) -> Numerator:
     """Hilbert numerator K(A/I) by the degree-1 pivot recursion.
 
     Splits on the first variable x lying in two or more generator supports,
     K(A/I) = K(A/(I + (x))) + z * K(A/(I : x)), down to complete
-    intersections.  Independent of the library's pivot and minimalization.
+    intersections.  Independent of the library's pivot, minimalization and
+    sparse terms: the arithmetic is on dense coefficient lists.
     """
     d = ideal.ring.var_count
-    memo: dict[tuple[tuple[int, ...], ...], IntPolynomial] = {}
+    memo: dict[tuple[tuple[int, ...], ...], list[int]] = {}
 
     def minimal(cands) -> tuple[tuple[int, ...], ...]:
         cands = set(cands)
@@ -125,36 +135,55 @@ def reference_numerator(ideal: MonomialIdeal) -> IntPolynomial:
             sorted(g for g in cands if not member([h for h in cands if h != g], g))
         )
 
-    def numerator(gens: tuple[tuple[int, ...], ...]) -> IntPolynomial:
+    def numerator(gens: tuple[tuple[int, ...], ...]) -> list[int]:
         if gens in memo:
             return memo[gens]
         shared = [i for i in range(d) if sum(1 for g in gens if g[i] > 0) >= 2]
         if not shared:
-            result = IntPolynomial([1])
+            result = [1]
             for g in gens:
                 factor = [0] * (sum(g) + 1)
                 factor[0] = 1
                 factor[-1] -= 1
-                result = poly_product(result, IntPolynomial(factor))
+                result = dense_product(result, factor)
         else:
             x = shared[0]
             unit = tuple(1 if i == x else 0 for i in range(d))
             plus = minimal([g for g in gens if g[x] == 0] + [unit])
             colon = minimal(g[:x] + (max(g[x] - 1, 0),) + g[x + 1 :] for g in gens)
-            result = numerator(plus) + numerator(colon).shift(1)
+            result = dense_sum(numerator(plus), [0] + numerator(colon))
         memo[gens] = result
         return result
 
-    return numerator(minimal(ideal.gens))
+    return as_numerator(numerator(minimal(ideal.gens)))
 
 
-def poly_product(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
-    """The schoolbook product of two integer polynomials."""
-    out = [0] * (len(a.coeffs) + len(b.coeffs))
-    for i, x in enumerate(a.coeffs):
-        for j, y in enumerate(b.coeffs):
+def dense_product(a: list[int], b: list[int]) -> list[int]:
+    """The schoolbook product of two dense coefficient lists, z^0 first."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
             out[i + j] += x * y
-    return IntPolynomial(out)
+    return out
+
+
+def dense_sum(a: list[int], b: list[int]) -> list[int]:
+    """The sum of two dense coefficient lists, z^0 first."""
+    return [x + y for x, y in itertools.zip_longest(a, b, fillvalue=0)]
+
+
+def dense(numerator: Numerator) -> list[int]:
+    """The dense coefficient list of a ``Numerator``, z^0 first."""
+    out = [0] * (numerator.degrees[-1] + 1 if numerator.degrees else 0)
+    for t, c in zip(numerator.degrees, numerator.coeffs):
+        out[t] = c
+    return out
+
+
+def as_numerator(coeffs: list[int]) -> Numerator:
+    """The sparse ``Numerator`` of a dense coefficient list, z^0 first."""
+    terms = [(t, c) for t, c in enumerate(coeffs) if c]
+    return Numerator(tuple(t for t, _ in terms), tuple(c for _, c in terms))
 
 
 def hilbert_function_oracle(ideal: MonomialIdeal, degree_bound: int) -> list[int]:
@@ -184,12 +213,12 @@ def compositions(total: int, parts: int):
             yield (first,) + rest
 
 
-def expand_numerator(numerator: IntPolynomial, ambient_d: int, degree_bound: int) -> list[int]:
+def expand_numerator(numerator: Numerator, ambient_d: int, degree_bound: int) -> list[int]:
     """Power-series coefficients of K(z)/(1-z)^d up to degree_bound."""
     out = []
     for t in range(degree_bound + 1):
         total = 0
-        for j, c in enumerate(numerator.coeffs):
+        for j, c in zip(numerator.degrees, numerator.coeffs):
             if j > t:
                 break
             total += c * comb(t - j + ambient_d - 1, ambient_d - 1)
@@ -233,17 +262,17 @@ def check_filtration(
     if not levels[0].is_unit():
         return FiltrationReport(False, "J_0 is not the unit ideal")
     for n in range(nmax):
-        if not levels[n].contains_ideal(levels[n + 1]):
+        if not contains_ideal(levels[n], levels[n + 1]):
             return FiltrationReport(False, f"J_{n + 1} is not contained in J_{n}")
     power = MonomialIdeal.unit(base.ring)
     for n in range(1, nmax + 1):
         power = power.multiply(base)
-        if not levels[n].contains_ideal(power):
+        if not contains_ideal(levels[n], power):
             return FiltrationReport(False, f"I^{n} is not contained in J_{n}")
     for a in range(1, nmax):
         for b in range(a, nmax - a + 1):
             product = levels[a].multiply(levels[b])
-            if not levels[a + b].contains_ideal(product):
+            if not contains_ideal(levels[a + b], product):
                 return FiltrationReport(
                     False, f"J_{a} * J_{b} is not contained in J_{a + b}"
                 )

@@ -284,11 +284,16 @@ class TestCli:
             (["symbolic", "grade-saturating.ideal", "-n", "30"], "grade-saturating-symbolic-n30.txt"),
             (["colon", "three-vars.ideal"], "three-vars-colon.txt"),
             (["saturate", "three-vars.ideal"], "three-vars-saturate.txt"),
+            (["hilbert", "three-vars.ideal"], "three-vars-hilbert.txt"),
+            (["hilbert", "grade-saturating.ideal"], "grade-saturating-hilbert.txt"),
+            (["series", "huge-exponent.ideal", "--nmax", "5"], "huge-exponent-series-n5.txt"),
         ],
     )
     def test_three_variable_outputs_match_stored_bytes(self, argv, stored, capsys):
         # ideals in three variables, as computed before their intersections
-        # and products took the level sweep
+        # and products took the level sweep, and before the numerators were
+        # held as sparse terms; the last needs sparse terms, as a dense
+        # numerator of degree 10^12 does not fit in memory
         argv = [argv[0], str(DATA / argv[1]), *argv[2:]]
         assert cli.main(argv) == 0
         assert capsys.readouterr().out.encode() == (DATA / stored).read_bytes()

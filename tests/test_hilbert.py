@@ -10,8 +10,8 @@ import pytest
 
 from satpow import (
     InconsistencyError,
-    IntPolynomial,
     MonomialIdeal,
+    Numerator,
     RingContext,
     RingMismatchError,
     dim_and_mult,
@@ -24,44 +24,53 @@ from satpow.core import Packing
 from satpow.hilbert import _LEAF_GENS, _numerator
 
 from conftest import (
-    M, colon_monomial, compositions, dim_quotient, expand_numerator, hilbert_function_oracle,
-    ideal, monomials_up_to, poly_product, random_ideal, reference_numerator,
+    M, as_numerator, colon_monomial, compositions, dense, dense_product, dense_sum, dim_quotient,
+    expand_numerator, hilbert_function_oracle, ideal, monomials_up_to, random_ideal, reference_numerator,
 )
 
+# An exponent far past any dense coefficient list
+HUGE = 10**12
 
-class TestIntPolynomial:
-    def test_trims_trailing_zeros(self):
-        assert IntPolynomial([1, 2, 0, 0]).coeffs == (1, 2)
-        assert IntPolynomial([0, 0]).is_zero()
 
-    def test_arithmetic(self):
-        p = IntPolynomial([1, -1])
-        q = IntPolynomial([1, 1])
-        assert poly_product(p, q).coeffs == (1, 0, -1)
-        assert (p + q).coeffs == (2,)
-        assert (p - q).coeffs == (0, -2)
-        assert p.shift(2).coeffs == (0, 0, 1, -1)
-
-    def test_divide_one_minus_z(self):
-        # 1 - z^3 = (1 - z)(1 + z + z^2): one factor of (1 - z), and h(1) = 3
-        assert dim_and_mult(IntPolynomial([1, 0, 0, -1]), 1) == (0, 3)
+class TestNumeratorRecord:
+    def test_terms_are_sorted_and_nonzero(self, ring3):
+        rng = random.Random(37)
+        for _ in range(30):
+            k = numerator_of_quotient(random_ideal(rng, ring3))
+            assert list(k.degrees) == sorted(set(k.degrees))
+            assert len(k.coeffs) == len(k.degrees) and all(k.coeffs)
 
 
 class TestNumerator:
     def test_principal_ideal(self, ring2):
         k = numerator_of_quotient(ideal(ring2, (2, 0)))
-        assert k == IntPolynomial([1, 0, -1])
+        assert k == Numerator((0, 2), (1, -1))
         assert dim_and_mult(k, 2) == (1, 2)
 
     def test_unit_ideal_gives_zero(self, ring2):
         k = numerator_of_quotient(MonomialIdeal.unit(ring2))
-        assert k.is_zero()
+        assert k == Numerator((), ())
         assert dim_and_mult(k, 2) == (None, 0)
 
     def test_zero_ideal_gives_one(self, ring2):
         k = numerator_of_quotient(MonomialIdeal.zero(ring2))
-        assert k == IntPolynomial([1])
+        assert k == Numerator((0,), (1,))
         assert dim_and_mult(k, 2) == (2, 1)
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_pure_power_at_a_huge_exponent(self, d):
+        # (x^E): K = 1 - z^E, one factor of (1 - z) with h(1) = E
+        x_e = ideal(RingContext(("x", "y", "z")[:d]), (HUGE,) + (0,) * (d - 1))
+        k = numerator_of_quotient(x_e)
+        assert k == Numerator((0, HUGE), (1, -1))
+        assert dim_and_mult(k, d) == (d - 1, HUGE)
+
+    def test_triangle_at_a_huge_exponent(self, ring3):
+        # (x^E y^E, y^E z^E, z^E x^E): K = 1 - 3 z^(2E) + 2 z^(3E), e0 = 3 E^2
+        e = HUGE
+        k = numerator_of_quotient(ideal(ring3, (e, e, 0), (0, e, e), (e, 0, e)))
+        assert k == Numerator((0, 2 * e, 3 * e), (1, -3, 2))
+        assert dim_and_mult(k, 3) == (1, 3 * e * e)
 
     def test_triangle_matches_enumeration(self, ring3):
         tri = ideal(ring3, (1, 1, 0), (0, 1, 1), (1, 0, 1))
@@ -97,8 +106,9 @@ class TestNumerator:
                     x_k = M(*(k if j == v else 0 for j in range(3)))
                     plus = minimalize(list(i.gens) + [x_k], i.ring)
                     colon = colon_monomial(i, x_k)
-                    combined = numerator_of_quotient(plus) + numerator_of_quotient(colon).shift(k)
-                    assert combined == num
+                    shifted = [0] * k + dense(numerator_of_quotient(colon))
+                    combined = dense_sum(dense(numerator_of_quotient(plus)), shifted)
+                    assert as_numerator(combined) == num
 
     def test_dim_matches_minimal_primes(self, ring3):
         rng = random.Random(53)
@@ -113,15 +123,32 @@ class TestNumerator:
 
 
 class TestDimAndMult:
+    def test_divide_one_minus_z(self):
+        # 1 - z^3 = (1 - z)(1 + z + z^2): one factor of (1 - z), and h(1) = 3
+        assert dim_and_mult(Numerator((0, 3), (1, -1)), 1) == (0, 3)
+
+    def test_order_and_sign_of_the_first_nonzero_moment(self):
+        # (1 - z)^s (1 + z)^2 in s + 2 variables: dim 2, h(1) = 4, for odd and even s
+        for s in range(5):
+            k = [1, 2, 1]
+            for _ in range(s):
+                k = dense_product(k, [1, -1])
+            assert dim_and_mult(as_numerator(k), s + 2) == (2, 4)
+            assert dim_and_mult(as_numerator(k), s) == (0, 4)
+
     def test_rejects_nonpositive_multiplicity(self):
         with pytest.raises(InconsistencyError):
-            dim_and_mult(IntPolynomial([-1]), 2)
+            dim_and_mult(Numerator((0,), (-1,)), 2)
+        # -(1 - z) = z - 1: one factor of (1 - z) and h(1) = -1
+        with pytest.raises(InconsistencyError):
+            dim_and_mult(Numerator((0, 1), (-1, 1)), 2)
 
     def test_rejects_vanishing_beyond_ambient(self):
         # (1 - z)^3 on an ambient of 2 variables cannot come from a module
-        cube = IntPolynomial([1, -3, 3, -1])
+        cube = Numerator((0, 1, 2, 3), (1, -3, 3, -1))
         with pytest.raises(InconsistencyError):
             dim_and_mult(cube, 2)
+        assert dim_and_mult(cube, 3) == (0, 1)
 
 
 class TestQuotientModule:
@@ -135,7 +162,7 @@ class TestQuotientModule:
         data = quotient_module_data(i, i)
         assert data.module_dim is None
         assert data.e0 == 0
-        assert data.numerator.is_zero()
+        assert data == (None, 0)
 
     def test_equal_ideals_compute_no_numerator(self, ring2, monkeypatch):
         def fail(gens, pk, memo):
@@ -145,7 +172,7 @@ class TestQuotientModule:
         i = ideal(ring2, (2, 0), (1, 1), (0, 2))
         data = quotient_module_data(i, minimalize(list(i.gens), ring2))
         assert (data.module_dim, data.e0) == (None, 0)
-        assert data.numerator.is_zero()
+        assert data == (None, 0)
 
     def test_finite_length_two(self, ring2):
         # (x, y) / (x^2, xy, y^2) has the two monomials x and y
@@ -216,7 +243,24 @@ def test_numerator_is_deterministic(ring3):
 def test_internal_recursion_matches_public(ring3):
     tri = ideal(ring3, (1, 1, 0), (0, 1, 1), (1, 0, 1))
     pk, gens = Packing.of(tri)
-    assert _numerator(gens, pk, {}) == numerator_of_quotient(tri)
+    assert hilbert._record(_numerator(gens, pk, {})) == numerator_of_quotient(tri)
+
+
+def test_memo_entries_stay_the_numerators_of_their_ideals():
+    # the memo hands one term map to every caller, so no sum or product may
+    # change a map it reads: after the call each entry is still its ideal's
+    rng = random.Random(79)
+    ring = RingContext(("x", "y", "z", "w"))
+    entries = 0
+    for _ in range(8):
+        i = ideal_with_gens(rng, ring, 9, 3)
+        pk, gens = Packing.of(i)
+        memo: dict = {}
+        _numerator(gens, pk, memo)
+        entries += len(memo)
+        for key, terms in memo.items():
+            assert hilbert._record(terms) == reference_numerator(MonomialIdeal(ring, map(pk.unpack, key)))
+    assert entries > 8  # the recursion split, so the memo holds intermediate ideals
 
 
 def test_high_exponents_keep_the_recursion_limit(ring3):
@@ -224,9 +268,7 @@ def test_high_exponents_keep_the_recursion_limit(ring3):
     e = 12000
     limit = sys.getrecursionlimit()
     num = numerator_of_quotient(ideal(ring3, (e, e, 0), (0, e, e), (e, 0, e)))
-    expected = [0] * (3 * e + 1)
-    expected[0], expected[2 * e], expected[3 * e] = 1, -3, 2
-    assert num == IntPolynomial(expected)
+    assert num == Numerator((0, 2 * e, 3 * e), (1, -3, 2))
     assert dim_and_mult(num, 3) == (1, 3 * e * e)
     assert sys.getrecursionlimit() == limit
 
@@ -272,10 +314,7 @@ def test_high_exponents_past_the_leaves_keep_the_recursion_limit():
     limit = sys.getrecursionlimit()
     num = numerator_of_quotient(ideal(ring, *(tuple(e * x for x in g) for g in base)))
     small = reference_numerator(unscaled)
-    expected = [0] * (e * small.degree + 1)
-    for j, c in enumerate(small.coeffs):
-        expected[e * j] = c
-    assert num == IntPolynomial(expected)
+    assert num == Numerator(tuple(e * j for j in small.degrees), small.coeffs)
     assert sys.getrecursionlimit() == limit
 
 
@@ -369,7 +408,7 @@ class TestSweep:
             pk = Packing(4, 9)
             packed = tuple(map(pk.pack, tuples))
             i = minimalize(tuples, ring)
-            k = hilbert._sweep(packed, pk, pk.sweep_fields(packed))
+            k = hilbert._record(hilbert._sweep(packed, pk, pk.sweep_fields(packed)))
             assert k == reference_numerator(i)
             assert expand_numerator(k, 4, 9) == hilbert_function_oracle(i, 9)
 

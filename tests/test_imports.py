@@ -65,26 +65,30 @@ PUBLIC = [
     "MonomialIdeal", "RingContext", "minimalize",
     "InconsistencyError", "InsufficientDataError", "ParseError", "RingMismatchError", "ZeroIdealError",
     "SeriesSample", "dim_stabilization", "sample_series", "symbolic_power",
-    "HilbertData", "IntPolynomial", "dim_and_mult", "numerator_of_quotient", "quotient_module_data",
+    "HilbertData", "Numerator", "dim_and_mult", "numerator_of_quotient", "quotient_module_data",
     "QuasiPolynomial", "coeff_is_constant", "evaluate", "fit", "grade",
     "height",
     "__version__",
 ]
 
 # Names that left the package: test-only oracles now in tests/conftest.py,
-# members that had no caller or one caller they were folded into, the
-# monomial class with its divisibility function (a monomial is an exponent
-# tuple), and the period collapse that the ascending search made a no-op.
+# members that had no caller, one caller they were folded into, or only
+# tests as callers, the monomial class with its divisibility function (a
+# monomial is an exponent tuple), the period collapse that the ascending
+# search made a no-op, and the dense numerator class (a numerator is
+# sparse terms, a ``Numerator``).
 REMOVED_FROM_PACKAGE = [
     "check_filtration", "symbolic_provider", "FiltrationReport", "minimal_primes", "dim_quotient",
-    "Monomial", "divides",
+    "Monomial", "divides", "IntPolynomial",
 ]
 REMOVED_MEMBERS = {
     satpow.MonomialIdeal: [
         "from_monomials", "is_proper", "__iter__", "__contains__", "__mul__", "__pow__", "colon_monomial", "_gens",
-        "contains", "localizations",
+        "contains", "localizations", "contains_ideal",
     ],
-    satpow.IntPolynomial: ["coefficient", "__mul__", "value_at_one", "divide_one_minus_z"],
+    satpow.hilbert: ["IntPolynomial"],
+    satpow.HilbertData: ["numerator", "ambient_d"],
+    satpow.QuasiPolynomial: ["is_zero"],
     satpow.core.Packing: ["support_counts", "exponents"],
     satpow.harness: ["run_series", "run_fit"],
     satpow.quasipoly: ["_collapse_period"],
@@ -129,6 +133,7 @@ def _records():
         (ring, "var_names"),
         (satpow.SeriesSample(n=1, symbolic_ideal=ideal, module_dim=None, f=0), "f"),
         (satpow.quotient_module_data(ideal, ideal), "e0"),
+        (satpow.numerator_of_quotient(ideal), "degrees"),
         (satpow.fit([(n, 0) for n in range(1, 6)]), "period"),
         (pair, "base"),
         (CorpusEntry(name="a", pair=pair, expect={}), "name"),

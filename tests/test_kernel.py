@@ -15,14 +15,14 @@ from operator import add
 import pytest
 
 from satpow import (
-    IntPolynomial, MonomialIdeal, RingContext, minimalize, numerator_of_quotient, symbolic_power,
+    MonomialIdeal, Numerator, RingContext, minimalize, numerator_of_quotient, symbolic_power,
 )
 from satpow.cli import default_corpus_path
 from satpow.core import Packing, Row
 from satpow.hilbert import _LEAF_GENS, _pick_pivot
 from satpow.parsing import load_corpus
 
-from conftest import colon_monomial, contains, reference_minimal, reference_numerator
+from conftest import as_numerator, colon_monomial, contains, contains_ideal, reference_minimal, reference_numerator
 
 NAMES = ("a", "b", "c", "d", "e", "f", "g")
 BOUNDARY = sorted({0, 1} | {2**k - 1 for k in range(1, 15)} | {2**k for k in range(1, 15)})
@@ -312,13 +312,31 @@ def test_minimal_at_degree_block_boundaries():
             assert packed_minimal(d, cands + cands[::2]) == reference_minimal(cands)
 
 
+def test_minimal_tests_no_candidate_against_an_empty_row(monkeypatch):
+    # the first degree has no kept element below it, so a list of one degree,
+    # like the sums of a product of equigenerated ideals, takes no test at all
+    calls = []
+    has_divisor = Row.has_divisor
+    monkeypatch.setattr(Row, "has_divisor", lambda row, p: calls.append(p) or has_divisor(row, p))
+    cubics = [t for t in product(range(4), repeat=4) if sum(t) == 3]
+    assert packed_minimal(4, cubics) == sorted(cubics, reverse=True)
+    assert calls == []
+    r = ring(4)
+    square = build(r, [(1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1), (1, 0, 0, 1)])
+    assert len(square.multiply(square).gens) == 9
+    assert calls == []
+    # a second degree tests each of its candidates once
+    assert packed_minimal(2, [(1, 0), (0, 1), (2, 0), (1, 1), (0, 3)]) == [(1, 0), (0, 1)]
+    assert len(calls) == 3
+
+
 def test_contains_matches_oracle():
     for r, a, b, m in instances(127, 12):
         i, ra = build(r, a), reference_minimal(a)
         for w in b + [m]:
             assert contains(i, w) == member(ra, w)
             assert contains(build(r, [w]), m) == member([w], m)
-        assert i.contains_ideal(build(r, b)) == all(member(ra, w) for w in b)
+        assert contains_ideal(i, build(r, b)) == all(member(ra, w) for w in b)
 
 
 @pytest.mark.parametrize("low, high", [(127, 1), (255, 255), (2**14 - 1, 1), (2**14, 2**14)])
@@ -352,13 +370,13 @@ def test_numerators_at_boundary_exponents_match_oracle():
                 assert numerator_of_quotient(i) == reference_numerator(i)
 
 
-def subset_sum_numerator(gens: list[tuple[int, ...]]) -> IntPolynomial:
+def subset_sum_numerator(gens: list[tuple[int, ...]]) -> Numerator:
     """K as the sum over subsets S of the generators of (-1)^|S| z^(deg lcm S)."""
     coeffs = [0] * (sum(map(max, zip(*gens))) + 1)
     for r in range(len(gens) + 1):
         for s in combinations(gens, r):
             coeffs[sum(map(max, zip(*s))) if s else 0] += (-1) ** r
-    return IntPolynomial(coeffs)
+    return as_numerator(coeffs)
 
 
 def test_numerators_past_the_leaves_at_boundary_exponents():

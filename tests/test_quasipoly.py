@@ -29,7 +29,7 @@ class TestFitBasics:
     def test_zero_function(self):
         qp = fit([(n, 0) for n in range(1, 9)])
         assert qp.degree is None
-        assert qp.is_zero()
+        assert qp.coeffs == ()
         assert qp.period == 1
         assert evaluate(qp, 100) == 0
 
