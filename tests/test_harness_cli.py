@@ -36,6 +36,14 @@ EDGE_FILE = (
     "J: t0, w1, g2, a3, e4, p5\n"
 )
 
+
+def assert_stored_bytes(argv, stored, capsys):
+    """``satpow`` on ``argv``, its file under ``tests/data``, prints the bytes of ``stored``."""
+    argv = [argv[0], str(DATA / argv[1]), *argv[2:]]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out.encode() == (DATA / stored).read_bytes()
+
+
 TRIANGLE_ENTRY = {
     "name": "triangle",
     "ring": ["x", "y", "z"],
@@ -294,9 +302,21 @@ class TestCli:
         # and products took the level sweep, and before the numerators were
         # held as sparse terms; the last needs sparse terms, as a dense
         # numerator of degree 10^12 does not fit in memory
-        argv = [argv[0], str(DATA / argv[1]), *argv[2:]]
-        assert cli.main(argv) == 0
-        assert capsys.readouterr().out.encode() == (DATA / stored).read_bytes()
+        assert_stored_bytes(argv, stored, capsys)
+
+    @pytest.mark.parametrize(
+        "argv, stored",
+        [
+            (["series", "edge-graph.ideal", "--nmax", "6"], "edge-graph-series-n6.txt"),
+            (["hilbert", "edge-graph-cube.ideal"], "edge-graph-cube-hilbert.txt"),
+        ],
+    )
+    def test_six_variable_outputs_match_stored_bytes(self, argv, stored, capsys):
+        # the edge graph of EDGE_FILE and its cube, as computed before a
+        # series sample kept only the generator count of its saturation;
+        # their numerators take the pivot split and the complete-intersection
+        # product, which no benchmark workload reaches
+        assert_stored_bytes(argv, stored, capsys)
 
     def test_verify_insufficient_exits_two(self, tmp_path):
         corpus = tmp_path / "corpus.json"
