@@ -137,9 +137,6 @@ class Packing:
     def unpack(self, p: int) -> Exponents:
         return tuple(p >> s & self.value for s in self.shifts)
 
-    def degree(self, p: int) -> int:
-        return p >> self.top
-
     # -- the antichain filter -------------------------------------------------
 
     def minimal(self, cands: Iterable[int]) -> list[int]:

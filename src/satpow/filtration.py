@@ -22,9 +22,9 @@ cheap, where saturating I^n itself takes colons of its many generators.
 A series lives in one ``core.Packing``, sized for its top power: the
 localizations, every rung of every ladder, each intersection and the
 Hilbert numerators of each quotient work on the same packed ints.  Only
-the saturations handed back are unpacked.  Samples for distinct n are
-independent once the power ladders exist; all returned values are
-immutable.
+``symbolic_power`` unpacks a saturation; a sample keeps its generator
+count.  Samples for distinct n are independent once the power ladders
+exist; all returned values are immutable.
 """
 from __future__ import annotations
 
@@ -36,8 +36,8 @@ from .errors import InsufficientDataError, ZeroIdealError
 from .hilbert import packed_quotient_data
 
 
-class SeriesSample(namedtuple("SeriesSample", "n symbolic_ideal module_dim f")):
-    """One row of the series: n, the saturated ideal, and dim/e0 of the quotient.
+class SeriesSample(namedtuple("SeriesSample", "n symbolic_gens module_dim f")):
+    """One row of the series: n, the generator count of (I^n : J^inf), and dim/e0 of the quotient.
 
     ``module_dim`` is None when the quotient is the empty module (the
     saturated power equals the ordinary power), in which case f is 0.
@@ -84,12 +84,7 @@ def sample_series(
     for n in range(1, nmax + 1):
         symbolic = pk.meet(ladders) if ladders else power
         data = packed_quotient_data(pk, power, symbolic)
-        samples.append(SeriesSample(
-            n=n,
-            symbolic_ideal=MonomialIdeal._from_packed(base.ring, pk, symbolic),
-            module_dim=data.module_dim,
-            f=data.e0,
-        ))
+        samples.append(SeriesSample(n, len(symbolic), data.module_dim, data.e0))
         if n < nmax:
             power = pk.product(power, gens)
             ladders = [pk.product(ladder, step) for ladder, step in zip(ladders, steps)]

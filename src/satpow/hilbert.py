@@ -204,8 +204,8 @@ def _numerator(gens: tuple[int, ...], pk: Packing, memo: dict[tuple[int, ...], T
         if pivot < 0:
             # pairwise disjoint supports: complete intersection, K = prod(1 - z^deg)
             result = {0: 1}
-            for deg in map(pk.degree, gens):
-                result = _add(result, result, deg, -1)
+            for g in gens:
+                result = _add(result, result, g >> pk.top, -1)
         else:
             plus_x, colon_x = pk.split(gens, pivot, k)
             result = _add(_numerator(plus_x, pk, memo), _numerator(colon_x, pk, memo), k, 1)

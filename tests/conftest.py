@@ -9,7 +9,8 @@ from typing import Callable, Optional
 import pytest
 
 from satpow import (
-    MonomialIdeal, Numerator, RingContext, height, minimalize, symbolic_power,
+    MonomialIdeal, Numerator, RingContext, SeriesSample, filtration, height, minimalize, sample_series,
+    symbolic_power,
 )
 from satpow.core import Packing, Row
 
@@ -43,6 +44,30 @@ def contains_ideal(outer: MonomialIdeal, inner: MonomialIdeal) -> bool:
 def contains(i: MonomialIdeal, m: tuple[int, ...]) -> bool:
     """True iff the monomial ``m`` lies in ``i``, as containment of the principal ideal (m)."""
     return contains_ideal(i, minimalize([m], i.ring))
+
+
+def sample_series_with_saturations(
+    base: MonomialIdeal, saturator: MonomialIdeal, nmax: int
+) -> list[tuple[SeriesSample, MonomialIdeal]]:
+    """``sample_series`` with the saturation of each sample, as the ideal.
+
+    A spy on ``filtration.packed_quotient_data`` unpacks the outer ideal
+    that each sample's quotient is taken in, and each sample's
+    ``symbolic_gens`` must be its generator count.
+    """
+    saturations = []
+    real = filtration.packed_quotient_data
+
+    def spy(pk, inner, outer):
+        outer = tuple(outer)
+        saturations.append(MonomialIdeal._from_packed(base.ring, pk, outer))
+        return real(pk, inner, outer)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(filtration, "packed_quotient_data", spy)
+        samples = sample_series(base, saturator, nmax)
+    assert [s.symbolic_gens for s in samples] == list(map(len, saturations))
+    return list(zip(samples, saturations))
 
 
 def colon_monomial(i: MonomialIdeal, m: tuple[int, ...]) -> MonomialIdeal:

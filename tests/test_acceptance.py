@@ -23,7 +23,6 @@ from satpow import (
     minimalize,
     numerator_of_quotient,
     quotient_module_data,
-    sample_series,
 )
 from satpow.cli import default_corpus_path
 from satpow.harness import (
@@ -36,7 +35,8 @@ from satpow.hilbert import dim_and_mult
 from satpow.parsing import load_corpus
 
 from conftest import (
-    check_filtration, colon_monomial, contains, expand_numerator, hilbert_function_oracle, symbolic_provider,
+    check_filtration, colon_monomial, contains, expand_numerator, hilbert_function_oracle,
+    sample_series_with_saturations, symbolic_provider,
 )
 from test_quasipoly import random_quasipoly
 
@@ -191,22 +191,22 @@ def test_criterion_3_triangle():
     j = minimalize([(1, 0, 0), (0, 1, 0), (0, 0, 1)], ring)
     xyz = (1, 1, 1)
 
-    samples = sample_series(tri, j, 10)
-    second = samples[1]
-    assert contains(second.symbolic_ideal, xyz)
+    pairs = sample_series_with_saturations(tri, j, 10)
+    second, second_saturation = pairs[1]
+    assert contains(second_saturation, xyz)
     assert not contains(tri.power(2), xyz)
-    assert all(s.module_dim == 0 for s in samples if s.n >= 2)
+    assert all(s.module_dim == 0 for s, _ in pairs if s.n >= 2)
 
     # f(2) derived by enumeration: count the standard-monomial gap between
     # I^2 and its saturation, confirming the counts agree beyond the window
     inner = hilbert_function_oracle(tri.power(2), 12)
-    outer = hilbert_function_oracle(second.symbolic_ideal, 12)
+    outer = hilbert_function_oracle(second_saturation, 12)
     gaps = [a - b for a, b in zip(inner, outer)]
     assert gaps[-4:] == [0, 0, 0, 0], "gap is not finite in the window"
     expected_f2 = sum(gaps)
     assert expected_f2 == 1
     assert second.f == expected_f2
-    assert quotient_module_data(tri.power(2), second.symbolic_ideal).e0 == expected_f2
+    assert quotient_module_data(tri.power(2), second_saturation).e0 == expected_f2
 
 
 @criterion("criterion 4: a_c constant and positive; dim stabilizes (corpus)", 300)

@@ -15,9 +15,12 @@ from satpow import (
 )
 from satpow import hilbert
 from satpow.cli import default_corpus_path
+from satpow.harness import run_verify
 from satpow.parsing import load_corpus
 
-from conftest import M, check_filtration, contains, contains_ideal, ideal, symbolic_provider
+from conftest import (
+    M, check_filtration, contains, contains_ideal, ideal, sample_series_with_saturations, symbolic_provider,
+)
 
 # a 6-vertex graph: the 6-cycle 0-1-2-4-5-3-0 and the chords 0-2, 0-4, 1-3
 EDGE_GRAPH = ((0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (2, 4), (3, 5), (4, 5))
@@ -84,10 +87,11 @@ class TestSampleSeries:
     def test_maximal_ideal_saturated_by_own_generator(self, ring2):
         # I = (x, y), J = (x): x^n lies in I^n, so (I^n : x^inf) is the unit
         # ideal and f(n) is the length of A/(x,y)^n, the triangular numbers
-        samples = sample_series(
+        pairs = sample_series_with_saturations(
             ideal(ring2, (1, 0), (0, 1)), ideal(ring2, (1, 0)), 6
         )
-        assert all(s.symbolic_ideal.is_unit() for s in samples)
+        samples = [s for s, _ in pairs]
+        assert all(saturation.is_unit() for _, saturation in pairs)
         assert [s.f for s in samples] == [n * (n + 1) // 2 for n in range(1, 7)]
         assert all(s.module_dim == 0 for s in samples)
 
@@ -153,9 +157,8 @@ class TestCheckFiltration:
 
 class TestDimStabilization:
     def _samples(self, dims, ring):
-        unit = MonomialIdeal.unit(ring)
         return [
-            SeriesSample(n=i + 1, symbolic_ideal=unit, module_dim=d, f=0)
+            SeriesSample(n=i + 1, symbolic_gens=1, module_dim=d, f=0)
             for i, d in enumerate(dims)
         ]
 
@@ -183,16 +186,15 @@ class TestDimStabilization:
 
 class TestFiltrationInvariants:
     def test_symbolic_powers_contain_ordinary_and_descend(self, triangle, variables):
-        samples = sample_series(triangle, variables, 8)
         power = triangle
         previous = None
-        for s in samples:
-            assert contains_ideal(s.symbolic_ideal, power)
-            sat = s.symbolic_ideal.colon_ideal(variables)
-            assert sat == s.symbolic_ideal
+        for _, saturation in sample_series_with_saturations(triangle, variables, 8):
+            assert contains_ideal(saturation, power)
+            sat = saturation.colon_ideal(variables)
+            assert sat == saturation
             if previous is not None:
-                assert contains_ideal(previous, s.symbolic_ideal)
-            previous = s.symbolic_ideal
+                assert contains_ideal(previous, saturation)
+            previous = saturation
             power = power.multiply(triangle)
 
     def test_multiplicativity(self, triangle, variables):
@@ -208,10 +210,10 @@ class TestLocalizedLadders:
     def test_series_matches_the_fold_on_the_corpus(self):
         for entry in load_corpus(default_corpus_path()):
             base, saturator = entry.pair.base, entry.pair.saturator
-            for s in sample_series(base, saturator, 12):
+            for s, sample_saturation in sample_series_with_saturations(base, saturator, 12):
                 power = base.power(s.n)
                 saturation = power.saturate_ideal(saturator)
-                assert s.symbolic_ideal == saturation, entry.name
+                assert sample_saturation == saturation, entry.name
                 data = quotient_module_data(power, saturation)
                 assert (s.f, s.module_dim) == (data.e0, data.module_dim), (entry.name, s.n)
 
@@ -221,6 +223,21 @@ class TestLocalizedLadders:
         for entry in load_corpus(default_corpus_path()):
             base, saturator = entry.pair.base, entry.pair.saturator
             assert sample_series(base, saturator, 12)[:6] == sample_series(base, saturator, 6), entry.name
+
+    def test_verify_builds_no_ideal_past_loading(self, monkeypatch):
+        # every ladder, saturation and numerator stays packed, and a sample
+        # keeps only the generator count of its saturation
+        entries = load_corpus(default_corpus_path())
+        built = []
+        real = MonomialIdeal.__init__
+
+        def counting(self, ring, exps):
+            built.append(ring)
+            real(self, ring, exps)
+
+        monkeypatch.setattr(MonomialIdeal, "__init__", counting)
+        run_verify(entries, nmax=20, min_tail=2)
+        assert len(built) == 0
 
     def test_unit_saturator_computes_no_numerator(self, monkeypatch):
         # every saturation equals I^n, so each quotient is the empty module

@@ -89,7 +89,8 @@ REMOVED_MEMBERS = {
     satpow.hilbert: ["IntPolynomial"],
     satpow.HilbertData: ["numerator", "ambient_d"],
     satpow.QuasiPolynomial: ["is_zero"],
-    satpow.core.Packing: ["support_counts", "exponents"],
+    satpow.core.Packing: ["support_counts", "exponents", "degree"],
+    satpow.SeriesSample: ["symbolic_ideal"],
     satpow.harness: ["run_series", "run_fit"],
     satpow.quasipoly: ["_collapse_period"],
 }
@@ -131,7 +132,7 @@ def _records():
     )
     return [
         (ring, "var_names"),
-        (satpow.SeriesSample(n=1, symbolic_ideal=ideal, module_dim=None, f=0), "f"),
+        (satpow.SeriesSample(n=1, symbolic_gens=1, module_dim=None, f=0), "f"),
         (satpow.quotient_module_data(ideal, ideal), "e0"),
         (satpow.numerator_of_quotient(ideal), "degrees"),
         (satpow.fit([(n, 0) for n in range(1, 6)]), "period"),
