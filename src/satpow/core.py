@@ -431,10 +431,6 @@ class MonomialIdeal:
         return cls(ring, map(pk.unpack, gens))
 
     @classmethod
-    def zero(cls, ring: RingContext) -> "MonomialIdeal":
-        return cls(ring, [])
-
-    @classmethod
     def unit(cls, ring: RingContext) -> "MonomialIdeal":
         return cls(ring, [(0,) * ring.var_count])
 

@@ -5,8 +5,10 @@ each coefficient a_i periodic of period g and a_c not identically zero.  The
 fitter works residue class by residue class with exact finite differences:
 inside one class the sequence has stride g, so vanishing differences of
 order k pin a polynomial of degree k-1 and every further vanishing entry is
-a verification point.  No floating point anywhere; fits interpolate sample
-tails exactly or fail loudly.
+a verification point.  The polynomial is read off the rows of that same
+scan in Newton forward form.  Samples are differenced as given (an int
+series stays int), and only the coefficients are Fractions.  No floating
+point anywhere; fits interpolate sample tails exactly or fail loudly.
 """
 from __future__ import annotations
 
@@ -68,49 +70,28 @@ def grade(qp: QuasiPolynomial) -> int:
 # Fitting
 # ---------------------------------------------------------------------------
 
-def _interpolate(xs: Sequence[int], ys: Sequence[Fraction]) -> list[Fraction]:
-    """Coefficients (low degree first) of the polynomial through the points."""
-    dd = [Fraction(y) for y in ys]
-    newton = [dd[0]]
-    for level in range(1, len(xs)):
-        dd = [
-            (dd[i + 1] - dd[i]) / (xs[i + level] - xs[i])
-            for i in range(len(dd) - 1)
-        ]
-        newton.append(dd[0])
-    poly = [Fraction(0)]
-    basis = [Fraction(1)]
-    for i, c in enumerate(newton):
-        if len(basis) > len(poly):
-            poly.extend([Fraction(0)] * (len(basis) - len(poly)))
-        for t, b in enumerate(basis):
-            poly[t] += c * b
-        nxt = [Fraction(0)] * (len(basis) + 1)
-        for t, b in enumerate(basis):
-            nxt[t] -= b * xs[i]
-            nxt[t + 1] += b
-        basis = nxt
-    while poly and poly[-1] == 0:
-        poly.pop()
-    return poly
-
-
 def _fit_class(
-    class_ns: Sequence[int], vals: Sequence[Fraction], min_tail: int
+    class_ns: Sequence[int], vals: Sequence[ExactNumber], min_tail: int
 ) -> tuple[list[Fraction], int] | None:
     """Polynomial fit of the longest suffix of one residue class.
 
     Scans difference orders k = 1, 2, ...; order k with a trailing run of z
     zero entries pins a degree-(k-1) polynomial on the last z + k points,
     verified by the z vanishing entries.  Requires z >= min_tail; prefers the
-    longest matched suffix, then the lowest degree.  Returns (coefficients in
-    n, onset n) or None.
+    longest matched suffix, then the lowest degree; a class of fewer than
+    min_tail + 1 samples never fits.  The scan keeps its rows and the
+    polynomial is read off them in Newton forward form: with stride g, the
+    coefficient of order i at the suffix start j0 is Delta^i v[j0] / (i! g^i).
+    The samples are differenced as given, so an int series stays int until
+    that division.  Returns (coefficients in n, onset n) or None.
     """
     m = len(vals)
     best: tuple[int, int] | None = None  # (suffix start j0, order k)
-    diffs = list(vals)
+    rows = [list(vals)]
     for k in range(1, m):
-        diffs = [diffs[i + 1] - diffs[i] for i in range(len(diffs) - 1)]
+        prev = rows[-1]
+        diffs = [prev[i + 1] - prev[i] for i in range(len(prev) - 1)]
+        rows.append(diffs)
         z = 0
         for entry in reversed(diffs):
             if entry != 0:
@@ -123,19 +104,28 @@ def _fit_class(
     if best is None:
         return None
     j0, k = best
-    poly = _interpolate(class_ns[j0 : j0 + k], vals[j0 : j0 + k])
-    return poly, class_ns[j0]
+    x0, g = class_ns[j0], class_ns[1] - class_ns[0]
+    poly = [Fraction(0)] * k
+    basis = [1]  # prod_{t < i} (n - x0 - g t), low degree first
+    scale = 1  # i! g^i
+    for i in range(k):
+        c = Fraction(rows[i][j0], scale)
+        for t, b in enumerate(basis):
+            poly[t] += c * b
+        basis = [a - (x0 + g * i) * b for a, b in zip([0] + basis, basis + [0])]
+        scale *= (i + 1) * g
+    while poly and poly[-1] == 0:
+        poly.pop()
+    return poly, x0
 
 
 def _try_period(
-    ns: Sequence[int], vs: Sequence[Fraction], g: int, min_tail: int
+    ns: Sequence[int], vs: Sequence[ExactNumber], g: int, min_tail: int
 ) -> QuasiPolynomial | None:
     rows: list[tuple[list[Fraction], int]] = []
     for r in range(g):
-        pts = [(n, v) for n, v in zip(ns, vs) if n % g == r]
-        if len(pts) < min_tail + 1:
-            return None
-        fit_r = _fit_class([n for n, _ in pts], [v for _, v in pts], min_tail)
+        start = (r - ns[0]) % g
+        fit_r = _fit_class(ns[start::g], vs[start::g], min_tail)
         if fit_r is None:
             return None
         rows.append(fit_r)
@@ -175,16 +165,17 @@ def fit(
     for a, b in zip(ns, ns[1:]):
         if b != a + 1:
             raise ValueError("samples must be at consecutive n")
-    vs: list[Fraction] = []
+    vs: list[ExactNumber] = []
     for _, v in samples:
         if isinstance(v, float):
             raise TypeError("samples must be exact (int or Fraction), not float")
-        vs.append(Fraction(v))
+        vs.append(v if isinstance(v, int) else Fraction(v))
 
     # A period above len(vs) // (min_tail + 1) leaves some residue class with
-    # fewer than min_tail + 1 samples, which _try_period rejects.  A fit whose
-    # columns repeat with a proper divisor g2 of g is never reached: each class
-    # mod g2 then lies on one polynomial from its latest onset on, so g2 fit first.
+    # fewer than min_tail + 1 samples, which _fit_class never fits.  A fit
+    # whose columns repeat with a proper divisor g2 of g is never reached: each
+    # class mod g2 then lies on one polynomial from its latest onset on, so g2
+    # fit first.
     for g in range(1, len(vs) // (min_tail + 1) + 1):
         attempt = _try_period(ns, vs, g, min_tail)
         if attempt is not None:

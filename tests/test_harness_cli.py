@@ -295,13 +295,19 @@ class TestCli:
             (["hilbert", "three-vars.ideal"], "three-vars-hilbert.txt"),
             (["hilbert", "grade-saturating.ideal"], "grade-saturating-hilbert.txt"),
             (["series", "huge-exponent.ideal", "--nmax", "5"], "huge-exponent-series-n5.txt"),
+            (["fit", "grade-saturating.ideal", "--nmax", "20", "--min-tail", "2", "--format", "json"],
+             "grade-saturating-fit-n20.json"),
+            (["fit", "huge-exponent.ideal", "--nmax", "20", "--min-tail", "2"], "huge-exponent-fit-n20.txt"),
         ],
     )
     def test_three_variable_outputs_match_stored_bytes(self, argv, stored, capsys):
         # ideals in three variables, as computed before their intersections
         # and products took the level sweep, and before the numerators were
-        # held as sparse terms; the last needs sparse terms, as a dense
-        # numerator of degree 10^12 does not fit in memory
+        # held as sparse terms; the huge-exponent series needs sparse terms,
+        # as a dense numerator of degree 10^12 does not fit in memory.  The
+        # two fits, of period 2 with a_0 and a_1 not constant and of period 3
+        # with coefficients near 10^13, were stored before the fitter read
+        # its coefficients off its difference rows
         assert_stored_bytes(argv, stored, capsys)
 
     @pytest.mark.parametrize(

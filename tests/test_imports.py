@@ -75,8 +75,9 @@ PUBLIC = [
 # members that had no caller, one caller they were folded into, or only
 # tests as callers, the monomial class with its divisibility function (a
 # monomial is an exponent tuple), the period collapse that the ascending
-# search made a no-op, and the dense numerator class (a numerator is
-# sparse terms, a ``Numerator``).
+# search made a no-op, the dense numerator class (a numerator is sparse
+# terms, a ``Numerator``), and the fitter's second interpolation (it reads
+# its coefficients off the difference rows it already built).
 REMOVED_FROM_PACKAGE = [
     "check_filtration", "symbolic_provider", "FiltrationReport", "minimal_primes", "dim_quotient",
     "Monomial", "divides", "IntPolynomial",
@@ -84,7 +85,7 @@ REMOVED_FROM_PACKAGE = [
 REMOVED_MEMBERS = {
     satpow.MonomialIdeal: [
         "from_monomials", "is_proper", "__iter__", "__contains__", "__mul__", "__pow__", "colon_monomial", "_gens",
-        "contains", "localizations", "contains_ideal",
+        "contains", "localizations", "contains_ideal", "zero",
     ],
     satpow.hilbert: ["IntPolynomial"],
     satpow.HilbertData: ["numerator", "ambient_d"],
@@ -92,7 +93,7 @@ REMOVED_MEMBERS = {
     satpow.core.Packing: ["support_counts", "exponents", "degree"],
     satpow.SeriesSample: ["symbolic_ideal"],
     satpow.harness: ["run_series", "run_fit"],
-    satpow.quasipoly: ["_collapse_period"],
+    satpow.quasipoly: ["_collapse_period", "_interpolate"],
 }
 
 

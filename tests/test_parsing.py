@@ -114,7 +114,7 @@ class TestIdealFile:
     def test_zero_ideal_formats_as_zero(self, ring3):
         from satpow import MonomialIdeal
 
-        assert format_ideal(MonomialIdeal.zero(ring3)) == "0"
+        assert format_ideal(MonomialIdeal(ring3, ())) == "0"
 
 
 class TestCorpus:

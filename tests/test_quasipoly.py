@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -49,6 +50,33 @@ class TestFitBasics:
         assert (qp.period, qp.degree) == (1, 2)
         assert qp.coeffs[2] == (Fraction(1, 2),)
         assert qp.coeffs[1] == (Fraction(1, 2),)
+
+    def test_int_samples_are_differenced_as_ints(self, monkeypatch):
+        seen = []
+        fit_class = quasipoly._fit_class
+        monkeypatch.setattr(
+            quasipoly, "_fit_class", lambda ns, vals, t: seen.append(vals) or fit_class(ns, vals, t)
+        )
+        qp = fit(series(lambda n: n * n + n % 2, 1, 12), min_tail=2)
+        assert (qp.period, qp.degree) == (2, 2)
+        assert seen and all(type(v) is int for vals in seen for v in vals)
+        assert all(type(a) is Fraction for row in qp.coeffs for a in row)
+
+    def test_decimal_samples_fit_exactly(self):
+        # 11/10 n^2 + n/2 + (n mod 3)/4, given as Decimals
+        qp = fit(series(lambda n: Decimal("1.1") * n * n + Decimal("0.5") * n + Decimal("0.25") * (n % 3), 1, 15),
+                 min_tail=2)
+        assert qp == QuasiPolynomial(
+            period=3,
+            degree=2,
+            coeffs=(
+                (Fraction(0), Fraction(1, 4), Fraction(1, 2)),
+                (Fraction(1, 2),) * 3,
+                (Fraction(11, 10),) * 3,
+            ),
+            onset=3,
+        )
+        assert all(type(a) is Fraction for row in qp.coeffs for a in row)
 
 
 class TestEvaluate:
@@ -156,6 +184,15 @@ def random_quasipoly(rng: random.Random, g_max: int = 4, c_max: int = 3) -> Quas
     return QuasiPolynomial(period=d, degree=c, coeffs=tuple(row[:d] for row in rows), onset=1)
 
 
+def fit_as_ints_and_as_fractions(samples, **kwargs) -> QuasiPolynomial:
+    """``fit`` of ``samples`` with integral values as ints, equal to the fit of all as Fractions."""
+    as_ints = [(n, int(v) if Fraction(v).denominator == 1 else v) for n, v in samples]
+    qp = fit(as_ints, **kwargs)
+    assert fit([(n, Fraction(v)) for n, v in samples], **kwargs) == qp
+    assert all(type(a) is Fraction for row in qp.coeffs for a in row)
+    return qp
+
+
 class TestRoundTrip:
     def test_regenerates_random_quasipolynomials(self):
         rng = random.Random(20260811)
@@ -163,7 +200,7 @@ class TestRoundTrip:
             qp = random_quasipoly(rng)
             window = (qp.degree + 2) * qp.period + 5
             samples = [(n, evaluate(qp, n)) for n in range(1, window + 1)]
-            refit = fit(samples, min_tail=2)
+            refit = fit_as_ints_and_as_fractions(samples, min_tail=2)
             assert refit.period == qp.period
             assert refit.degree == qp.degree
             assert refit.coeffs == qp.coeffs
@@ -180,7 +217,7 @@ class TestRoundTrip:
                 (n, v + (Fraction(rng.randint(1, 5)) if i < head else 0))
                 for i, (n, v) in enumerate(samples)
             ]
-            refit = fit(noisy, min_tail=2)
+            refit = fit_as_ints_and_as_fractions(noisy, min_tail=2)
             for n, v in noisy:
                 if n >= refit.onset:
                     assert evaluate(refit, n) == v
@@ -188,7 +225,7 @@ class TestRoundTrip:
     def test_minimality_of_fitted_period(self):
         # f(n) = n + (n mod 2) written with period 4: columns a, b, a, b fit at period 2
         long = QuasiPolynomial(period=4, degree=1, coeffs=((0, 1, 0, 1), (1, 1, 1, 1)), onset=1)
-        qp = fit([(n, evaluate(long, n)) for n in range(1, 25)], min_tail=2)
+        qp = fit_as_ints_and_as_fractions([(n, evaluate(long, n)) for n in range(1, 25)], min_tail=2)
         assert (qp.period, qp.degree) == (2, 1)
         assert qp.coeffs == ((0, 1), (1, 1))
         assert [evaluate(qp, n) for n in range(1, 9)] == [n + n % 2 for n in range(1, 9)]
@@ -200,6 +237,7 @@ class TestRoundTrip:
             coeffs = tuple(row * (g // short.period) for row in short.coeffs)
             long = QuasiPolynomial(period=g, degree=short.degree, coeffs=coeffs, onset=1)
             window = (long.degree + 2) * g + 5
-            qp = fit([(n, evaluate(long, n)) for n in range(1, window + 1)], min_tail=2)
+            samples = [(n, evaluate(long, n)) for n in range(1, window + 1)]
+            qp = fit_as_ints_and_as_fractions(samples, min_tail=2)
             assert (qp.period, qp.degree) == (short.period, short.degree)
             assert qp.coeffs == short.coeffs

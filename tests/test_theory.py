@@ -54,10 +54,10 @@ def test_height_and_dim(ring3, ring2):
 
 def test_zero_and_unit_rejected(ring2):
     with pytest.raises(ValueError):
-        minimal_primes(MonomialIdeal.zero(ring2))
+        minimal_primes(MonomialIdeal(ring2, ()))
     with pytest.raises(ValueError):
         minimal_primes(MonomialIdeal.unit(ring2))
-    for i in (MonomialIdeal.zero(ring2), MonomialIdeal.unit(ring2)):
+    for i in (MonomialIdeal(ring2, ()), MonomialIdeal.unit(ring2)):
         with pytest.raises(ValueError):
             height(i)
 
