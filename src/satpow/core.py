@@ -8,7 +8,9 @@ an exponent tuple outside the kernels; ``gens`` returns the stored tuples.
 
 Every kernel packs the exponent vectors it works on into Python ints (see
 :class:`Packing`), with a field width taken from the largest exponent that
-one call can produce, and unpacks only its result.  Monomials in at most
+one call can produce, and unpacks only its result.  An operation on ideals
+enters the kernel by ``Packing.of``, which checks that its operands share
+one ring, sizes the packing and packs them all.  Monomials in at most
 three fields (w, x, y) are a 2-variable staircase per level of w, grown by
 ``_stair_insert`` here and in ``hilbert``.  Other divisibility tests lay a
 list of packed monomials side by side in one int (see :class:`Row`) and
@@ -21,8 +23,10 @@ and a power a ladder of such steps in one packing wide enough for its top
 rung.  An intersection, a colon and a saturation are one fold,
 ``Packing.meet``, in one packing, over the operands, the colons (I : m) by
 the generators m of J, or the colons (I : x_S^e) by the generators x_S of
-J's radical, with e the largest exponent of I.  A step sweeps the levels
-of w in at most three fields, and else minimalizes the lcm pairs.
+J's radical, with e the largest exponent of I, both from
+``Packing.colon_parts``, which drops the colons that add nothing to the
+intersection.  A step sweeps the levels of w in at most three fields, and
+else minimalizes the lcm pairs.
 ``MonomialIdeal.packed_localizations`` hands those colons out still
 packed, in a packing that also holds their n-th powers, so a whole series
 of powers and saturations, and the Hilbert numerators of each, runs in the
@@ -36,7 +40,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
 from collections import namedtuple
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 from functools import reduce
 from itertools import chain, groupby
 from operator import itemgetter, or_
@@ -113,18 +117,18 @@ class Packing:
         self._degree = ((1 << w) - 1) << self.top
 
     @classmethod
-    def of(cls, ideal: "MonomialIdeal", max_exp: int = 0) -> tuple["Packing", tuple[int, ...]]:
-        """A packing for ``ideal`` and its generators packed, in canonical order.
+    def of(cls, *ideals: "MonomialIdeal", max_exp: int = 0) -> tuple:
+        """A packing for ``ideals``, then the generators of each packed, in canonical order.
 
-        The width holds ``max_exp`` and every exponent of ``ideal``.  Each
-        ideal kernel passes the largest exponent of its other operand, for
-        a product the sum of both largest exponents, and for an n-th power,
-        or a series of powers up to the n-th, n times the largest exponent;
-        adding a pure power no higher than that, a colon and an lcm keep
-        within it.
+        The door into the kernel for ideals: the ``ideals`` must share one
+        ring (``_ring_of``), and the width holds ``max_exp`` and every
+        exponent of every operand.  A product passes the sum of both largest
+        exponents, and an n-th power, or a series of powers up to the n-th,
+        n times the largest exponent; adding a pure power no higher than
+        that, a colon and an lcm keep within it.
         """
-        pk = cls(ideal.ring.var_count, max(max_exp, _max_exponent(ideal._exps)))
-        return pk, tuple(map(pk.pack, ideal._exps))
+        pk = cls(_ring_of(ideals).var_count, max(max_exp, *(_max_exponent(i._exps) for i in ideals)))
+        return (pk, *(tuple(map(pk.pack, i._exps)) for i in ideals))
 
     # -- conversion -----------------------------------------------------------
 
@@ -286,9 +290,23 @@ class Packing:
             out.append(g + (excess | excess * ones & degree))
         return out
 
-    def colons(self, gens: Iterable[int], m: int) -> Iterator[int]:
-        """g / gcd(g, m), which is lcm(g, m) / m, for every g in ``gens``."""
-        return map((-m).__add__, self.lcms(gens, m))
+    def colon_parts(self, gens: Sequence[int], divisors: Iterable[int]) -> list[list[int]]:
+        """The distinct, inclusion-minimal colons (I : m) over the ``divisors`` m, I generated by ``gens``.
+
+        A colon is minimalized from the g / gcd(g, m) = lcm(g, m) / m over g in
+        ``gens``.  A repeat, or a colon holding another, adds nothing to their
+        intersection and is dropped; the rest keep the order of the divisors,
+        which fixes the order of the fold.
+        """
+        parts: list[list[int]] = []
+        for m in divisors:
+            part = self.minimal(map((-m).__add__, self.lcms(gens, m)))
+            if part not in parts:
+                parts.append(part)
+        return [
+            p for p, row in zip(parts, [Row(self, p) for p in parts])
+            if not any(q is not p and all(map(row.has_divisor, q)) for q in parts)
+        ]
 
     # -- helpers of the Hilbert recursion --------------------------------------
 
@@ -371,8 +389,11 @@ class Row:
     and K_j == G iff a_j divides p.  K_j + spare - G lies between
     spare - G > 0 and the spare bit, and reaches the spare bit iff
     K_j == G, so no slot carries into the next either, and a spare bit
-    survives the last mask iff its slot's element divides p.  ``extend``
-    adds a block of elements and rebuilds the masks once, not per element.
+    survives the last mask iff its slot's element divides p.
+
+    Only ``extend`` fills a row, the constructor's elements being its first
+    block.  It lays a block out as one byte string and rebuilds the masks
+    once, so a row costs time linear in its length however it is split.
     """
 
     __slots__ = ("_guard", "_slot", "_end", "_row", "_rep", "_guards", "_spares", "_lift")
@@ -380,27 +401,20 @@ class Row:
     def __init__(self, pk: Packing, gens: Sequence[int] = ()):
         self._guard = pk.guard
         self._slot = 8 * pk.slot
-        self._end = self._slot * len(gens)  # shift of the next element
-        self._row = int.from_bytes(b"".join(g.to_bytes(pk.slot, "little") for g in gens), "little")
-        self._rep = int.from_bytes((b"\x01" + bytes(pk.slot - 1)) * len(gens), "little")
-        self._masks()
-
-    def _masks(self) -> None:
-        self._guards = self._guard * self._rep
-        self._spares = self._rep << (self._slot - 1)
-        self._lift = self._spares - self._guards
+        self._end = self._row = self._rep = self._guards = self._spares = self._lift = 0  # _end: shift of the next slot
+        self.extend(gens)
 
     def extend(self, block: Sequence[int]) -> None:
         """Put the elements of ``block`` in new slots after the others, and rebuild the masks once."""
         if not block:
             return
-        row, rep, end, slot = self._row, self._rep, self._end, self._slot
-        for p in block:
-            row |= p << end
-            rep |= 1 << end
-            end += slot
-        self._row, self._rep, self._end = row, rep, end
-        self._masks()
+        size, end = self._slot // 8, self._end
+        self._row |= int.from_bytes(b"".join(g.to_bytes(size, "little") for g in block), "little") << end
+        self._rep |= int.from_bytes((b"\x01" + bytes(size - 1)) * len(block), "little") << end
+        self._end = end + self._slot * len(block)
+        self._guards = self._guard * self._rep
+        self._spares = self._rep << (self._slot - 1)
+        self._lift = self._spares - self._guards
 
     def has_divisor(self, p: int) -> bool:
         """True iff some element of the row divides ``p``."""
@@ -474,9 +488,7 @@ class MonomialIdeal:
 
     def multiply(self, other: "MonomialIdeal") -> "MonomialIdeal":
         """Product ideal, minimalized from all pairwise generator products."""
-        self._check_ring(other)
-        pk, mine = Packing.of(self, _max_exponent(self._exps) + _max_exponent(other._exps))
-        theirs = list(map(pk.pack, other._exps))
+        pk, mine, theirs = Packing.of(self, other, max_exp=_max_exponent(self._exps) + _max_exponent(other._exps))
         return MonomialIdeal._from_packed(self.ring, pk, pk.product(mine, theirs))
 
     def power(self, n: int) -> "MonomialIdeal":
@@ -489,24 +501,20 @@ class MonomialIdeal:
             raise ValueError(f"power wants n >= 0, got {n}")
         if n == 0:
             return MonomialIdeal.unit(self.ring)
-        pk, gens = Packing.of(self, n * _max_exponent(self._exps))
+        pk, gens = Packing.of(self, max_exp=n * _max_exponent(self._exps))
         return MonomialIdeal._from_packed(self.ring, pk, pk.power(gens, n))
 
     def intersect(self, other: "MonomialIdeal", *more: "MonomialIdeal") -> "MonomialIdeal":
         """Intersection with every operand, folded left to right in one packing."""
-        operands = (other, *more)
-        for o in operands:
-            self._check_ring(o)
-        pk, mine = Packing.of(self, _max_exponent(t for o in operands for t in o._exps))
-        return self._meet(pk, [mine, *(list(map(pk.pack, o._exps)) for o in operands)])
+        pk, *parts = Packing.of(self, other, *more)
+        return self._meet(pk, parts)
 
     def colon_ideal(self, other: "MonomialIdeal") -> "MonomialIdeal":
-        """(I : J) as the intersection of (I : m) over generators m of J."""
-        self._check_ring(other)
-        if other.is_zero():
+        """(I : J) as the intersection of the colons (I : m) over generators m of J."""
+        pk, gens, divisors = Packing.of(self, other)
+        if not divisors:
             raise ZeroIdealError("colon by the zero ideal")
-        pk, gens = Packing.of(self, _max_exponent(other._exps))
-        return self._meet(pk, (pk.minimal(pk.colons(gens, pk.pack(m))) for m in other._exps))
+        return self._meet(pk, pk.colon_parts(gens, divisors))
 
     def saturate_monomial(self, m: Exponents) -> "MonomialIdeal":
         """(I : m^inf): zero out generator exponents on the support of ``m``."""
@@ -523,42 +531,34 @@ class MonomialIdeal:
         """A packing, the generators of I and the localizations of I at J, all packed.
 
         The packing holds the ``n``-th powers of I and of the localizations,
-        and every intersection of those.  Each localization is the colon
-        (I : x_S^e), x_S over the generators of J's radical and e the largest
-        exponent of I; one holding another adds nothing to the intersection,
-        so only the distinct inclusion-minimal ones are kept.  They come in
-        the canonical order of the x_S, which fixes the order of the
-        intersections.  One of them equals I only if all the others contain
-        I, so then it is the only one kept.
+        and every intersection of those; J's exponents do not widen it.  Each
+        localization is the colon (I : x_S^e), x_S over the generators of
+        J's radical and e the largest exponent of I, and ``colon_parts``
+        keeps the distinct, inclusion-minimal ones, in the canonical order
+        of the x_S.  One equals I only if all the others contain I, so then
+        it is the only one kept.
         """
-        self._check_ring(other)
+        _ring_of((self, other))
         supports = _minimal_supports(other)
         if not supports:
             raise ZeroIdealError("saturation by the zero ideal")
         e = _max_exponent(self._exps)
-        pk, gens = Packing.of(self, n * e)
-        parts: list[list[int]] = []
-        for s in supports:
-            part = pk.minimal(pk.colons(gens, pk.pack(tuple(e * x for x in s))))
-            if part not in parts:
-                parts.append(part)
-        kept = [
-            p for p in parts
-            if not any(q is not p and all(map(Row(pk, p).has_divisor, q)) for q in parts)
-        ]
-        return pk, list(gens), kept
+        pk, gens = Packing.of(self, max_exp=n * e)
+        divisors = [pk.pack(tuple(e * (s >> i & 1) for i in range(self.ring.var_count))) for s in supports]
+        return pk, list(gens), pk.colon_parts(gens, divisors)
 
     def _meet(self, pk: Packing, parts: Iterable[list[int]]) -> "MonomialIdeal":
         """The intersection of the ideals with the canonical generators ``parts``, packed by ``pk``."""
         return MonomialIdeal._from_packed(self.ring, pk, pk.meet(parts))
 
-    # -- guards ---------------------------------------------------------------
 
-    def _check_ring(self, other: "MonomialIdeal") -> None:
-        if self.ring != other.ring:
-            raise RingMismatchError(
-                f"ideals live in different rings: {self.ring.var_names} vs {other.ring.var_names}"
-            )
+def _ring_of(ideals: Sequence[MonomialIdeal]) -> RingContext:
+    """The ring of the ``ideals``; RingMismatchError unless they all share it."""
+    ring = ideals[0].ring
+    for other in ideals[1:]:
+        if other.ring != ring:
+            raise RingMismatchError(f"ideals live in different rings: {ring.var_names} vs {other.ring.var_names}")
+    return ring
 
 
 def minimalize(gens: Iterable[Sequence[int]], ring: RingContext) -> MonomialIdeal:
@@ -579,12 +579,13 @@ def minimalize(gens: Iterable[Sequence[int]], ring: RingContext) -> MonomialIdea
     return MonomialIdeal._from_packed(ring, pk, pk.minimal(map(pk.pack, exps)))
 
 
-def _minimal_supports(ideal: MonomialIdeal) -> list[Exponents]:
-    """The minimal generators of the radical of ``ideal``, in canonical order.
+def _minimal_supports(ideal: MonomialIdeal) -> list[int]:
+    """The minimal generators x_S of the radical of ``ideal`` as bit masks, bit i for variable i, in canonical order.
 
     These are the squarefree x_S over the inclusion-minimal supports S of
     the generators: x_S divides x_T exactly when S lies in T.  The unit
     ideal gives the empty support, the zero ideal no support at all.
     """
     pk = Packing(ideal.ring.var_count, 1)
-    return list(map(pk.unpack, pk.minimal(pk.pack(tuple(min(e, 1) for e in t)) for t in ideal._exps)))
+    minimal = pk.minimal(pk.pack(tuple(min(e, 1) for e in t)) for t in ideal._exps)
+    return [sum(e << i for i, e in enumerate(pk.unpack(p))) for p in minimal]

@@ -5,7 +5,8 @@ For each corpus entry the report records the two theorem hypotheses
 dimension, fitted period/degree, leading coefficients, grade), and a
 verdict.  The stabilization facts checked are: the leading coefficient
 a_c is a positive constant for every pair (no hypotheses), and a_{c-1}
-is constant whenever both hypotheses hold.  A failure of either check on
+is constant whenever both hypotheses hold.  The fit must also reproduce
+every sample from its onset on.  A failure of any of these checks on
 exactly-fitted data indicates an engine bug, never a counterexample, and is
 reported with the dedicated 'engine-inconsistent' verdict.
 
@@ -23,7 +24,7 @@ from collections.abc import Sequence
 from .errors import InsufficientDataError
 from .filtration import SeriesSample, dim_stabilization, sample_series
 from .parsing import CorpusEntry
-from .quasipoly import QuasiPolynomial, coeff_is_constant, fit, grade
+from .quasipoly import QuasiPolynomial, coeff_is_constant, evaluate, fit, grade
 from .theory import height
 
 VERDICT_CONSISTENT = "consistent-with-theorem"
@@ -104,7 +105,8 @@ def _verify_one(entry: CorpusEntry, nmax: int, min_tail: int) -> VerifyRecord:
 
     stabilization_ok = a_c_const and a_c_positive
     main_theorem_ok = a_c1_const if hypotheses else True
-    if not (stabilization_ok and main_theorem_ok):
+    fits_samples = all(evaluate(qp, s.n) == s.f for s in samples if s.n >= qp.onset)
+    if not (stabilization_ok and main_theorem_ok and fits_samples):
         verdict = VERDICT_INCONSISTENT
     elif not hypotheses:
         verdict = VERDICT_HYPOTHESIS

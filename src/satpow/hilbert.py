@@ -67,7 +67,7 @@ from collections import Counter, namedtuple
 from collections.abc import Iterable
 from math import comb
 
-from .core import MonomialIdeal, Packing, Row, _max_exponent, _stair_insert
+from .core import MonomialIdeal, Packing, Row, _stair_insert
 from .errors import InconsistencyError
 
 # A numerator inside the recursion: degree -> nonzero coefficient.  A map is
@@ -249,9 +249,7 @@ def dim_and_mult(numerator: Numerator, ambient_d: int) -> tuple[int | None, int]
 
 def quotient_module_data(inner: MonomialIdeal, outer: MonomialIdeal) -> HilbertData:
     """Hilbert data of the quotient module outer/inner (inner must sit inside outer)."""
-    inner._check_ring(outer)
-    pk, packed_inner = Packing.of(inner, _max_exponent(outer.gens))
-    return packed_quotient_data(pk, packed_inner, map(pk.pack, outer.gens))
+    return packed_quotient_data(*Packing.of(inner, outer))
 
 
 def packed_quotient_data(pk: Packing, inner: Iterable[int], outer: Iterable[int]) -> HilbertData:

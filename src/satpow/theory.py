@@ -7,35 +7,31 @@ inputs; safe for concurrent use.
 """
 from __future__ import annotations
 
+from functools import reduce
 from itertools import combinations
+from operator import or_
 
 from .core import MonomialIdeal, _minimal_supports
-
-
-def _supports(ideal: MonomialIdeal) -> list[frozenset[int]]:
-    """The inclusion-minimal generator supports of a nonzero proper ideal.
-
-    A support containing another is hit whenever the smaller one is, so
-    these alone decide which variable sets are covers.
-    """
-    if ideal.is_zero():
-        raise ValueError("the zero ideal has no variable-generated minimal primes")
-    if ideal.is_unit():
-        raise ValueError("the unit ideal has no minimal primes")
-    return [frozenset(i for i, e in enumerate(s) if e) for s in _minimal_supports(ideal)]
 
 
 def height(ideal: MonomialIdeal) -> int:
     """Minimum cardinality over the minimal primes (the codimension).
 
-    A smallest variable set hitting every support is a minimal prime, so
-    this is the first k for which some k variables hit every support.
+    The covers are decided by the inclusion-minimal generator supports
+    alone, read as bit masks: a support containing another is hit whenever
+    the smaller one is.  A smallest variable set hitting every support is a
+    minimal prime, so this is the first k for which some k variables hit
+    every support.
     """
-    supports = _supports(ideal)
-    variables = sorted(frozenset().union(*supports))
+    if ideal.is_zero():
+        raise ValueError("the zero ideal has no variable-generated minimal primes")
+    if ideal.is_unit():
+        raise ValueError("the unit ideal has no minimal primes")
+    supports = _minimal_supports(ideal)
+    used = reduce(or_, supports)
+    variables = [1 << i for i in range(used.bit_length()) if used >> i & 1]
     return next(
         k
         for k in range(1, len(variables) + 1)
-        if any(all(s.intersection(c) for s in supports) for c in combinations(variables, k))
+        if any(all(s & sum(c) for s in supports) for c in combinations(variables, k))
     )
-

@@ -12,9 +12,37 @@ from satpow import (
     RingMismatchError,
     ZeroIdealError,
     minimalize,
+    quotient_module_data,
+    sample_series,
+    symbolic_power,
 )
 
+from satpow.core import Packing
+
 from conftest import M, colon_monomial, contains, contains_ideal, ideal, member, monomials_up_to, random_ideal
+
+
+# Every operation on two or more ideals, with the ideal of the other ring
+# ``b`` in the position ``call`` puts it; ``a`` and ``c`` share a ring.
+BINARY_OPERATIONS = {
+    "multiply": lambda a, b, c: a.multiply(b),
+    "intersect-second": lambda a, b, c: a.intersect(b, c),
+    "intersect-third": lambda a, b, c: a.intersect(c, b),
+    "colon_ideal": lambda a, b, c: a.colon_ideal(b),
+    "saturate_ideal": lambda a, b, c: a.saturate_ideal(b),
+    "quotient_module_data": lambda a, b, c: quotient_module_data(a, b),
+    "symbolic_power": lambda a, b, c: symbolic_power(a, b, 2),
+    "sample_series": lambda a, b, c: sample_series(a, b, 3),
+}
+
+
+@pytest.mark.parametrize("call", BINARY_OPERATIONS.values(), ids=BINARY_OPERATIONS.keys())
+def test_binary_operations_reject_another_ring(call, ring2):
+    other = RingContext(("u", "v"))
+    a, c = ideal(ring2, (2, 0), (1, 1)), ideal(ring2, (0, 1))
+    message = "ideals live in different rings: ('x', 'y') vs ('u', 'v')"
+    with pytest.raises(RingMismatchError, match=re.escape(message)):
+        call(a, ideal(other, (1, 0)), c)
 
 
 class TestMonomial:
@@ -213,6 +241,21 @@ class TestColon:
             )
             assert member(result.gens, w) == expected
         assert result == ideal(ring2, (2, 0))
+
+    def test_colon_by_nested_parts_against_membership(self, ring2):
+        # (I : x) lies in (I : x^2 y), so the colon keeps only (I : x); the
+        # result is still checked by w * J in I for all w of degree <= 8
+        i = ideal(ring2, (3, 0), (2, 2), (0, 3))
+        j = ideal(ring2, (1, 0), (2, 1))
+        pk, gens, divisors = Packing.of(i, j)
+        assert len(pk.colon_parts(gens, divisors)) == 1
+        result = i.colon_ideal(j)
+        for w in monomials_up_to(2, 8):
+            expected = all(
+                member(i.gens, tuple(a + b for a, b in zip(w, m))) for m in j.gens
+            )
+            assert member(result.gens, w) == expected
+        assert result == colon_monomial(i, M(1, 0)) == ideal(ring2, (2, 0), (1, 2), (0, 3))
 
     def test_colon_by_unit_ideal_is_identity(self, ring2):
         i = ideal(ring2, (2, 0), (1, 1))

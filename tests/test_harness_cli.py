@@ -315,13 +315,18 @@ class TestCli:
         [
             (["series", "edge-graph.ideal", "--nmax", "6"], "edge-graph-series-n6.txt"),
             (["hilbert", "edge-graph-cube.ideal"], "edge-graph-cube-hilbert.txt"),
+            (["colon", "edge-graph.ideal"], "edge-graph-colon.txt"),
+            (["saturate", "edge-graph.ideal"], "edge-graph-saturate.txt"),
         ],
     )
     def test_six_variable_outputs_match_stored_bytes(self, argv, stored, capsys):
         # the edge graph of EDGE_FILE and its cube, as computed before a
         # series sample kept only the generator count of its saturation;
         # their numerators take the pivot split and the complete-intersection
-        # product, which no benchmark workload reaches
+        # product, which no benchmark workload reaches.  The colon and the
+        # saturation, stored before the colon dropped parts containing
+        # another, are equal as I is squarefree and J the maximal ideal; the
+        # colon keeps 5 of its 6 parts
         assert_stored_bytes(argv, stored, capsys)
 
     def test_verify_insufficient_exits_two(self, tmp_path):
@@ -338,6 +343,22 @@ class TestCli:
         )
         monkeypatch.setattr(harness, "run_verify", lambda *a, **k: [broken])
         assert cli.main(["verify"]) == 3
+
+    def test_verify_fit_that_misses_its_samples_exits_three(self, monkeypatch, tmp_path, capsys):
+        # a constant coefficient off by one keeps every coefficient check
+        # passing, so only evaluating the fit at its samples finds it
+        def shifted(samples, **kwargs):
+            qp = fit(samples, **kwargs)
+            return qp._replace(coeffs=(tuple(a + 1 for a in qp.coeffs[0]), *qp.coeffs[1:]))
+
+        corpus = tmp_path / "corpus.json"
+        corpus.write_text(json.dumps([TRIANGLE_ENTRY]), encoding="utf-8")
+        argv = ["verify", str(corpus), "--nmax", "12", "--min-tail", "2", "--format", "csv"]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out.splitlines()[1].endswith("," + VERDICT_CONSISTENT)
+        monkeypatch.setattr(harness, "fit", shifted)
+        assert cli.main(argv) == 3
+        assert capsys.readouterr().out.splitlines()[1].endswith("," + VERDICT_INCONSISTENT)
 
     @pytest.mark.parametrize(
         "exc, resource",

@@ -76,8 +76,11 @@ PUBLIC = [
 # tests as callers, the monomial class with its divisibility function (a
 # monomial is an exponent tuple), the period collapse that the ascending
 # search made a no-op, the dense numerator class (a numerator is sparse
-# terms, a ``Numerator``), and the fitter's second interpolation (it reads
-# its coefficients off the difference rows it already built).
+# terms, a ``Numerator``), the fitter's second interpolation (it reads
+# its coefficients off the difference rows it already built), and the
+# second ways to check rings, build colons, fill a row and read supports
+# (``Packing.of``, ``Packing.colon_parts``, ``Row.extend`` and
+# ``core._minimal_supports`` are the one way each).
 REMOVED_FROM_PACKAGE = [
     "check_filtration", "symbolic_provider", "FiltrationReport", "minimal_primes", "dim_quotient",
     "Monomial", "divides", "IntPolynomial",
@@ -85,12 +88,14 @@ REMOVED_FROM_PACKAGE = [
 REMOVED_MEMBERS = {
     satpow.MonomialIdeal: [
         "from_monomials", "is_proper", "__iter__", "__contains__", "__mul__", "__pow__", "colon_monomial", "_gens",
-        "contains", "localizations", "contains_ideal", "zero",
+        "contains", "localizations", "contains_ideal", "zero", "_check_ring",
     ],
     satpow.hilbert: ["IntPolynomial"],
     satpow.HilbertData: ["numerator", "ambient_d"],
     satpow.QuasiPolynomial: ["is_zero"],
-    satpow.core.Packing: ["support_counts", "exponents", "degree"],
+    satpow.core.Packing: ["support_counts", "exponents", "degree", "colons"],
+    satpow.core.Row: ["_masks"],
+    satpow.theory: ["_supports"],
     satpow.SeriesSample: ["symbolic_ideal"],
     satpow.harness: ["run_series", "run_fit"],
     satpow.quasipoly: ["_collapse_period", "_interpolate"],

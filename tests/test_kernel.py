@@ -285,6 +285,23 @@ def test_row_matches_a_tuple_oracle():
     assert {0, 7} <= residues
 
 
+def test_row_from_blocks_equals_the_row_from_one_call():
+    # a row filled by blocks, empty ones among them, holds the same ints,
+    # masks included, as one filled by its constructor in one call
+    rng = random.Random(167)
+    for d in (1, 3, 7):
+        pk = Packing(d, 2**13)
+        pool = [e for e in BOUNDARY if e <= 2**13]
+        packed = [pk.pack(tuple(rng.choice(pool) for _ in range(d))) for _ in range(130)]
+        whole = Row(pk, packed)
+        pieces = Row(pk, [])
+        for block in ([], packed[:1], packed[1:64], [], packed[64:65], packed[65:], []):
+            pieces.extend(block)
+        assert [getattr(pieces, name) for name in Row.__slots__] == [getattr(whole, name) for name in Row.__slots__]
+        for p in packed[::13]:
+            assert pieces.has_divisor(p) and whole.has_divisor(p)
+
+
 def packed_minimal(d: int, cands: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     pk = Packing(d, max(map(max, cands)))
     return list(map(pk.unpack, pk.minimal(map(pk.pack, cands))))
