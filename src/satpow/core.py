@@ -20,13 +20,15 @@ The lcms, and so the colons, of a list by one monomial are one loop with
 no call per element.  A product is one ``Packing.product`` step, a sweep
 in lex order if its sums span several degrees in at most three fields,
 and a power a ladder of such steps in one packing wide enough for its top
-rung.  An intersection, a colon and a saturation are one fold,
-``Packing.meet``, in one packing, over the operands, the colons (I : m) by
+rung.  An intersection, a colon and a saturation are one
+``Packing.meet``, in one packing, of the operands, the colons (I : m) by
 the generators m of J, or the colons (I : x_S^e) by the generators x_S of
 J's radical, with e the largest exponent of I, both from
 ``Packing.colon_parts``, which drops the colons that add nothing to the
-intersection.  A step sweeps the levels of w in at most three fields, and
-else minimalizes the lcm pairs.
+intersection.  In at most three fields a meet is a fold of level sweeps.
+In more it is a fold of minimalized lcm pairs, unless its parts hold
+``_SPLIT_MEET_GENS`` generators or more: then it meets all the parts at
+once on each level of its first active field, recursively.
 ``MonomialIdeal.packed_localizations`` hands those colons out still
 packed, in a packing that also holds their n-th powers, so a whole series
 of powers and saturations, and the Hilbert numerators of each, runs in the
@@ -74,6 +76,21 @@ class RingContext(namedtuple("RingContext", "var_names")):
 # ---------------------------------------------------------------------------
 # The packed kernel
 # ---------------------------------------------------------------------------
+
+# Meets past three fields whose parts hold at least this many generators
+# together split on the levels of a field (``Packing.meet``).  Measured in
+# process on the meets alone, split against fold, median of 5-15 runs on a
+# shared 2-vCPU VM: the 6-vertex edge graph of the benchmark at n = 4 (210
+# generators) 3.6 against 5.3 ms, at n = 6 (546) 28 against 70 ms, at n = 8
+# (1,155) 69 against 348 ms; the series of the 5-cycle to n = 12 250 against
+# 336 ms, of the 7-cycle to n = 6 223 against 352 ms.  With the threshold at
+# 0 and 50 the 7-cycle took 2.2 and 1.5 times the fold, and at 100 gained
+# nothing; at 400 the edge graph at n = 4 gained nothing, and at n = 8 took
+# 1.4 times as long as at 200.  150 and 200 won on every case.  The shipped
+# corpus's largest such meet holds 84 generators at --nmax 20 and 124 at
+# --nmax 30, so it keeps the fold.
+_SPLIT_MEET_GENS = 200
+
 
 def _max_exponent(exps: Iterable[Exponents]) -> int:
     return max(map(max, exps), default=0)
@@ -195,21 +212,71 @@ class Packing:
         return reduce(self.product, [gens] * (n - 1), list(gens))
 
     def meet(self, parts: Iterable[list[int]]) -> list[int]:
-        """Canonical generators of the intersection of the canonical ``parts``, folded left to right.
+        """Canonical generators of the intersection of the canonical ``parts``.
 
-        A step is a ``_sweep_meet`` in at most three fields, else the lcm pairs of ``intersection``.
+        In at most three fields the parts are folded left to right by
+        ``_sweep_meet``.  In more, one part, or parts holding fewer than
+        ``_SPLIT_MEET_GENS`` generators together, are folded by the lcm
+        pairs of ``intersection``, and larger ones split on the levels of
+        their first active field w, all parts at once:
+
+        Level c of an ideal is the ideal of its generators with w <= c, w
+        zeroed.  Level c of the intersection K is the intersection of the
+        parts' levels c, met here recursively in the remaining fields at
+        each level where some part has generators, as K's level changes
+        nowhere else; while some part's level is the zero ideal, so is K's.
+        The minimal generators of K with w = c are the u w^c over the
+        minimal generators u of K's level c that do not lie in the level
+        before it.  The levels only grow, so such a u lying in the level
+        before is a minimal generator there too, as any divisor of u there
+        lies in level c.  So u w^c is new iff u is not a generator of the
+        level before.
         """
         parts = list(parts)
-        if (fields := self.sweep_fields(*parts)) is None:
+        if (fields := self.sweep_fields(*parts)) is not None:
+            return reduce(lambda a, b: self._sweep_meet(a, b, fields), parts)
+        if len(parts) == 1 or sum(map(len, parts)) < _SPLIT_MEET_GENS:
             return reduce(lambda a, b: self.minimal(self.intersection(a, b)), parts)
-        return reduce(lambda a, b: self._sweep_meet(a, b, fields), parts)
+        return self._split_meet(parts)
+
+    def _active_fields(self, lists: Iterable[Iterable[int]]) -> list[int]:
+        """The shifts of the fields some element of the ``lists`` uses, highest first."""
+        used = reduce(or_, chain.from_iterable(lists), 0)
+        return [s for s in self.shifts if used >> s & self.value]
 
     def sweep_fields(self, *lists: Iterable[int]) -> tuple[int, int, int] | None:
         """The shifts (w, x, y) of the at most three fields the ``lists`` use, else None."""
-        used = reduce(or_, chain.from_iterable(lists), 0)
-        active = [s for s in self.shifts if used >> s & self.value]
+        active = self._active_fields(lists)
         # missing fields come first, past the degree, where every monomial reads 0
         return None if len(active) > 3 else (self.top + self.width,) * (3 - len(active)) + tuple(active)
+
+    def _split_meet(self, parts: list[list[int]]) -> list[int]:
+        """``meet`` of the ``parts`` by the levels of their first active field w (see ``meet``).
+
+        Each part's level set is minimalized again at each level where the
+        part has generators, so every meet below is handed canonical parts.
+        """
+        sw = self._active_fields(parts)[0]
+        value, lift = self.value, 1 << sw | 1 << self.top  # c * lift is w^c, degree included
+        levels: list[dict[int, list[int]]] = []  # per part, the generators of each w, w zeroed
+        for gens in parts:
+            by_w: dict[int, list[int]] = {}
+            for p in gens:
+                c = p >> sw & value
+                by_w.setdefault(c, []).append(p - c * lift)
+            levels.append(by_w)
+        sets: list[list[int]] = [[] for _ in parts]
+        held: set[int] = set()  # the generators of K's level before
+        out: list[int] = []
+        for c in sorted(set().union(*levels)):
+            for i, by_w in enumerate(levels):
+                if c in by_w:
+                    sets[i] = self.minimal(sets[i] + by_w[c])
+            if all(sets):
+                level = self.meet(sets)
+                out += [u + c * lift for u in level if u not in held]
+                held = set(level)
+        return sorted(out, key=self.low.__xor__)
 
     def _sweep_meet(self, gens_a: Sequence[int], gens_b: Sequence[int], fields: tuple[int, int, int]) -> list[int]:
         """Canonical generators of the intersection of two ideals in the ``fields`` (w, x, y).

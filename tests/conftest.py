@@ -143,6 +143,13 @@ def random_ideal(
     return minimalize(gens, ring)
 
 
+def cycle_pair(m: int) -> tuple[MonomialIdeal, MonomialIdeal]:
+    """The edge ideal of the m-cycle x0 - x1 - ... - x{m-1} - x0, and J the maximal ideal."""
+    ring = RingContext(tuple(f"x{i}" for i in range(m)))
+    edges = [tuple(int(v in (i, (i + 1) % m)) for v in range(m)) for i in range(m)]
+    return minimalize(edges, ring), minimalize([tuple(int(v == i) for v in range(m)) for i in range(m)], ring)
+
+
 def reference_numerator(ideal: MonomialIdeal) -> Numerator:
     """Hilbert numerator K(A/I) by the degree-1 pivot recursion.
 

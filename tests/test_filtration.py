@@ -19,7 +19,8 @@ from satpow.harness import run_verify
 from satpow.parsing import load_corpus
 
 from conftest import (
-    M, check_filtration, contains, contains_ideal, ideal, sample_series_with_saturations, symbolic_provider,
+    M, check_filtration, contains, contains_ideal, cycle_pair, ideal, sample_series_with_saturations,
+    symbolic_provider,
 )
 
 # a 6-vertex graph: the 6-cycle 0-1-2-4-5-3-0 and the chords 0-2, 0-4, 1-3
@@ -114,6 +115,39 @@ class TestSampleSeries:
         assert samples[0].n == 1
         with pytest.raises(ValueError):
             sample_series(triangle, variables, 0)
+
+
+class TestCycles:
+    """Edge ideals of cycles with J the maximal ideal, on which theorems fix parts of the series.
+
+    From five vertices on, their saturations are meets past three fields,
+    and C7's from n = 3 on are large enough to split on the levels of a
+    variable.
+    """
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_odd_cycles_start_at_k_plus_one(self, k):
+        # C_{2k+1}: the maximal ideal is not associated to I^n for n <= k
+        # (Chen-Morey-Sung, Rocky Mountain J. Math. 32, 2002), so f(n) = 0
+        # there.  The product of all variables times any x_i is a product of
+        # k + 1 edges, so lies in (I^{k+1} : m^inf), while its degree 2k + 1
+        # keeps it out of I^{k+1}: f(k + 1) >= 1, and it is 1
+        base, maximal = cycle_pair(2 * k + 1)
+        samples = sample_series(base, maximal, k + 1)
+        assert [(s.f, s.module_dim) for s in samples] == [(0, None)] * k + [(1, 0)]
+        product = (1,) * (2 * k + 1)
+        assert contains(symbolic_power(base, maximal, k + 1), product)
+        assert not contains(base.power(k + 1), product)
+
+    @pytest.mark.parametrize("m", [4, 6])
+    def test_even_cycles_have_no_torsion(self, m):
+        # the edge ideal of a bipartite graph is normally torsion-free
+        # (Simis-Vasconcelos-Villarreal, J. Algebra 167, 1994), so
+        # (I^n : m^inf) = I^n and f = 0
+        base, maximal = cycle_pair(m)
+        pairs = sample_series_with_saturations(base, maximal, 6)
+        assert [(s.f, s.module_dim) for s, _ in pairs] == [(0, None)] * 6
+        assert [saturation for _, saturation in pairs] == [base.power(n) for n in range(1, 7)]
 
 
 class TestCheckFiltration:

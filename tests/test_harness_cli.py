@@ -329,6 +329,22 @@ class TestCli:
         # colon keeps 5 of its 6 parts
         assert_stored_bytes(argv, stored, capsys)
 
+    @pytest.mark.parametrize(
+        "argv, stored",
+        [
+            (["symbolic", "edge-graph.ideal", "-n", "8"], "edge-graph-symbolic-n8.txt"),
+            (["series", "cycle5.ideal", "--nmax", "10"], "cycle5-series-n10.txt"),
+            (["series", "cycle7.ideal", "--nmax", "5"], "cycle7-series-n5.txt"),
+        ],
+    )
+    def test_split_meet_outputs_match_stored_bytes(self, argv, stored, capsys):
+        # saturations whose meets past three fields hold hundreds of
+        # generators, as computed before such meets split on the levels of
+        # a variable: the edge graph's 1,325 generators at n = 8 take the
+        # split two levels deep, and the localized ladders of the 5-cycle at
+        # n = 10 and of the 7-cycle at n = 5 hold 330 and 882 generators
+        assert_stored_bytes(argv, stored, capsys)
+
     def test_verify_insufficient_exits_two(self, tmp_path):
         corpus = tmp_path / "corpus.json"
         corpus.write_text(json.dumps([TRIANGLE_ENTRY]), encoding="utf-8")

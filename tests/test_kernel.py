@@ -17,12 +17,16 @@ import pytest
 from satpow import (
     MonomialIdeal, Numerator, RingContext, minimalize, numerator_of_quotient, symbolic_power,
 )
+from satpow import core
 from satpow.cli import default_corpus_path
 from satpow.core import Packing, Row
+from satpow.harness import run_verify
 from satpow.hilbert import _LEAF_GENS, _pick_pivot
 from satpow.parsing import load_corpus
 
-from conftest import as_numerator, colon_monomial, contains, contains_ideal, reference_minimal, reference_numerator
+from conftest import (
+    as_numerator, colon_monomial, contains, contains_ideal, member, reference_minimal, reference_numerator,
+)
 
 NAMES = ("a", "b", "c", "d", "e", "f", "g")
 BOUNDARY = sorted({0, 1} | {2**k - 1 for k in range(1, 15)} | {2**k for k in range(1, 15)})
@@ -58,10 +62,6 @@ def instances(seed: int, per_shape: int):
 
 def build(r: RingContext, gens: list[tuple[int, ...]]):
     return minimalize(gens, r)
-
-
-def member(gens, w) -> bool:
-    return any(all(x <= y for x, y in zip(g, w)) for g in gens)
 
 
 def test_minimalize_matches_oracle():
@@ -547,3 +547,78 @@ def test_sweep_meets_take_no_lcm_pairs(monkeypatch):
     # six active variables still take the lcm pairs
     with pytest.raises(AssertionError, match="lcm pairs"):
         symbolic_power(graph, maximal, 2)
+
+
+def split_shapes(seed: int):
+    """(ring, generators of the parts) in 4 to 7 variables, for meets past three fields.
+
+    Besides random parts, some shapes get the unit ideal, the zero ideal, a
+    part whose generators share one level of the first variable, or a part
+    containing another.
+    """
+    rng = random.Random(seed)
+    for _ in range(100):
+        d = rng.randint(4, 7)
+        pool = rng.choice([list(range(4)), [0, 1, 2, 3, 5, 8], [0, 1, 2**7 - 1, 2**7]])
+        gens = lambda: [g for _ in range(3) for g in random_gens(rng, d, pool)]  # up to 18 generators
+        parts = [reference_minimal(gens()) for _ in range(rng.randint(2, 5))]
+        extra = rng.choice([None, "unit", "zero", "level", "bigger"])
+        if extra == "unit":
+            parts.append([(0,) * d])
+        elif extra == "zero":
+            parts.append([])
+        elif extra == "level":
+            c = rng.choice(pool)
+            parts.append(reference_minimal((c,) + g[1:] for g in gens()))
+        elif extra == "bigger":
+            parts.append(reference_minimal(parts[0] + gens()))
+        rng.shuffle(parts)
+        yield ring(d), parts
+
+
+@pytest.mark.parametrize("threshold", [0, 5, 30])
+def test_split_meets_match_the_fold_and_membership(monkeypatch, threshold):
+    # a low crossover splits meets of a few generators, and recursive meets
+    # mix the split, the lcm-pair fold and the level sweep.  Every meet must
+    # be handed canonical parts, the level sets of the split among them
+    real = Packing.meet
+
+    def canonical(pk, parts):
+        parts = list(parts)
+        assert all(list(p) == pk.minimal(p) for p in parts), "a part is not canonical"
+        return real(pk, parts)
+
+    monkeypatch.setattr(core, "_SPLIT_MEET_GENS", threshold)
+    monkeypatch.setattr(Packing, "meet", canonical)
+    rng = random.Random(223 + threshold)
+    for r, parts in split_shapes(227 + threshold):
+        d = r.var_count
+        pk, *packed = Packing.of(*(build(r, p) for p in parts))
+        met = list(map(pk.unpack, pk.meet(packed)))
+        assert met == list(map(pk.unpack, reduce(lambda a, b: pk.minimal(pk.intersection(a, b)), packed))), parts
+        top = max(max(map(max, p), default=0) for p in parts)
+        probes = [tuple(rng.randint(0, top) for _ in range(d)) for _ in range(40)]
+        probes += [tuple(e - (u == v) for u, e in enumerate(g)) for g in met for v in range(d) if g[v]]
+        for w in probes:
+            assert member(met, w) == all(member(p, w) for p in parts), (parts, w)
+
+
+def test_meets_split_past_three_fields_above_the_crossover(monkeypatch):
+    # the edge graph's five localized ladders at n = 6 hold 546 generators
+    # in six fields, and the corpus's largest meet past three fields at
+    # --nmax 20 holds 84, so it keeps the lcm-pair fold
+    split = []
+    real = Packing._split_meet
+
+    def spy(pk, parts):
+        split.append((len(pk._active_fields(parts)), sum(map(len, parts))))
+        return real(pk, parts)
+
+    monkeypatch.setattr(Packing, "_split_meet", spy)
+    maximal = build(ring(6), [pure_power(6, v, 1) for v in range(6)])
+    symbolic_power(edge_graph(), maximal, 6)
+    assert split[0] == (6, 546)
+    assert all(fields > 3 and gens >= core._SPLIT_MEET_GENS for fields, gens in split)
+    split.clear()
+    run_verify(load_corpus(default_corpus_path()), nmax=20, min_tail=2)
+    assert split == []
