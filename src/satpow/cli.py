@@ -1,11 +1,14 @@
 """Command-line interface.
 
 Subcommands operate on ideal files (show, power, colon, saturate, hilbert,
-symbolic, series, fit) or on a corpus file (verify).  Exit codes: 0 success,
-1 usage or parse error (an option out of range, an unreadable or malformed
-file), 2 insufficient data for a requested fit, 3 an engine bug (a proved
-stabilization check failed, or any other ``ValueError`` escaped the engine)
-or a computation too large for memory, recursion depth or index sizes.
+symbolic, series, fit) or on a corpus file (verify).  Each builds its whole
+report before ``main`` writes it, so a command stopped by an error writes
+no part of it.  Exit codes: 0 success, 1 usage, parse or I/O error (an
+option out of range, an unreadable or malformed file, an output that
+cannot be written or encoded), 2 insufficient data for a requested fit, 3
+an engine bug (a proved stabilization check failed, or any other
+``ValueError`` escaped the engine) or a computation too large for memory,
+recursion depth or index sizes.
 """
 from __future__ import annotations
 
@@ -109,7 +112,8 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _dispatch(args: argparse.Namespace) -> int:
+def _dispatch(args: argparse.Namespace) -> tuple[str, int]:
+    """The whole report of the command in ``args``, and its exit code."""
     if args.command == "verify":
         corpus_path = args.corpus if args.corpus else default_corpus_path()
         entries = load_corpus(corpus_path)
@@ -119,62 +123,55 @@ def _dispatch(args: argparse.Namespace) -> int:
             "csv": harness.render_verify_csv,
             "json": harness.render_verify_json,
         }[args.format]
-        _emit(render(records), args.out)
-        return harness.exit_code_for(records)
+        return render(records), harness.exit_code_for(records)
 
     pair = load_ideal_file(args.file)
     ideal = pair.saturator if getattr(args, "ideal", "I") == "J" else pair.base
 
     if args.command == "show":
-        _emit(format_ideal_file(pair), None)
-    elif args.command == "power":
-        print(format_ideal(ideal.power(args.n)))
-    elif args.command == "colon":
-        print(format_ideal(pair.base.colon_ideal(pair.saturator)))
-    elif args.command == "saturate":
-        print(format_ideal(pair.base.saturate_ideal(pair.saturator)))
-    elif args.command == "hilbert":
+        return format_ideal_file(pair), 0
+    if args.command == "hilbert":
         numerator = numerator_of_quotient(ideal)
         module_dim, e0 = dim_and_mult(numerator, ideal.ring.var_count)
         dim_text = "empty" if module_dim is None else str(module_dim)
-        print(f"dim = {dim_text}")
-        print(f"e0 = {e0}")
         dense = [0] * (numerator.degrees[-1] + 1 if numerator.degrees else 0)
         for t, c in zip(numerator.degrees, numerator.coeffs):
             dense[t] = c
-        print(f"numerator coefficients (z^0 first): {dense}")
-    elif args.command == "symbolic":
-        print(format_ideal(symbolic_power(pair.base, pair.saturator, args.n)))
-    elif args.command == "series":
+        return f"dim = {dim_text}\ne0 = {e0}\nnumerator coefficients (z^0 first): {dense}\n", 0
+    if args.command == "series":
         samples = sample_series(pair.base, pair.saturator, args.nmax)
         render = {
             "table": harness.render_series_table,
             "csv": harness.render_series_csv,
             "json": harness.render_series_json,
         }[args.format]
-        _emit(render(samples), args.out)
-    elif args.command == "fit":
+        return render(samples), 0
+    if args.command == "fit":
         samples = sample_series(pair.base, pair.saturator, args.nmax)
         qp = fit([(s.n, s.f) for s in samples], min_tail=args.min_tail)
         if args.format == "json":
-            _emit(harness.render_quasipolynomial_json(qp), args.out)
-        else:
-            text = harness.render_series_table(samples) + "\n" + harness.render_quasipolynomial(qp)
-            _emit(text, args.out)
-    else:
-        raise _UsageError(f"unknown command {args.command!r}")
-    return 0
+            return harness.render_quasipolynomial_json(qp), 0
+        return harness.render_series_table(samples) + "\n" + harness.render_quasipolynomial(qp), 0
+
+    if args.command == "power":
+        result = ideal.power(args.n)
+    elif args.command == "colon":
+        result = pair.base.colon_ideal(pair.saturator)
+    elif args.command == "saturate":
+        result = pair.base.saturate_ideal(pair.saturator)
+    else:  # symbolic; argparse rejects any other command
+        result = symbolic_power(pair.base, pair.saturator, args.n)
+    return format_ideal(result) + "\n", 0
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return _dispatch(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ParseError, UnicodeDecodeError, OSError) as exc:
+        text, code = _dispatch(args)
+        _emit(text, getattr(args, "out", None))
+        return code
+    except (_UsageError, ParseError, UnicodeError, OSError) as exc:  # UnicodeError: input or output text
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

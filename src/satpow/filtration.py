@@ -15,9 +15,11 @@ Saturating by J is saturating by its radical, so
 with S over the inclusion-minimal supports of J's generators.
 ``MonomialIdeal.packed_localizations`` keeps only the distinct,
 inclusion-minimal pi_S(I): pi_S(I) containing pi_T(I) gives pi_S(I)^n
-containing pi_T(I)^n, which adds nothing to the intersection.  This
-module keeps their power ladders.  They are small, so their powers are
-cheap, where saturating I^n itself takes colons of its many generators.
+containing pi_T(I)^n, which adds nothing to the intersection: the 4-cycle
+keeps 2 of its 4, and a 9-edge graph on 6 vertices 5 of its 6.  This
+module keeps their power ladders, and ``symbolic_power`` meets their n-th
+powers.  They are small, so their powers are cheap, where saturating I^n
+itself takes colons of its many generators; I^n is never saturated.
 
 A series lives in one ``core.Packing``, sized for its top power: the
 localizations, every rung of every ladder, each intersection and the

@@ -49,6 +49,9 @@ K is computed in one of three ways, tried in this order:
   supports, the generators are a complete intersection,
   K = prod(1 - z^deg g), with r factors in place of 2^r terms.
 
+Every numerator that ``verify --nmax 30`` computes on the shipped corpus
+takes one of the first two ways.
+
 The recursion runs on generators packed by ``core.Packing``, in the
 packing they come in: ``packed_quotient_data`` takes the two packed lists
 of a quotient as the series of ``filtration`` holds them, and

@@ -26,23 +26,26 @@ from satpow.harness import (
 )
 from satpow.parsing import load_corpus, parse_corpus, parse_ideal_file
 
-DATA = Path(__file__).parent / "data"
+ROOT = Path(__file__).parents[1]
+DATA = ROOT / "tests" / "data"
+# (stored file, satpow arguments) per line of tests/references.txt, paths from ROOT
+REFERENCES = [
+    (stored, args)
+    for stored, *args in (
+        line.split()
+        for line in (ROOT / "tests" / "references.txt").read_text(encoding="utf-8").splitlines()
+        if line and not line.startswith("#")
+    )
+]
+
+
+def run_cli(argv, **env):
+    """``satpow`` on ``argv`` in a new process, with ``env`` added to its environment."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]), **env)
+    return subprocess.run([sys.executable, "-m", "satpow.cli", *argv], env=env, capture_output=True, text=True)
+
 
 TRIANGLE_FILE = "ring x y z\nI: x*y, y*z, z*x\nJ: x, y, z\n"
-
-EDGE_FILE = (
-    "ring t0 w1 g2 a3 e4 p5\n"
-    "I: t0*g2, t0*w1, g2*w1, a3*w1, t0*e4, a3*t0, p5*e4, e4*g2, p5*a3\n"
-    "J: t0, w1, g2, a3, e4, p5\n"
-)
-
-
-def assert_stored_bytes(argv, stored, capsys):
-    """``satpow`` on ``argv``, its file under ``tests/data``, prints the bytes of ``stored``."""
-    argv = [argv[0], str(DATA / argv[1]), *argv[2:]]
-    assert cli.main(argv) == 0
-    assert capsys.readouterr().out.encode() == (DATA / stored).read_bytes()
-
 
 TRIANGLE_ENTRY = {
     "name": "triangle",
@@ -263,87 +266,7 @@ class TestCli:
         out_b = tmp_path / "b.csv"
         assert cli.main(["verify", "--min-tail", "2", "--format", "csv", "--out", str(out_a)]) == 0
         assert cli.main(["verify", "--min-tail", "2", "--format", "csv", "--out", str(out_b)]) == 0
-        assert out_a.read_bytes() == out_b.read_bytes()
-
-    def test_verify_matches_stored_csv(self, tmp_path):
-        # the shipped corpus at --nmax 12, as computed before the packed kernel
-        out = tmp_path / "verify.csv"
-        argv = ["verify", "--nmax", "12", "--min-tail", "2", "--format", "csv", "--out", str(out)]
-        assert cli.main(argv) == 0
-        assert out.read_bytes() == (DATA / "verify-n12.csv").read_bytes()
-
-    def test_verify_matches_stored_json_past_n20(self, capsys):
-        # the shipped corpus at --nmax 30, as computed before a series was
-        # held in one packing sized from nmax
-        assert cli.main(["verify", "--nmax", "30", "--format", "json"]) == 0
-        assert capsys.readouterr().out.encode() == (DATA / "verify-n30.json").read_bytes()
-
-    def test_symbolic_matches_stored_output(self, tmp_path, capsys):
-        # (I^6 : m^inf) for a 6-vertex edge graph, as computed before the
-        # saturation was built from localized power ladders
-        path = tmp_path / "edge.ideal"
-        path.write_text(EDGE_FILE, encoding="utf-8")
-        assert cli.main(["symbolic", str(path), "-n", "6"]) == 0
-        assert capsys.readouterr().out.encode() == (DATA / "edge-symbolic-n6.txt").read_bytes()
-
-    @pytest.mark.parametrize(
-        "argv, stored",
-        [
-            (["symbolic", "grade-saturating.ideal", "-n", "30"], "grade-saturating-symbolic-n30.txt"),
-            (["colon", "three-vars.ideal"], "three-vars-colon.txt"),
-            (["saturate", "three-vars.ideal"], "three-vars-saturate.txt"),
-            (["hilbert", "three-vars.ideal"], "three-vars-hilbert.txt"),
-            (["hilbert", "grade-saturating.ideal"], "grade-saturating-hilbert.txt"),
-            (["series", "huge-exponent.ideal", "--nmax", "5"], "huge-exponent-series-n5.txt"),
-            (["fit", "grade-saturating.ideal", "--nmax", "20", "--min-tail", "2", "--format", "json"],
-             "grade-saturating-fit-n20.json"),
-            (["fit", "huge-exponent.ideal", "--nmax", "20", "--min-tail", "2"], "huge-exponent-fit-n20.txt"),
-        ],
-    )
-    def test_three_variable_outputs_match_stored_bytes(self, argv, stored, capsys):
-        # ideals in three variables, as computed before their intersections
-        # and products took the level sweep, and before the numerators were
-        # held as sparse terms; the huge-exponent series needs sparse terms,
-        # as a dense numerator of degree 10^12 does not fit in memory.  The
-        # two fits, of period 2 with a_0 and a_1 not constant and of period 3
-        # with coefficients near 10^13, were stored before the fitter read
-        # its coefficients off its difference rows
-        assert_stored_bytes(argv, stored, capsys)
-
-    @pytest.mark.parametrize(
-        "argv, stored",
-        [
-            (["series", "edge-graph.ideal", "--nmax", "6"], "edge-graph-series-n6.txt"),
-            (["hilbert", "edge-graph-cube.ideal"], "edge-graph-cube-hilbert.txt"),
-            (["colon", "edge-graph.ideal"], "edge-graph-colon.txt"),
-            (["saturate", "edge-graph.ideal"], "edge-graph-saturate.txt"),
-        ],
-    )
-    def test_six_variable_outputs_match_stored_bytes(self, argv, stored, capsys):
-        # the edge graph of EDGE_FILE and its cube, as computed before a
-        # series sample kept only the generator count of its saturation;
-        # their numerators take the pivot split and the complete-intersection
-        # product, which no benchmark workload reaches.  The colon and the
-        # saturation, stored before the colon dropped parts containing
-        # another, are equal as I is squarefree and J the maximal ideal; the
-        # colon keeps 5 of its 6 parts
-        assert_stored_bytes(argv, stored, capsys)
-
-    @pytest.mark.parametrize(
-        "argv, stored",
-        [
-            (["symbolic", "edge-graph.ideal", "-n", "8"], "edge-graph-symbolic-n8.txt"),
-            (["series", "cycle5.ideal", "--nmax", "10"], "cycle5-series-n10.txt"),
-            (["series", "cycle7.ideal", "--nmax", "5"], "cycle7-series-n5.txt"),
-        ],
-    )
-    def test_split_meet_outputs_match_stored_bytes(self, argv, stored, capsys):
-        # saturations whose meets past three fields hold hundreds of
-        # generators, as computed before such meets split on the levels of
-        # a variable: the edge graph's 1,325 generators at n = 8 take the
-        # split two levels deep, and the localized ladders of the 5-cycle at
-        # n = 10 and of the 7-cycle at n = 5 hold 330 and 882 generators
-        assert_stored_bytes(argv, stored, capsys)
+        assert out_a.read_bytes() == out_b.read_bytes() == (DATA / "verify-n12.csv").read_bytes()
 
     def test_verify_insufficient_exits_two(self, tmp_path):
         corpus = tmp_path / "corpus.json"
@@ -395,14 +318,20 @@ class TestCli:
         huge = str(2**64)
         path = tmp_path / "huge.ideal"
         path.write_text(f"ring x y\nI: x^{huge}\nJ: x\n", encoding="utf-8")
-        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
         for argv in (["hilbert", str(path)], ["power", str(path), "-n", huge]):
-            run = subprocess.run(
-                [sys.executable, "-m", "satpow.cli", *argv], env=env, capture_output=True, text=True
-            )
+            run = run_cli(argv)
             assert run.returncode == 3, (argv, run.stderr)
+            assert run.stdout == ""  # the report is built whole before any of it is written
             assert "Traceback" not in run.stderr
             assert run.stderr.count("\n") == 1 and run.stderr.startswith("error: ")
+
+    def test_unencodable_output_exits_one_and_writes_nothing(self, tmp_path):
+        path = tmp_path / "greek.ideal"
+        path.write_text("ring \u03b1 \u03b2\nI: \u03b1*\u03b2\nJ: \u03b1\n", encoding="utf-8")
+        run = run_cli(["show", str(path)], PYTHONIOENCODING="ascii")
+        assert run.returncode == 1, run.stderr
+        assert run.stdout == ""
+        assert run.stderr.count("\n") == 1 and run.stderr.startswith("error: ")
 
     def test_usage_error_exits_one(self, capsys):
         assert cli.main(["power"]) == 1
@@ -459,3 +388,18 @@ class TestCli:
         bad.write_text("ring x\nI: q\nJ: x\n", encoding="utf-8")
         assert cli.main(["show", str(bad)]) == 1
         assert cli.main(["show", str(tmp_path / "missing.ideal")]) == 1
+
+
+class TestReferences:
+    @pytest.mark.parametrize("stored, args", REFERENCES, ids=[Path(stored).name for stored, _ in REFERENCES])
+    def test_matches_stored_bytes(self, stored, args, monkeypatch, capsys):
+        monkeypatch.chdir(ROOT)
+        assert cli.main(args) == 0
+        assert capsys.readouterr().out.encode() == (ROOT / stored).read_bytes()
+
+    def test_every_stored_output_has_one_line(self):
+        # so a new stored output cannot miss the CI loop over the same file
+        named = [stored for stored, _ in REFERENCES]
+        assert all((ROOT / stored).is_file() for stored in named)
+        on_disk = sorted(f"tests/data/{path.name}" for path in DATA.iterdir() if path.suffix != ".ideal")
+        assert sorted(s for s in named if s.startswith("tests/data/")) == on_disk
