@@ -28,7 +28,9 @@ J's radical, with e the largest exponent of I, both from
 intersection.  In at most three fields a meet is a fold of level sweeps.
 In more it is a fold of minimalized lcm pairs, unless its parts hold
 ``_SPLIT_MEET_GENS`` generators or more: then it meets all the parts at
-once on each level of its first active field, recursively.
+once on each level of its first active field, recursively, with the level
+sets from ``Packing.levels``, which the Hilbert numerators past three
+fields walk too.
 ``MonomialIdeal.packed_localizations`` hands those colons out still
 packed, in a packing that also holds their n-th powers, so a whole series
 of powers and saturations, and the Hilbert numerators of each, runs in the
@@ -40,9 +42,9 @@ lives within one kernel call.
 """
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, bisect_right
 from collections import namedtuple
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from functools import reduce
 from itertools import chain, groupby
 from operator import itemgetter, or_
@@ -217,20 +219,8 @@ class Packing:
         In at most three fields the parts are folded left to right by
         ``_sweep_meet``.  In more, one part, or parts holding fewer than
         ``_SPLIT_MEET_GENS`` generators together, are folded by the lcm
-        pairs of ``intersection``, and larger ones split on the levels of
-        their first active field w, all parts at once:
-
-        Level c of an ideal is the ideal of its generators with w <= c, w
-        zeroed.  Level c of the intersection K is the intersection of the
-        parts' levels c, met here recursively in the remaining fields at
-        each level where some part has generators, as K's level changes
-        nowhere else; while some part's level is the zero ideal, so is K's.
-        The minimal generators of K with w = c are the u w^c over the
-        minimal generators u of K's level c that do not lie in the level
-        before it.  The levels only grow, so such a u lying in the level
-        before is a minimal generator there too, as any divisor of u there
-        lies in level c.  So u w^c is new iff u is not a generator of the
-        level before.
+        pairs of ``intersection``, and larger ones are met on the levels of
+        their first active field, all parts at once, by ``_split_meet``.
         """
         parts = list(parts)
         if (fields := self.sweep_fields(*parts)) is not None:
@@ -250,28 +240,59 @@ class Packing:
         # missing fields come first, past the degree, where every monomial reads 0
         return None if len(active) > 3 else (self.top + self.width,) * (3 - len(active)) + tuple(active)
 
-    def _split_meet(self, parts: list[list[int]]) -> list[int]:
-        """``meet`` of the ``parts`` by the levels of their first active field w (see ``meet``).
+    def levels(self, parts: Sequence[Sequence[int]]) -> Iterator[tuple[int, tuple[tuple[int, ...], ...]]]:
+        """The level sets of the canonical ``parts`` at each level of their first active field w.
 
-        Each part's level set is minimalized again at each level where the
-        part has generators, so every meet below is handed canonical parts.
+        Level c of an ideal is the ideal of its generators with w <= c, w
+        zeroed.  A part's level changes only at the w of its generators, so
+        this yields (c, sets) at each c where some part has a generator,
+        increasing, and sets[i] holds the canonical generators of level c of
+        part i, empty while it has no generator with w <= c.
+
+        Level c is generated by the level before and the generators new at
+        c, those with w = c.  Its minimal generators are the new ones and
+        the old ones that none of them divides: no old generator u divides
+        a new one v, nor a new one v' another, as u + c' w (c' < c) or
+        v' + c w dividing v + c w would make one generator of the antichain
+        ``parts[i]`` divide another.  So each level tests the level before
+        against one ``Row`` of its new generators, needs no ``minimal``,
+        and merges the two lists in canonical order.
         """
         sw = self._active_fields(parts)[0]
         value, lift = self.value, 1 << sw | 1 << self.top  # c * lift is w^c, degree included
-        levels: list[dict[int, list[int]]] = []  # per part, the generators of each w, w zeroed
+        new: list[dict[int, list[int]]] = []  # per part, the generators of each w, w zeroed
         for gens in parts:
             by_w: dict[int, list[int]] = {}
             for p in gens:
                 c = p >> sw & value
                 by_w.setdefault(c, []).append(p - c * lift)
-            levels.append(by_w)
-        sets: list[list[int]] = [[] for _ in parts]
+            new.append(by_w)
+        sets: list[tuple[int, ...]] = [()] * len(parts)
+        for c in sorted(set().union(*new)):
+            for i, by_w in enumerate(new):
+                if c in by_w:
+                    row = Row(self, by_w[c])
+                    kept = [u for u in sets[i] if not row.has_divisor(u)]
+                    sets[i] = tuple(sorted(kept + by_w[c], key=self.low.__xor__))
+            yield c, tuple(sets)
+
+    def _split_meet(self, parts: list[list[int]]) -> list[int]:
+        """``meet`` of the ``parts`` by the ``levels`` of their first active field w.
+
+        Level c of the intersection K is the intersection of the parts'
+        levels c, met here recursively in the remaining fields at each level
+        where some part has generators, as K's level changes nowhere else;
+        while some part's level is the zero ideal, so is K's.  The minimal
+        generators of K with w = c are the u w^c over the minimal generators
+        u of K's level c that do not lie in the level before it.  The levels
+        only grow, so such a u lying in the level before is a minimal
+        generator there too, as any divisor of u there lies in level c.  So
+        u w^c is new iff u is not a generator of the level before.
+        """
+        lift = 1 << self._active_fields(parts)[0] | 1 << self.top
         held: set[int] = set()  # the generators of K's level before
         out: list[int] = []
-        for c in sorted(set().union(*levels)):
-            for i, by_w in enumerate(levels):
-                if c in by_w:
-                    sets[i] = self.minimal(sets[i] + by_w[c])
+        for c, sets in self.levels(parts):
             if all(sets):
                 level = self.meet(sets)
                 out += [u + c * lift for u in level if u not in held]
@@ -374,48 +395,6 @@ class Packing:
             p for p, row in zip(parts, [Row(self, p) for p in parts])
             if not any(q is not p and all(map(row.has_divisor, q)) for q in parts)
         ]
-
-    # -- helpers of the Hilbert recursion --------------------------------------
-
-    def split(self, gens: Sequence[int], i: int, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Canonical generators of I + (x_i^k) and I : x_i^k, for I generated by ``gens``.
-
-        ``gens`` must be canonical and x_i^k must not lie in I, as the pivot
-        rule of the Hilbert recursion guarantees.  One pass splits the
-        generators by their x_i exponent:
-
-        * g_i < k: g stays in I + (x_i^k), which x_i^k joins, as it is not in
-          I and divides no such g.  Generators with g_i >= k are multiples of
-          x_i^k and leave I + (x_i^k).
-        * g_i <= k: the quotient of g by x_i^k is g with x_i zeroed.  These
-          quotients are minimalized together.
-        * g_i > k: the quotient is g - x_i^k, which still holds x_i.
-          Subtracting one vector keeps divisibility and the canonical order,
-          so these quotients are an antichain in order.  None of them divides
-          a quotient free of x_i.  No quotient h free of x_i, from a
-          generator f with f_i <= k, divides one either: h divides g - x_i^k
-          would make f divide g, which the antichain ``gens`` rules out, as
-          f_i < g_i makes f and g distinct.
-
-        So the two groups of quotients are minimal together, share no
-        element, and are merged in canonical order.
-        """
-        s = self.shifts[i]
-        mask, bound = self.value << s, k << s
-        power = bound | k << self.top
-        plus: list[int] = []
-        held: list[int] = []
-        free: list[int] = []
-        for g in gens:
-            e = g & mask
-            if e > bound:
-                held.append(g - power)
-            else:
-                if e < bound:
-                    plus.append(g)
-                free.append(g - e - (e >> s << self.top))
-        insort(plus, power, key=self.low.__xor__)
-        return tuple(plus), tuple(sorted(held + self.minimal(free), key=self.low.__xor__))
 
 
 def _stair_insert(xs: list[int], ys: list[int], x: int, y: int) -> tuple[int, list[int], list[int]] | None:

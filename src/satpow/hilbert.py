@@ -12,7 +12,7 @@ h(1) != 0, the module has dimension d - s and multiplicity e0 = h(1)
 (Bruns and Herzog, Cohen-Macaulay Rings, 4.1), and ``dim_and_mult`` reads
 both from the binomial moments of the terms, with no division by (1-z).
 Only the CLI's ``hilbert`` report expands K to a dense list, to print it.
-K is computed in one of three ways, tried in this order:
+K is computed in one of four ways, tried in this order:
 
 * an ideal with at most ``_LEAF_GENS`` generators takes the inclusion-
   exclusion sum over subsets S of its generators, the sum of
@@ -20,8 +20,8 @@ K is computed in one of three ways, tried in this order:
   resolution.  Its 2^r terms for r generators are two flat lists, the
   lcms of the subsets of even and of odd size, that each generator
   doubles with one ``Packing.lcms`` loop per list.
-  It beats a split only while r is small: leaves of 4, 5 and 6 generators
-  measured alike, and 8 slower, when the shipped corpus still took splits;
+  It beats the other ways only while r is small: against a pivot split,
+  leaves of 4, 5 and 6 generators measured alike, and 8 slower;
 * an ideal whose generators use at most three variables, w, x and y, takes
   a sweep over the levels of w.  The monomials of w-degree c outside I are
   w^c times those of k[x, y] outside I_c, the ideal of the (x, y) parts of
@@ -38,16 +38,17 @@ K is computed in one of three ways, tried in this order:
   the corners between them and their neighbours go, and the new point and
   its two corners come in.  Each point enters and leaves the staircase at
   most once, so the sweep is a sort and r bisections with no recursion;
-* any other ideal is split by Bigatti's pivot: for a variable x lying in
-  at least two generator supports and a pivot x^k not in I,
-
-      K(A/I) = K(A/(I + (x^k))) + z^k * K(A/(I : x^k)).
-
-  Taking k as the median exponent of x halves the generators that contain
-  x on each side, so the recursion depth depends on the number of
-  generators, not on the exponents.  When no variable lies in two
-  supports, the generators are a complete intersection,
-  K = prod(1 - z^deg g), with r factors in place of 2^r terms.
+* an ideal in which no variable lies in two generator supports is a
+  complete intersection, K = prod(1 - z^deg g), with r factors in place of
+  2^r terms;
+* any other ideal walks the levels of its first active variable w in the
+  same way, with I_c the ideal of the generators with w exponent at most c,
+  w zeroed, from ``Packing.levels``: K = 1 + sum over the levels c where
+  I_c changes of z^c (K_c - K_b), K_b the numerator of the level before c,
+  or 1 before the first.  Each K_c is the numerator of an ideal in one
+  active variable fewer, taken by these same four ways, so the recursion is
+  at most max(1, a - 2) calls deep for a active variables.  Pure powers
+  would take a walk per variable but for the product above.
 
 Every numerator that ``verify --nmax 30`` computes on the shipped corpus
 takes one of the first two ways.
@@ -56,13 +57,12 @@ The recursion runs on generators packed by ``core.Packing``, in the
 packing they come in: ``packed_quotient_data`` takes the two packed lists
 of a quotient as the series of ``filtration`` holds them, and
 ``numerator_of_quotient`` and ``quotient_module_data`` pack their ideals
-once per call.  One field width serves the whole recursion, because
-neither I + (x^k) nor I : x^k raises the largest exponent.  Both branches
-of a split come from one pass over the generators, ``Packing.split``.
-Numerators of intermediate ideals are memoized in a dict local to one
-numerator, keyed by the canonical tuple of packed generators; a term map
-is never changed once built, so a memo hit is safe to share.  A quotient
-of equal ideals is the empty module and computes no numerator.
+once per call.  One field width serves the whole recursion, because a
+level only zeroes exponents.  Numerators of intermediate ideals are
+memoized in a dict local to one numerator, keyed by the canonical tuple of
+packed generators; a term map is never changed once built, so a memo hit
+is safe to share.  A quotient of equal ideals is the empty module and
+computes no numerator.
 """
 from __future__ import annotations
 
@@ -124,25 +124,8 @@ def _record(terms: Terms) -> Numerator:
 # ---------------------------------------------------------------------------
 
 # Ideals with at most this many generators get their numerator from the
-# 2^r-term inclusion-exclusion sum instead of a sweep or a split.
+# 2^r-term inclusion-exclusion sum instead of a sweep, a product or a walk.
 _LEAF_GENS = 5
-
-
-def _pick_pivot(gens: tuple[int, ...], pk: Packing) -> tuple[int, int]:
-    """Pivot x_i^k to split on, or (-1, 0) when supports are pairwise disjoint.
-
-    x_i lies in the most generators (the first such variable on ties) and k
-    is the lower median of its positive exponents.  A pure power x_i^j in I
-    is the only generator with x_i exponent >= j, so k < j: x_i^k is never in
-    I, and both branches of the split are strictly larger ideals.
-    """
-    counts = [len(gens) - list(map((pk.value << s).__and__, gens)).count(0) for s in pk.shifts]
-    best = max(range(len(counts)), key=counts.__getitem__)
-    if counts[best] < 2:
-        return (-1, 0)
-    s = pk.shifts[best]
-    powers = sorted(e for e in (g >> s & pk.value for g in gens) if e > 0)
-    return (best, powers[(len(powers) - 1) // 2])
 
 
 def _inclusion_exclusion(gens: tuple[int, ...], pk: Packing) -> Terms:
@@ -193,6 +176,23 @@ def _sweep(gens: tuple[int, ...], pk: Packing, fields: tuple[int, int, int]) -> 
     return _terms(up, down)
 
 
+def _disjoint(gens: tuple[int, ...], pk: Packing) -> bool:
+    """True iff no variable lies in the supports of two of the ``gens``.
+
+    With V the value bits of every exponent field, g + V sets the guard bit
+    of exactly the fields where g is positive, and carries out of none, so
+    (g + V) & G, G the guard bits, is the support of g.
+    """
+    values, guard = pk.low & ~pk.guard, pk.guard
+    seen = 0
+    for g in gens:
+        support = (g + values) & guard
+        if support & seen:
+            return False
+        seen |= support
+    return True
+
+
 def _numerator(gens: tuple[int, ...], pk: Packing, memo: dict[tuple[int, ...], Terms]) -> Terms:
     hit = memo.get(gens)
     if hit is not None:
@@ -202,16 +202,24 @@ def _numerator(gens: tuple[int, ...], pk: Packing, memo: dict[tuple[int, ...], T
         result = _inclusion_exclusion(gens, pk)
     elif (fields := pk.sweep_fields(gens)) is not None:
         result = _sweep(gens, pk, fields)
+    elif _disjoint(gens, pk):
+        result = {0: 1}  # a complete intersection, K = prod(1 - z^deg g)
+        for g in gens:
+            result = _add(result, result, g >> pk.top, -1)
     else:
-        pivot, k = _pick_pivot(gens, pk)
-        if pivot < 0:
-            # pairwise disjoint supports: complete intersection, K = prod(1 - z^deg)
-            result = {0: 1}
-            for g in gens:
-                result = _add(result, result, g >> pk.top, -1)
-        else:
-            plus_x, colon_x = pk.split(gens, pivot, k)
-            result = _add(_numerator(plus_x, pk, memo), _numerator(colon_x, pk, memo), k, 1)
+        total: Terms = {0: 1}  # K = 1 + sum of z^c (K_c - K_b), summed in place
+        get = total.get
+        before: Terms = {0: 1}
+        for c, (level,) in pk.levels([gens]):
+            now = _numerator(level, pk, memo)
+            for t, v in now.items():
+                t += c
+                total[t] = get(t, 0) + v
+            for t, v in before.items():
+                t += c
+                total[t] = get(t, 0) - v
+            before = now
+        result = {t: v for t, v in total.items() if v}
 
     memo[gens] = result
     return result

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from satpow import cli, fit, harness, sample_series
+from satpow import MonomialIdeal, cli, fit, harness, hilbert, sample_series
 from satpow.harness import (
     CSV_COLUMNS,
     VERDICT_CONSISTENT,
@@ -182,6 +182,10 @@ class TestRendering:
         assert render_verify_json(records) == render_verify_json(again)
         assert render_verify_table(records) == render_verify_table(again)
 
+    def test_zero_function_renders_its_onset(self):
+        zero = fit([(1, 7)] + [(n, 0) for n in range(2, 10)])
+        assert harness.render_quasipolynomial(zero) == "zero function (period 1, onset n = 2)\n"
+
     def test_tables_without_rows_keep_the_header(self):
         assert render_verify_table([]).splitlines()[0].split() == CSV_COLUMNS
         assert render_series_table([]) == "n  f  dim  symbolic_gens\n-  -  ---  -------------\n"
@@ -304,10 +308,10 @@ class TestCli:
         [(MemoryError, "out of memory"), (RecursionError, "recursion depth"), (OverflowError, "size overflow")],
     )
     def test_exhausted_resource_exits_three(self, ideal_file, monkeypatch, capsys, exc, resource):
-        def exhaust(ideal):
+        def exhaust(gens, pk, memo):
             raise exc()
 
-        monkeypatch.setattr(cli, "numerator_of_quotient", exhaust)
+        monkeypatch.setattr(hilbert, "_numerator", exhaust)
         assert cli.main(["hilbert", ideal_file]) == 3
         err = capsys.readouterr().err
         assert err.count("\n") == 1
@@ -355,13 +359,22 @@ class TestCli:
         assert err.count("\n") == 1 and err.startswith("error: ")
 
     def test_internal_value_error_exits_three(self, ideal_file, monkeypatch, capsys):
-        def broken(base, saturator, nmax):
+        def broken(base, saturator, n=1):
             raise ValueError("a broken invariant")
 
-        monkeypatch.setattr(cli, "sample_series", broken)
+        monkeypatch.setattr(MonomialIdeal, "packed_localizations", broken)
         assert cli.main(["series", ideal_file]) == 3
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "engine bug" in err and "a broken invariant" in err
+
+    def test_inconsistent_numerator_exits_three(self, ideal_file, monkeypatch, capsys):
+        # K = 1 - 2z has the multiplicity -1, which no module has
+        monkeypatch.setattr(hilbert, "_numerator", lambda gens, pk, memo: {0: 1, 1: -2})
+        assert cli.main(["hilbert", ideal_file]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("internal inconsistency (engine bug): ")
 
     def test_non_utf8_file_exits_one(self, tmp_path, capsys):
         bad = tmp_path / "latin1.ideal"

@@ -24,7 +24,7 @@ from satpow.core import Packing
 from satpow.hilbert import _LEAF_GENS, _numerator
 
 from conftest import (
-    M, as_numerator, colon_monomial, compositions, dense, dense_product, dense_sum, dim_quotient,
+    M, as_numerator, colon_monomial, compositions, cycle_pair, dense, dense_product, dense_sum, dim_quotient,
     expand_numerator, hilbert_function_oracle, ideal, monomials_up_to, random_ideal, reference_numerator,
 )
 
@@ -86,7 +86,7 @@ class TestNumerator:
             assert expand_numerator(k, 3, 10) == hilbert_function_oracle(i, 10)
 
     def test_matches_degree_one_oracle(self):
-        # the library's leaf, sweep and x^k pivot against the test-local degree-1 recursion
+        # the library's leaf, sweep, product and level walk against the test-local degree-1 recursion
         rng = random.Random(43)
         for d in (2, 3, 4):
             ring = RingContext(("x", "y", "z", "w")[:d])
@@ -260,11 +260,11 @@ def test_memo_entries_stay_the_numerators_of_their_ideals():
         entries += len(memo)
         for key, terms in memo.items():
             assert hilbert._record(terms) == reference_numerator(MonomialIdeal(ring, map(pk.unpack, key)))
-    assert entries > 8  # the recursion split, so the memo holds intermediate ideals
+    assert entries > 8  # the walk recursed, so the memo holds intermediate ideals
 
 
 def test_high_exponents_keep_the_recursion_limit(ring3):
-    # a degree-1 pivot recurses about e deep here; the x^k pivot splits once
+    # a degree-1 pivot would recurse about e deep here; three generators take the leaf
     e = 12000
     limit = sys.getrecursionlimit()
     num = numerator_of_quotient(ideal(ring3, (e, e, 0), (0, e, e), (e, 0, e)))
@@ -287,7 +287,7 @@ def ideal_with_gens(rng: random.Random, ring: RingContext, count: int, max_exp: 
 
 @pytest.mark.parametrize("offset", [-1, 0, 1])
 def test_leaf_size_boundary_matches_oracle(offset):
-    # the closed-form leaf up to _LEAF_GENS generators, a sweep, a split or
+    # the closed-form leaf up to _LEAF_GENS generators, a sweep, a walk or
     # the complete-intersection product past it
     count = _LEAF_GENS + offset
     rng = random.Random(59 + offset)
@@ -304,7 +304,7 @@ def test_leaf_size_boundary_matches_oracle(offset):
 
 def test_high_exponents_past_the_leaves_keep_the_recursion_limit():
     # scaling every exponent by e maps K(z) to K(z^e), so the degree-1
-    # oracle runs on the unscaled ideal; 8 generators take the split first
+    # oracle runs on the unscaled ideal; 8 generators take the walk first
     e = 6000
     ring = RingContext(("x", "y", "z", "w"))
     base = [(2, 1, 0, 0), (1, 2, 0, 0), (0, 1, 1, 0), (0, 0, 2, 1),
@@ -316,6 +316,39 @@ def test_high_exponents_past_the_leaves_keep_the_recursion_limit():
     small = reference_numerator(unscaled)
     assert num == Numerator(tuple(e * j for j in small.degrees), small.coeffs)
     assert sys.getrecursionlimit() == limit
+
+
+def test_the_walk_recurses_once_per_active_variable_past_three(monkeypatch):
+    # each level of the walk has one active variable fewer, and three or
+    # fewer take the sweep, so the recursion is max(1, a - 2) calls deep for
+    # a active variables; pure powers beside it take the product
+    depth = [0, 0]  # the current and the deepest
+    real = hilbert._numerator
+
+    def spy(gens, pk, memo):
+        depth[0] += 1
+        depth[1] = max(depth)
+        try:
+            return real(gens, pk, memo)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(hilbert, "_numerator", spy)
+    rng = random.Random(83)
+    ideals = [cycle_pair(m)[0] for m in (4, 5, 8, 12)]
+    for d in (4, 5, 6, 7):
+        ring = RingContext(tuple(f"x{j}" for j in range(d)))
+        ideals += [ideal_with_gens(rng, ring, count, 4) for count in (4, 7, 10)]
+        powers = [tuple(3 if v == j else 0 for v in range(d)) for j in range(d)]
+        ideals += [ideal(ring, *powers), ideal(ring, *powers, (1, 1) + (0,) * (d - 2))]
+    walked = 0
+    for i in ideals:
+        depth[1] = 0
+        assert numerator_of_quotient(i) == reference_numerator(i)
+        active = sum(any(g[v] for g in i.gens) for v in range(i.ring.var_count))
+        assert depth[1] <= max(1, active - 2), (i.gens, depth[1])
+        walked += depth[1] > 1
+    assert walked > 10
 
 
 # ---------------------------------------------------------------------------
@@ -413,21 +446,32 @@ class TestSweep:
             assert expand_numerator(k, 4, 9) == hilbert_function_oracle(i, 9)
 
     def test_takes_no_split(self, monkeypatch):
-        def fail(*args):
-            raise AssertionError("pivot split")
+        # at most three active variables take the sweep and never walk the
+        # levels; past three, a variable shared by two generators takes the
+        # walk, and pairwise disjoint supports the complete-intersection product
+        walked = []
+        real = Packing.levels
+
+        def spy(pk, parts):
+            walked.append(len(parts[0]))
+            return real(pk, parts)
 
         rng = random.Random(71)
         ring = RingContext(("x", "y", "z", "w"))
         tri = ideal(ring, (1, 1, 0, 0), (0, 1, 1, 0), (1, 0, 1, 0))
         cubes = [tri.power(6), ideal_in_active(rng, ring, (0, 2, 3), 20, 8)]
         square = ideal(ring, (1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1), (1, 0, 0, 1))
-        monkeypatch.setattr(Packing, "split", fail)
+        ci_ring = RingContext(tuple(f"x{j}" for j in range(8)))
+        powers = ideal(ci_ring, *(tuple(j + 2 if v == j else 0 for v in range(8)) for j in range(8)))
+        monkeypatch.setattr(Packing, "levels", spy)
         for i in cubes:
             assert len(i.gens) > _LEAF_GENS
             numerator_of_quotient(i)
-        # four active variables still take the pivot recursion
-        with pytest.raises(AssertionError, match="pivot split"):
-            numerator_of_quotient(square.power(3))
+        assert walked == []
+        assert numerator_of_quotient(powers) == reference_numerator(powers)
+        assert walked == []
+        numerator_of_quotient(square.power(3))
+        assert walked[0] == len(square.power(3).gens)
 
     @pytest.mark.parametrize("n, count", [(30, 496), (60, 1891)])
     def test_power_of_the_maximal_ideal(self, n, count):

@@ -80,7 +80,9 @@ PUBLIC = [
 # its coefficients off the difference rows it already built), and the
 # second ways to check rings, build colons, fill a row and read supports
 # (``Packing.of``, ``Packing.colon_parts``, ``Row.extend`` and
-# ``core._minimal_supports`` are the one way each).
+# ``core._minimal_supports`` are the one way each), and Bigatti's pivot
+# split of the Hilbert numerator (past three fields the numerator walks
+# ``Packing.levels``, as a large meet does).
 REMOVED_FROM_PACKAGE = [
     "check_filtration", "symbolic_provider", "FiltrationReport", "minimal_primes", "dim_quotient",
     "Monomial", "divides", "IntPolynomial",
@@ -90,10 +92,10 @@ REMOVED_MEMBERS = {
         "from_monomials", "is_proper", "__iter__", "__contains__", "__mul__", "__pow__", "colon_monomial", "_gens",
         "contains", "localizations", "contains_ideal", "zero", "_check_ring",
     ],
-    satpow.hilbert: ["IntPolynomial"],
+    satpow.hilbert: ["IntPolynomial", "_pick_pivot"],
     satpow.HilbertData: ["numerator", "ambient_d"],
     satpow.QuasiPolynomial: ["is_zero"],
-    satpow.core.Packing: ["support_counts", "exponents", "degree", "colons"],
+    satpow.core.Packing: ["support_counts", "exponents", "degree", "colons", "split"],
     satpow.core.Row: ["_masks"],
     satpow.theory: ["_supports"],
     satpow.SeriesSample: ["symbolic_ideal"],

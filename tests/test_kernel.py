@@ -21,7 +21,7 @@ from satpow import core
 from satpow.cli import default_corpus_path
 from satpow.core import Packing, Row
 from satpow.harness import run_verify
-from satpow.hilbert import _LEAF_GENS, _pick_pivot
+from satpow.hilbert import _LEAF_GENS, _disjoint
 from satpow.parsing import load_corpus
 
 from conftest import (
@@ -102,39 +102,6 @@ def test_saturate_monomial_matches_oracle():
             tuple(0 if y > 0 else x for x, y in zip(g, m)) for g in reference_minimal(a)
         )
         assert exps_of(build(r, a).saturate_monomial(m)) == expected
-
-
-def test_split_matches_oracle():
-    for r, a, _, _ in instances(137, 12):
-        i = build(r, a)
-        pk, gens = Packing.of(i)
-        exps = exps_of(i)
-        for v in range(r.var_count):
-            for k in {0, 1} | {g[v] for g in exps} | {max(g[v] - 1, 0) for g in exps}:
-                power = tuple(k if j == v else 0 for j in range(r.var_count))
-                if member(exps, power):
-                    continue  # outside the precondition of split
-                plus, colon = pk.split(gens, v, k)
-                assert list(map(pk.unpack, plus)) == reference_minimal(exps + [power])
-                expected = reference_minimal(
-                    g[:v] + (max(g[v] - k, 0),) + g[v + 1 :] for g in exps
-                )
-                assert list(map(pk.unpack, colon)) == expected
-    # the quotient y of x^2*y, from exponent exactly k = 2, divides y^2
-    pk, gens = Packing.of(build(ring(2), [(2, 1), (0, 2)]))
-    plus, colon = pk.split(gens, 0, 2)
-    assert list(map(pk.unpack, plus)) == [(2, 0), (0, 2)]
-    assert list(map(pk.unpack, colon)) == [(0, 1)]
-
-
-def test_pivot_power_is_never_in_the_ideal():
-    for r, a, b, _ in instances(149, 12):
-        i = build(r, a + b)
-        pk, gens = Packing.of(i)
-        pivot, k = _pick_pivot(gens, pk)
-        if pivot >= 0:
-            power = tuple(k if j == pivot else 0 for j in range(r.var_count))
-            assert k > 0 and not member(exps_of(i), power)
 
 
 def folded(i_gens, j_gens, part) -> list[tuple[int, ...]]:
@@ -574,6 +541,54 @@ def split_shapes(seed: int):
             parts.append(reference_minimal(parts[0] + gens()))
         rng.shuffle(parts)
         yield ring(d), parts
+
+
+def test_levels_match_a_tuple_oracle():
+    # levels come at exactly the w of the parts' generators, and each part's
+    # set is its generators with w <= c, w zeroed, minimalized
+    shapes = [(r, [reference_minimal(a), reference_minimal(b)]) for r, a, b, _ in instances(239, 4)]
+    shapes += list(split_shapes(241))
+    checked = 0
+    for r, parts in shapes:
+        used = [v for v in range(r.var_count) if any(g[v] for p in parts for g in p)]
+        if not used:
+            continue  # no active field to walk
+        w = used[0]
+        pk, *packed = Packing.of(*(build(r, p) for p in parts))
+        seen = []
+        for c, sets in pk.levels(packed):
+            seen.append(c)
+            assert len(sets) == len(parts)
+            for p, got in zip(parts, sets):
+                assert isinstance(got, tuple)
+                expected = reference_minimal(g[:w] + (0,) + g[w + 1:] for g in p if g[w] <= c)
+                assert list(map(pk.unpack, got)) == expected, (parts, c)
+        assert seen == sorted({g[w] for p in parts for g in p})
+        checked += 1
+    assert checked > 150
+
+
+def test_disjoint_matches_a_tuple_oracle():
+    rng = random.Random(251)
+    cases = [reference_minimal(a + b) for _, a, b, _ in instances(251, 6)]
+    for d in range(1, 8):
+        for pool in pools(rng) * 4:
+            # one generator on each block of a random partition of the
+            # variables, positive there, so the supports are pairwise disjoint
+            owner = [rng.randrange(d) for _ in range(d)]
+            cases.append(reference_minimal(
+                tuple(rng.choice(pool[1:]) if owner[v] == b else 0 for v in range(d)) for b in set(owner)
+            ))
+    found = {True: 0, False: 0}
+    for gens in cases:
+        if not gens:
+            continue
+        d = len(gens[0])
+        pk, packed = Packing.of(build(ring(d), gens))
+        expected = all(not any(map(min, g, h)) for g, h in combinations(gens, 2))
+        assert _disjoint(packed, pk) == expected, gens
+        found[expected] += 1
+    assert min(found.values()) > 50
 
 
 @pytest.mark.parametrize("threshold", [0, 5, 30])

@@ -95,6 +95,14 @@ class TestIdealFile:
         with pytest.raises(ParseError, match="ring"):
             parse_ideal_file("I: x\nJ: y\n")
 
+    def test_no_ring_line(self):
+        with pytest.raises(ParseError, match="^missing 'ring' declaration$"):
+            parse_ideal_file("# only a comment\n\n")
+
+    def test_invalid_ring_name(self):
+        with pytest.raises(ParseError, match="^line 2: invalid variable name: '1y'$"):
+            parse_ideal_file("# a ring\nring x 1y\nI: x\nJ: x\n")
+
     def test_missing_block(self):
         with pytest.raises(ParseError, match="missing ideal block 'J'"):
             parse_ideal_file("ring x y\nI: x\n")
@@ -138,6 +146,21 @@ class TestCorpus:
     def test_not_an_array(self):
         with pytest.raises(ParseError, match="array"):
             parse_corpus(json.dumps({"name": "x"}))
+
+    def test_entry_not_an_object(self):
+        good = {"name": "ok", "ring": ["x"], "I": ["x"], "J": ["x"]}
+        with pytest.raises(ParseError, match="^corpus entry 1: expected an object$"):
+            parse_corpus(json.dumps([good, ["x"]]))
+
+    def test_ring_not_a_list(self):
+        bad = [{"name": "a", "ring": "x", "I": ["x"], "J": ["x"]}]
+        with pytest.raises(ParseError, match=re.escape("corpus entry 0 (a): 'ring' must be a non-empty list")):
+            parse_corpus(json.dumps(bad))
+
+    def test_expect_not_an_object(self):
+        bad = [{"name": "a", "ring": ["x"], "I": ["x"], "J": ["x"], "expect": [1]}]
+        with pytest.raises(ParseError, match=re.escape("corpus entry 0 (a): 'expect' must be an object")):
+            parse_corpus(json.dumps(bad))
 
     def test_missing_name(self):
         with pytest.raises(ParseError, match="name"):

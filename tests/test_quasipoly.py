@@ -108,6 +108,11 @@ class TestGradeAndConstancy:
     def test_zero_function_grade(self):
         assert grade(fit([(n, 0) for n in range(1, 8)])) == -1
 
+    def test_zero_function_coefficients_are_constant(self):
+        # the zero function has no coefficient rows, and every index reads as constant
+        zero = fit([(n, 0) for n in range(1, 8)])
+        assert all(coeff_is_constant(zero, i) for i in (0, 1, 5))
+
     def test_index_out_of_range(self):
         qp = fit([(n, 5) for n in range(1, 7)])
         with pytest.raises(ValueError):
@@ -159,6 +164,10 @@ class TestValidation:
     def test_short_window_fails_loudly(self):
         with pytest.raises(InsufficientDataError):
             fit([(1, 1), (2, 4), (3, 9)])
+
+    def test_no_samples_fail_loudly(self):
+        with pytest.raises(InsufficientDataError, match="no samples"):
+            fit([])
 
 
 def random_quasipoly(rng: random.Random, g_max: int = 4, c_max: int = 3) -> QuasiPolynomial:
