@@ -284,10 +284,10 @@ class Packing:
         where some part has generators, as K's level changes nowhere else;
         while some part's level is the zero ideal, so is K's.  The minimal
         generators of K with w = c are the u w^c over the minimal generators
-        u of K's level c that do not lie in the level before it.  The levels
-        only grow, so such a u lying in the level before is a minimal
-        generator there too, as any divisor of u there lies in level c.  So
-        u w^c is new iff u is not a generator of the level before.
+        u of K's level c outside the level before.  Levels only grow, so a u
+        in the level before is a minimal generator there too, as any divisor
+        of u there lies in level c.  So, here and in ``_sweep_meet``, u w^c
+        is new iff u is not a generator of the level before.
         """
         lift = 1 << self._active_fields(parts)[0] | 1 << self.top
         held: set[int] = set()  # the generators of K's level before
@@ -306,9 +306,9 @@ class Packing:
         with w at most c.  By increasing w, each side's points join its
         staircase, whose step function f(x) is the least y of a point at or
         left of x, and level c of the intersection lies above the larger f.
-        Its corners, from one merge, that the levels below lack have w = c.
-        (-1, inf) and (inf, -1) end each side's staircase, and neither divide
-        nor are divided by a point.
+        Its corners, from one merge, that are not the level before's have
+        w = c (``_split_meet``).  (-1, inf) and (inf, -1) end each side's
+        staircase, and neither divide nor are divided by a point.
         """
         sw, sx, sy = fields
         value, top, inf = self.value, self.top, self.value + 1
@@ -317,12 +317,12 @@ class Packing:
             for side, gens in enumerate((gens_a, gens_b)) for p in gens
         )
         (ax, ay), (bx, by) = stairs = ([-1, inf], [inf, -1]), ([-1, inf], [inf, -1])
-        held_x: list[int] = []  # the staircase of the levels below
-        held_y: list[int] = []
+        held: set[int] = set()  # the corners of the level before, as x << sx | y << sy
         out: list[int] = []
         for w, level in groupby(points, itemgetter(0)):
             for _, x, y, side in level:
                 _stair_insert(*stairs[side], x, y)
+            corners: set[int] = set()
             i = j = 1
             low = inf
             while (x := ax[i] if ax[i] < bx[j] else bx[j]) < inf:
@@ -333,8 +333,11 @@ class Packing:
                 y = ay[i - 1] if ay[i - 1] > by[j - 1] else by[j - 1]
                 if y < low:
                     low = y
-                    if _stair_insert(held_x, held_y, x, y) is not None:
-                        out.append(w << sw | x << sx | y << sy | (w + x + y) << top)
+                    u = x << sx | y << sy
+                    corners.add(u)
+                    if u not in held:
+                        out.append(w << sw | u | (w + x + y) << top)
+            held = corners
         return sorted(out, key=self.low.__xor__)
 
     # -- candidate generators --------------------------------------------------

@@ -59,10 +59,10 @@ of a quotient as the series of ``filtration`` holds them, and
 ``numerator_of_quotient`` and ``quotient_module_data`` pack their ideals
 once per call.  One field width serves the whole recursion, because a
 level only zeroes exponents.  Numerators of intermediate ideals are
-memoized in a dict local to one numerator, keyed by the canonical tuple of
-packed generators; a term map is never changed once built, so a memo hit
-is safe to share.  A quotient of equal ideals is the empty module and
-computes no numerator.
+memoized per call, the two of a quotient in one memo, keyed by the
+canonical tuple of packed generators; ``_add`` writes only into a map its
+caller owns, so a memo map never changes and a hit is safe to share.  A
+quotient of equal ideals is the empty module and computes no numerator.
 """
 from __future__ import annotations
 
@@ -103,9 +103,8 @@ def _terms(up: Iterable[int], down: Iterable[int]) -> Terms:
     return {t: c for t, c in count.items() if c}
 
 
-def _add(a: Terms, b: Terms, k: int, sign: int) -> Terms:
-    """The terms of a + sign * z^k * b, in a new map; neither operand changes."""
-    out = dict(a)
+def _add(out: Terms, b: Terms, k: int, sign: int) -> Terms:
+    """Add sign * z^k * b into ``out``, a map the caller owns, and return it; ``b`` never changes."""
     for t, c in b.items():
         t += k
         c = out.pop(t, 0) + sign * c
@@ -205,21 +204,14 @@ def _numerator(gens: tuple[int, ...], pk: Packing, memo: dict[tuple[int, ...], T
     elif _disjoint(gens, pk):
         result = {0: 1}  # a complete intersection, K = prod(1 - z^deg g)
         for g in gens:
-            result = _add(result, result, g >> pk.top, -1)
+            result = _add(dict(result), result, g >> pk.top, -1)
     else:
-        total: Terms = {0: 1}  # K = 1 + sum of z^c (K_c - K_b), summed in place
-        get = total.get
+        result = {0: 1}  # K = 1 + sum of z^c (K_c - K_b)
         before: Terms = {0: 1}
         for c, (level,) in pk.levels([gens]):
             now = _numerator(level, pk, memo)
-            for t, v in now.items():
-                t += c
-                total[t] = get(t, 0) + v
-            for t, v in before.items():
-                t += c
-                total[t] = get(t, 0) - v
+            _add(_add(result, now, c, 1), before, c, -1)
             before = now
-        result = {t: v for t, v in total.items() if v}
 
     memo[gens] = result
     return result
@@ -268,7 +260,7 @@ def packed_quotient_data(pk: Packing, inner: Iterable[int], outer: Iterable[int]
 
     Equal ideals give the empty module.  Otherwise every generator of the
     inner ideal must lie in the outer one, and the numerator is that of
-    the inner ideal less that of the outer one, each with its own memo.
+    the inner ideal less that of the outer one, both from one memo.
     """
     inner, outer = tuple(inner), tuple(outer)
     d = len(pk.shifts)
@@ -281,5 +273,6 @@ def packed_quotient_data(pk: Packing, inner: Iterable[int], outer: Iterable[int]
                 f"containment violated: generator with exponents {pk.unpack(g)} "
                 "of the inner ideal is not in the outer ideal"
             )
-    k = _add(_numerator(inner, pk, {}), _numerator(outer, pk, {}), 0, -1)
+    memo: dict[tuple[int, ...], Terms] = {}
+    k = _add(dict(_numerator(inner, pk, memo)), _numerator(outer, pk, memo), 0, -1)
     return HilbertData(*dim_and_mult(_record(k), d))

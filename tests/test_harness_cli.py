@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -401,6 +402,18 @@ class TestCli:
         bad.write_text("ring x\nI: q\nJ: x\n", encoding="utf-8")
         assert cli.main(["show", str(bad)]) == 1
         assert cli.main(["show", str(tmp_path / "missing.ideal")]) == 1
+
+
+def test_readme_library_block_prints_what_its_comments_say(capsys):
+    # the comment on each print, up to its first ": ", is the line printed, "..." matching anything
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## Library\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    claims = [line.split("# ", 1)[1].split(": ", 1)[0] for line in block.splitlines() if line.startswith("print(")]
+    assert len(printed) == len(claims) == 3
+    for line, claim in zip(printed, claims):
+        assert re.fullmatch(".*".join(map(re.escape, claim.split("..."))), line), (line, claim)
 
 
 class TestReferences:

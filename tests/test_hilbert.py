@@ -200,6 +200,15 @@ class TestQuotientModule:
         data = quotient_module_data(inner, outer)
         assert (data.module_dim, data.e0) == (0, expected_length) == (0, 1)
 
+    def test_both_numerators_share_one_memo(self, monkeypatch):
+        # the walks of I^3 and of its saturation meet the same level sets
+        i, m = cycle_pair(5)
+        inner = i.power(3)
+        calls = spy_top_level_calls(monkeypatch)
+        assert quotient_module_data(inner, inner.saturate_ideal(m)) == (0, 1)
+        assert len(calls) == 2
+        assert calls[0][1] is calls[1][1]
+
     def test_containment_violation_reported(self, ring2):
         inner = ideal(ring2, (1, 0))
         outer = ideal(ring2, (2, 0))
@@ -246,7 +255,31 @@ def test_internal_recursion_matches_public(ring3):
     assert hilbert._record(_numerator(gens, pk, {})) == numerator_of_quotient(tri)
 
 
-def test_memo_entries_stay_the_numerators_of_their_ideals():
+def spy_top_level_calls(monkeypatch) -> list[tuple[Packing, dict]]:
+    """Patch ``hilbert._numerator`` to record the packing and memo of each call made outside it."""
+    calls: list[tuple[Packing, dict]] = []
+    depth = [0]
+    real = hilbert._numerator
+
+    def spy(gens, pk, memo):
+        if not depth[0]:
+            calls.append((pk, memo))
+        depth[0] += 1
+        try:
+            return real(gens, pk, memo)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(hilbert, "_numerator", spy)
+    return calls
+
+
+def assert_memo_holds_numerators(ring: RingContext, pk: Packing, memo: dict) -> None:
+    for key, terms in memo.items():
+        assert hilbert._record(terms) == reference_numerator(MonomialIdeal(ring, map(pk.unpack, key)))
+
+
+def test_memo_entries_stay_the_numerators_of_their_ideals(monkeypatch):
     # the memo hands one term map to every caller, so no sum or product may
     # change a map it reads: after the call each entry is still its ideal's
     rng = random.Random(79)
@@ -258,9 +291,17 @@ def test_memo_entries_stay_the_numerators_of_their_ideals():
         memo: dict = {}
         _numerator(gens, pk, memo)
         entries += len(memo)
-        for key, terms in memo.items():
-            assert hilbert._record(terms) == reference_numerator(MonomialIdeal(ring, map(pk.unpack, key)))
+        assert_memo_holds_numerators(ring, pk, memo)
     assert entries > 8  # the walk recursed, so the memo holds intermediate ideals
+    # a quotient's difference starts from the inner numerator, which is in the memo
+    i, m = cycle_pair(5)
+    inner = i.power(3)
+    calls = spy_top_level_calls(monkeypatch)
+    quotient_module_data(inner, inner.saturate_ideal(m))
+    pk, memo = calls[0]
+    assert tuple(map(pk.pack, inner.gens)) in memo
+    assert len(memo) > 2
+    assert_memo_holds_numerators(i.ring, pk, memo)
 
 
 def test_high_exponents_keep_the_recursion_limit(ring3):
