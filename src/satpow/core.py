@@ -42,7 +42,7 @@ lives within one kernel call.
 """
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
 from functools import reduce
@@ -400,21 +400,30 @@ class Packing:
         ]
 
 
-def _stair_insert(xs: list[int], ys: list[int], x: int, y: int) -> tuple[int, list[int], list[int]] | None:
+def _stair_insert(xs: list[int], ys: list[int], x: int, y: int) -> tuple[int, Sequence[int], Sequence[int]] | None:
     """Put (x, y) into the staircase of x exponents ``xs``, increasing, and y exponents ``ys``, decreasing.
 
     None if a staircase point divides (x, y).  Otherwise the points it
     divides leave, and the result is its position and their xs and ys.
+    The xs are distinct, so one ``bisect_right`` finds both the point left
+    of x, which divides (x, y) if its y is no larger, and a point at x,
+    which (x, y) then divides.  The lists change in place, and slices are
+    taken only of the points that leave.
     """
     hi = bisect_right(xs, x)
     if hi and ys[hi - 1] <= y:
         return None
-    lo = bisect_left(xs, x, 0, hi)
+    lo = hi - 1 if hi and xs[hi - 1] == x else hi
     while hi < len(xs) and ys[hi] >= y:
         hi += 1
+    if lo == hi:
+        xs.insert(lo, x)
+        ys.insert(lo, y)
+        return lo, (), ()
     gone = lo, xs[lo:hi], ys[lo:hi]
-    xs[lo:hi] = [x]
-    ys[lo:hi] = [y]
+    xs[lo] = x
+    ys[lo] = y
+    del xs[lo + 1:hi], ys[lo + 1:hi]
     return gone
 
 

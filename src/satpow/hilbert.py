@@ -37,7 +37,12 @@ K is computed in one of four ways, tried in this order:
   part divides leave (``core._stair_insert`` returns them), their terms and
   the corners between them and their neighbours go, and the new point and
   its two corners come in.  Each point enters and leaves the staircase at
-  most once, so the sweep is a sort and r bisections with no recursion;
+  most once, so the sweep is a sort and r bisections with no recursion.
+  The same sweep takes a quotient outer/inner in at most three fields in
+  one pass, with no memo: the points of both ideals are merged, each side
+  keeps its own staircase, and the outer side's terms are subtracted, so
+  it gives K(inner) - K(outer), and it tests each inner point with one
+  bisection of the outer staircase on the way;
 * an ideal in which no variable lies in two generator supports is a
   complete intersection, K = prod(1 - z^deg g), with r factors in place of
   2^r terms;
@@ -50,8 +55,9 @@ K is computed in one of four ways, tried in this order:
   at most max(1, a - 2) calls deep for a active variables.  Pure powers
   would take a walk per variable but for the product above.
 
-Every numerator that ``verify --nmax 30`` computes on the shipped corpus
-takes one of the first two ways.
+On the shipped corpus ``verify --nmax 30`` takes every quotient by the
+two-sided sweep, and every other numerator it computes, those of the
+radicals that ``theory.height`` reads, by the first way.
 
 The recursion runs on generators packed by ``core.Packing``, in the
 packing they come in: ``packed_quotient_data`` takes the two packed lists
@@ -59,18 +65,21 @@ of a quotient as the series of ``filtration`` holds them, and
 ``numerator_of_quotient`` and ``quotient_module_data`` pack their ideals
 once per call.  One field width serves the whole recursion, because a
 level only zeroes exponents.  Numerators of intermediate ideals are
-memoized per call, the two of a quotient in one memo, keyed by the
-canonical tuple of packed generators; ``_add`` writes only into a map its
-caller owns, so a memo map never changes and a hit is safe to share.  A
-quotient of equal ideals is the empty module and computes no numerator.
+memoized per call, the two of a quotient past three fields in one memo,
+keyed by the canonical tuple of packed generators; ``_add`` writes only
+into a map its caller owns, so a memo map never changes and a hit is safe
+to share.  Such a quotient's containment is checked on the levels of its
+outer ideal, down to the staircase test (``_missing``).  A quotient of
+equal ideals is the empty module and computes no numerator.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter, namedtuple
 from collections.abc import Iterable
 from math import comb
 
-from .core import MonomialIdeal, Packing, Row, _stair_insert
+from .core import MonomialIdeal, Packing, _stair_insert
 from .errors import InconsistencyError
 
 # A numerator inside the recursion: degree -> nonzero coefficient.  A map is
@@ -140,20 +149,35 @@ def _inclusion_exclusion(gens: tuple[int, ...], pk: Packing) -> Terms:
     return _terms([t >> top for t in even], [t >> top for t in odd])
 
 
-def _sweep(gens: tuple[int, ...], pk: Packing, fields: tuple[int, int, int]) -> Terms:
-    """K for generators that use only the three ``fields`` (w, x, y) of ``Packing.sweep_fields``, by the level sweep.
+def _sweep(pk: Packing, fields: tuple[int, int, int], inner: tuple[int, ...], outer: tuple[int, ...] | None = None) -> Terms:
+    """K of the ideal of ``inner``, less K of the ideal of ``outer`` if given, by the level sweep.
 
-    ``core._stair_insert`` puts each point in the staircase, and skips one
-    that a staircase point divides, so any generating set gives the K of its ideal.
+    The generators use only the three ``fields`` (w, x, y) of
+    ``Packing.sweep_fields``.  Their points go by increasing (w, x, y), an
+    outer point before an equal inner one, each into its own side's
+    staircase by ``core._stair_insert``, which skips a point that a
+    staircase point divides, so any generating sets give the K of their
+    ideals.  Inner points add their terms and outer points subtract theirs,
+    in one pair of lists.  Every outer point that could divide an inner one
+    comes before it, so one bisection of the outer staircase, before the
+    inner point goes in, finds whether it lies in the outer ideal;
+    ValueError names it if not.
     """
     sw, sx, sy = fields
     value = pk.value
-    points = sorted((g >> sw & value, g >> sx & value, g >> sy & value) for g in gens)
-    up, down = [0], []  # the degrees of the terms +z^t and -z^t
-    plus, minus = up.append, down.append
-    xs: list[int] = []
-    ys: list[int] = []
-    for w, x, y in points:
+    check = outer is not None
+    up, down = [] if check else [0], []  # the degrees of the terms +z^t and -z^t; a difference's 1s cancel
+    outer_xs: list[int] = []
+    outer_ys: list[int] = []
+    sides = (outer_xs, outer_ys, down.append, up.append), ([], [], up.append, down.append)
+    points = sorted(
+        (g >> sw & value, g >> sx & value, g >> sy & value, side)
+        for side, gens in enumerate((outer or (), inner)) for g in gens
+    )
+    for w, x, y, side in points:
+        xs, ys, plus, minus = sides[side]
+        if side and check and (not (hi := bisect_right(outer_xs, x)) or outer_ys[hi - 1] > y):
+            raise _outside(pk, w << sw | x << sx | y << sy)  # every other field is 0
         step = _stair_insert(xs, ys, x, y)
         if step is None:
             continue  # a staircase point divides (x, y)
@@ -173,6 +197,64 @@ def _sweep(gens: tuple[int, ...], pk: Packing, fields: tuple[int, int, int]) -> 
         if right:
             plus(w + xs[lo + 1] + y)
     return _terms(up, down)
+
+
+def _missing(pk: Packing, inner: Iterable[int], outer: tuple[int, ...]) -> int | None:
+    """A generator of ``inner`` outside the ideal of ``outer``, a multiple of no other such, or None.
+
+    A generator of ``outer`` lies in it.  Whether another does depends only
+    on the fields ``outer`` uses.  In at most three, (w, x, y), outer
+    points go into a staircase by increasing (w, x, y), and an inner point
+    is tested with one bisection after every outer point that could divide
+    it.  In more, an inner generator g with w = c, w the first field
+    ``outer`` uses, lies in it iff g with w zeroed lies in the
+    ``Packing.levels`` set of ``outer`` at the largest level at most c,
+    tested by this same function in one field fewer.  Either way a divisor
+    of g is tested before g.
+    """
+    held = set(outer)
+    inner = [g for g in inner if g not in held]
+    if not inner:
+        return None
+    if (fields := pk.sweep_fields(outer)) is not None:
+        sw, sx, sy = fields
+        value = pk.value
+        xs: list[int] = []
+        ys: list[int] = []
+        points = sorted(
+            (g >> sw & value, g >> sx & value, g >> sy & value, side, g)
+            for side, gens in enumerate((outer, inner)) for g in gens
+        )
+        for _, x, y, side, g in points:
+            if not side:
+                _stair_insert(xs, ys, x, y)
+            elif not (hi := bisect_right(xs, x)) or ys[hi - 1] > y:
+                return g
+        return None
+    sw = pk._active_fields([outer])[0]
+    value, lift = pk.value, 1 << sw | 1 << pk.top  # c * lift is w^c, degree included
+    by_w: dict[int, list[int]] = {}
+    for g in inner:
+        c = g >> sw & value
+        by_w.setdefault(c, []).append(g - c * lift)
+    steps = pk.levels([outer])
+    step = next(steps, None)
+    level: tuple[int, ...] = ()  # the zero ideal, until the first level of outer
+    for c in sorted(by_w):
+        while step is not None and step[0] <= c:
+            level = step[1][0]
+            step = next(steps, None)
+        if (g := _missing(pk, by_w[c], level)) is not None:
+            return g + c * lift
+    return None
+
+
+def _outside(pk: Packing, g: int) -> ValueError:
+    """The error for a generator ``g`` of a quotient's inner ideal outside its outer one."""
+    return ValueError(
+        f"containment violated: generator with exponents {pk.unpack(g)} "
+        "of the inner ideal is not in the outer ideal"
+    )
 
 
 def _disjoint(gens: tuple[int, ...], pk: Packing) -> bool:
@@ -200,7 +282,7 @@ def _numerator(gens: tuple[int, ...], pk: Packing, memo: dict[tuple[int, ...], T
     if len(gens) <= _LEAF_GENS:
         result = _inclusion_exclusion(gens, pk)
     elif (fields := pk.sweep_fields(gens)) is not None:
-        result = _sweep(gens, pk, fields)
+        result = _sweep(pk, fields, gens)
     elif _disjoint(gens, pk):
         result = {0: 1}  # a complete intersection, K = prod(1 - z^deg g)
         for g in gens:
@@ -259,20 +341,20 @@ def packed_quotient_data(pk: Packing, inner: Iterable[int], outer: Iterable[int]
     """Hilbert data of outer/inner, for the canonical generators of both packed by ``pk``.
 
     Equal ideals give the empty module.  Otherwise every generator of the
-    inner ideal must lie in the outer one, and the numerator is that of
-    the inner ideal less that of the outer one, both from one memo.
+    inner ideal must lie in the outer one, else ValueError names one that
+    does not and is a multiple of no other such, and the numerator is that
+    of the inner ideal less that of the outer one.  In at most three fields
+    one two-sided ``_sweep`` does both; in more, ``_missing`` checks the
+    generators and both numerators come from one memo.
     """
     inner, outer = tuple(inner), tuple(outer)
-    d = len(pk.shifts)
     if inner == outer:
         return HilbertData(module_dim=None, e0=0)
-    row = Row(pk, outer)
-    for g in inner:
-        if not row.has_divisor(g):
-            raise ValueError(
-                f"containment violated: generator with exponents {pk.unpack(g)} "
-                "of the inner ideal is not in the outer ideal"
-            )
-    memo: dict[tuple[int, ...], Terms] = {}
-    k = _add(dict(_numerator(inner, pk, memo)), _numerator(outer, pk, memo), 0, -1)
-    return HilbertData(*dim_and_mult(_record(k), d))
+    if (fields := pk.sweep_fields(inner, outer)) is not None:
+        k = _sweep(pk, fields, inner, outer)
+    else:
+        if (g := _missing(pk, inner, outer)) is not None:
+            raise _outside(pk, g)
+        memo: dict[tuple[int, ...], Terms] = {}
+        k = _add(dict(_numerator(inner, pk, memo)), _numerator(outer, pk, memo), 0, -1)
+    return HilbertData(*dim_and_mult(_record(k), len(pk.shifts)))

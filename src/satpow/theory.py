@@ -2,36 +2,31 @@
 
 The minimal primes of a monomial ideal are generated by variables: they are
 the inclusion-minimal variable sets that meet every generator's support.
-The height is the least size of such a set.  A pure function on immutable
+The height is the least size of such a set.  A polynomial ring is
+Cohen-Macaulay, so ht I + dim A/I = d for the d variables (Bruns and
+Herzog, Cohen-Macaulay Rings, 2.1.4), and dim A/I = dim A/sqrt(I), read
+off the Hilbert numerator of the radical.  A pure function on immutable
 inputs; safe for concurrent use.
 """
 from __future__ import annotations
 
-from functools import reduce
-from itertools import combinations
-from operator import or_
-
-from .core import MonomialIdeal, _minimal_supports
+from .core import MonomialIdeal, Packing, _minimal_supports
+from .hilbert import _numerator, _record, dim_and_mult
 
 
 def height(ideal: MonomialIdeal) -> int:
     """Minimum cardinality over the minimal primes (the codimension).
 
-    The covers are decided by the inclusion-minimal generator supports
-    alone, read as bit masks: a support containing another is hit whenever
-    the smaller one is.  A smallest variable set hitting every support is a
-    minimal prime, so this is the first k for which some k variables hit
-    every support.
+    d - dim A/sqrt(I), with sqrt(I) generated by the squarefree x_S over
+    the inclusion-minimal generator supports S, which ``_minimal_supports``
+    gives as bit masks in canonical order, packed here for the numerator.
     """
     if ideal.is_zero():
         raise ValueError("the zero ideal has no variable-generated minimal primes")
     if ideal.is_unit():
         raise ValueError("the unit ideal has no minimal primes")
-    supports = _minimal_supports(ideal)
-    used = reduce(or_, supports)
-    variables = [1 << i for i in range(used.bit_length()) if used >> i & 1]
-    return next(
-        k
-        for k in range(1, len(variables) + 1)
-        if any(all(s & sum(c) for s in supports) for c in combinations(variables, k))
-    )
+    d = ideal.ring.var_count
+    pk = Packing(d, 1)
+    radical = tuple(pk.pack(tuple(s >> i & 1 for i in range(d))) for s in _minimal_supports(ideal))
+    dim, _ = dim_and_mult(_record(_numerator(radical, pk, {})), d)
+    return d - dim

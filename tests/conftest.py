@@ -9,7 +9,7 @@ from typing import Callable, Optional
 import pytest
 
 from satpow import (
-    MonomialIdeal, Numerator, RingContext, SeriesSample, filtration, height, minimalize, sample_series,
+    MonomialIdeal, Numerator, RingContext, SeriesSample, filtration, height, hilbert, minimalize, sample_series,
     symbolic_power,
 )
 from satpow.core import Packing, Row
@@ -44,6 +44,21 @@ def contains_ideal(outer: MonomialIdeal, inner: MonomialIdeal) -> bool:
 def contains(i: MonomialIdeal, m: tuple[int, ...]) -> bool:
     """True iff the monomial ``m`` lies in ``i``, as containment of the principal ideal (m)."""
     return contains_ideal(i, minimalize([m], i.ring))
+
+
+def row_quotient(pk: Packing, inner: tuple[int, ...], outer: tuple[int, ...]) -> tuple[int | None, Numerator]:
+    """Containment and numerator difference of outer/inner by the quadratic path, an oracle for ``packed_quotient_data``.
+
+    Each packed generator of ``inner`` is tested against one ``Row`` of all
+    of ``outer``; the first outside the outer ideal, in canonical order, or
+    None, comes first.  Then K(inner) - K(outer), from one ``_numerator``
+    call for each ideal.
+    """
+    row = Row(pk, outer)
+    missing = next((g for g in inner if not row.has_divisor(g)), None)
+    memo: dict = {}
+    k = hilbert._add(dict(hilbert._numerator(inner, pk, memo)), hilbert._numerator(outer, pk, memo), 0, -1)
+    return missing, hilbert._record(k)
 
 
 def sample_series_with_saturations(
@@ -324,25 +339,36 @@ def minimal_primes(ideal: MonomialIdeal) -> list[VariableSubset]:
         raise ValueError("the zero ideal has no variable-generated minimal primes")
     if ideal.is_unit():
         raise ValueError("the unit ideal has no minimal primes")
-    supports = [frozenset(support(g)) for g in ideal.gens]
-    covers: set[VariableSubset] = set()
+    supports = [sum(1 << v for v in support(g)) for g in ideal.gens]  # variable v is bit v
+    covers: list[int] = []
 
-    def extend(chosen: set[int], remaining: list[frozenset[int]]) -> None:
-        uncovered = [s for s in remaining if not (s & chosen)]
-        if not uncovered:
-            covers.add(frozenset(chosen))
+    def extend(chosen: int, barred: int, remaining: list[int]) -> None:
+        # each branch bars the variables its earlier siblings chose, so no
+        # cover is reached twice.  A cover is inclusion-minimal iff each of
+        # its variables is the only one it holds of some support, as covers
+        # are closed upwards; choosing more never gives a variable such a
+        # support back, so a branch stops once one has none.
+        private = 0
+        for s in supports:
+            held = s & chosen
+            if held & (held - 1) == 0:
+                private |= held
+        if private != chosen:
             return
-        branch = min(uncovered, key=lambda s: (len(s), sorted(s)))
-        rest = [s for s in uncovered if s is not branch]
-        for var in sorted(branch):
-            chosen.add(var)
-            extend(chosen, rest)
-            chosen.discard(var)
+        uncovered = [s for s in remaining if not s & chosen]
+        if not uncovered:
+            covers.append(chosen)
+            return
+        branch = min(uncovered, key=lambda s: ((s & ~barred).bit_count(), s))
+        for v in range(branch.bit_length()):
+            bit = 1 << v
+            if branch & ~barred & bit:
+                extend(chosen | bit, barred, uncovered)
+                barred |= bit
 
-    extend(set(), supports)
-
-    minimal = [c for c in covers if not any(o < c for o in covers)]
-    return sorted(minimal, key=lambda c: (len(c), sorted(c)))
+    extend(0, 0, supports)
+    primes = [frozenset(v for v in range(c.bit_length()) if c >> v & 1) for c in covers]
+    return sorted(primes, key=lambda c: (len(c), sorted(c)))
 
 
 def dim_quotient(ideal: MonomialIdeal) -> int:

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import ast
 import itertools
 import random
+import re
 import sys
 from collections.abc import Sequence
 from math import comb
@@ -21,11 +23,12 @@ from satpow import (
 )
 from satpow import hilbert
 from satpow.core import Packing
-from satpow.hilbert import _LEAF_GENS, _numerator
+from satpow.hilbert import _LEAF_GENS, _numerator, packed_quotient_data
 
 from conftest import (
     M, as_numerator, colon_monomial, compositions, cycle_pair, dense, dense_product, dense_sum, dim_quotient,
-    expand_numerator, hilbert_function_oracle, ideal, monomials_up_to, random_ideal, reference_numerator,
+    expand_numerator, hilbert_function_oracle, ideal, member, monomials_up_to, random_ideal, reference_numerator,
+    row_quotient,
 )
 
 # An exponent far past any dense coefficient list
@@ -219,6 +222,98 @@ class TestQuotientModule:
         outer = ideal(ring2, (1, 0), (0, 4))
         with pytest.raises(ValueError, match=r"containment.*\(0, 3\)"):
             quotient_module_data(inner, outer)
+
+
+def named_exponents(error: pytest.ExceptionInfo) -> tuple[int, ...]:
+    """The exponents that a containment error names."""
+    return ast.literal_eval(re.search(r"exponents (\(.*?\))", str(error.value)).group(1))
+
+
+def quotients_missing_one_generator() -> list:
+    """Quotients outer/inner in 2, 3 and 5 variables, the outer ideal a saturation in 3 and 5.
+
+    In two variables a saturation of I^n by the variables or by x is
+    principal or equals I^n, and shares no generator with I^n otherwise,
+    so that case is (x^4, xy, y^5) in (x^3, xy, y^4).
+    """
+    ring = RingContext(("x", "y"))
+    cases = [pytest.param(ideal(ring, (4, 0), (1, 1), (0, 5)), ideal(ring, (3, 0), (1, 1), (0, 4)), id="2-variables")]
+    ring = RingContext(("x", "y", "z"))
+    tri = ideal(ring, (1, 1, 0), (0, 1, 1), (1, 0, 1))
+    m = ideal(ring, (1, 0, 0), (0, 1, 0), (0, 0, 1))
+    cases += [pytest.param(tri.power(n), tri.power(n).saturate_ideal(m), id=f"triangle-n{n}") for n in (2, 3)]
+    c5, m = cycle_pair(5)
+    cases += [pytest.param(c5.power(n), c5.power(n).saturate_ideal(m), id=f"5-cycle-n{n}") for n in (3, 4)]
+    return cases
+
+
+class TestContainment:
+    @pytest.mark.parametrize("inner, outer", quotients_missing_one_generator())
+    def test_a_saturation_missing_a_generator_raises_naming_it(self, inner, outer):
+        # a generator s of both ideals lies in no other generator of the
+        # outer one, and every other inner generator outside the outer ideal
+        # less s is a multiple of s, so s is the one named
+        assert inner != outer
+        shared = set(inner.gens) & set(outer.gens)
+        assert shared
+        for s in shared:
+            less = MonomialIdeal(outer.ring, [g for g in outer.gens if g != s])
+            with pytest.raises(ValueError, match="containment violated") as error:
+                quotient_module_data(inner, less)
+            assert named_exponents(error) == s
+
+    @pytest.mark.parametrize("inner, outer", quotients_missing_one_generator())
+    def test_each_generator_removed_gives_the_row_verdict(self, inner, outer):
+        for s in outer.gens:
+            less = MonomialIdeal(outer.ring, [g for g in outer.gens if g != s])
+            pk, inner_p, outer_p = Packing.of(inner, less)
+            missing, k = row_quotient(pk, inner_p, outer_p)
+            if missing is None:
+                assert quotient_module_data(inner, less) == dim_and_mult(k, len(pk.shifts))
+                continue
+            with pytest.raises(ValueError, match="containment violated") as error:
+                quotient_module_data(inner, less)
+            named = named_exponents(error)
+            assert named in inner.gens and not member(list(less.gens), named)
+
+    @pytest.mark.parametrize("d", range(2, 8))
+    def test_random_pairs_match_the_row_check_and_two_numerators(self, d):
+        rng = random.Random(83 + d)
+        ring = RingContext(tuple(f"x{v}" for v in range(d)))
+        raised = kept = 0
+        for trial in range(80):
+            outer = random_ideal(rng, ring, max_gens=rng.randint(2, 14), max_exp=rng.randint(2, 6))
+            other = random_ideal(rng, ring, max_gens=4, max_exp=3)
+            kind = trial % 4
+            if kind == 0:
+                inner = outer.intersect(other)  # contained, often sharing generators
+            elif kind == 1:
+                inner = outer.multiply(other)  # contained
+            elif kind == 2:
+                inner = other  # seldom contained
+            else:  # outer less one generator, inside the inner one: not contained
+                inner, outer = outer, MonomialIdeal(ring, [g for g in outer.gens if g != rng.choice(outer.gens)])
+            pk, inner_p, outer_p = Packing.of(inner, outer)
+            if inner_p == outer_p:
+                continue
+            missing, k = row_quotient(pk, inner_p, outer_p)
+            fields = pk.sweep_fields(inner_p, outer_p)
+            if missing is None:
+                kept += 1
+                assert packed_quotient_data(pk, inner_p, outer_p) == dim_and_mult(k, d)
+                if fields is None:
+                    assert hilbert._missing(pk, inner_p, outer_p) is None
+                else:
+                    assert hilbert._record(hilbert._sweep(pk, fields, inner_p, outer_p)) == k
+                continue
+            raised += 1
+            with pytest.raises(ValueError, match="containment violated") as error:
+                packed_quotient_data(pk, inner_p, outer_p)
+            named = named_exponents(error)
+            assert named in inner.gens and not member(list(outer.gens), named)
+            if fields is None:
+                assert pk.unpack(hilbert._missing(pk, inner_p, outer_p)) == named
+        assert raised and kept
 
 
 class TestEnumerationOracle:
@@ -477,14 +572,22 @@ class TestSweep:
         cases += [[tuple(g[v] for v in order) for g in dominated] for order in itertools.permutations(range(3))]
         rng = random.Random(67)
         cases += [[tuple(rng.randint(0, 5) for _ in range(3)) for _ in range(12)] for _ in range(40)]
+        wider = random.Random(68)
         for gens in cases:
             tuples = [(0,) + tuple(g) for g in gens]
             pk = Packing(4, 9)
             packed = tuple(map(pk.pack, tuples))
             i = minimalize(tuples, ring)
-            k = hilbert._record(hilbert._sweep(packed, pk, pk.sweep_fields(packed)))
+            k = hilbert._record(hilbert._sweep(pk, pk.sweep_fields(packed), packed))
             assert k == reference_numerator(i)
             assert expand_numerator(k, 4, 9) == hilbert_function_oracle(i, 9)
+            # the same points with a few more generate an ideal holding i,
+            # and the two-sided sweep gives the difference of the numerators
+            more = tuples + [(0,) + tuple(wider.randint(0, 5) for _ in range(3)) for _ in range(3)]
+            outer = tuple(map(pk.pack, more))
+            k = hilbert._record(hilbert._sweep(pk, pk.sweep_fields(packed, outer), packed, outer))
+            big = reference_numerator(minimalize(more, ring))
+            assert k == as_numerator(dense_sum(dense(reference_numerator(i)), [-c for c in dense(big)]))
 
     def test_takes_no_split(self, monkeypatch):
         # at most three active variables take the sweep and never walk the

@@ -5,9 +5,11 @@ import random
 
 import pytest
 
-from satpow import MonomialIdeal, RingContext, height
+from satpow import MonomialIdeal, RingContext, dim_and_mult, height, minimalize, numerator_of_quotient
+from satpow.cli import default_corpus_path
+from satpow.parsing import load_corpus
 
-from conftest import dim_quotient, ideal, minimal_primes, random_ideal, support
+from conftest import cycle_pair, dim_quotient, ideal, minimal_primes, random_ideal, support
 
 
 def brute_force_minimal_transversals(supports, d):
@@ -95,3 +97,49 @@ def test_height_is_the_smallest_minimal_prime():
             if i.is_unit():
                 continue
             assert height(i) == min(len(p) for p in minimal_primes(i))
+
+
+def radical_and_primes_cases() -> list[MonomialIdeal]:
+    """The shipped corpus's ideals, the edge ideals of C3 .. C30, and 600 seeded ideals in 2 .. 10 variables."""
+    cases = [e.pair.base for e in load_corpus(default_corpus_path())]
+    cases += [cycle_pair(m)[0] for m in range(3, 31)]
+    rng = random.Random(43)
+    drawn = []
+    while len(drawn) < 600:
+        d = rng.randint(2, 10)
+        i = random_ideal(rng, RingContext(tuple(f"x{v}" for v in range(d))), max_gens=rng.randint(1, 9), max_exp=3)
+        if not i.is_unit():
+            drawn.append(i)
+    return cases + drawn
+
+
+CASES = radical_and_primes_cases()
+
+
+def test_height_is_the_least_size_of_the_oracle_primes():
+    # height reads d - dim A/sqrt(I) off a Hilbert numerator; the oracle
+    # enumerates the minimal primes from the generators' supports
+    for i in CASES:
+        assert height(i) == min(map(len, minimal_primes(i)))
+
+
+def test_radical_multiplicity_counts_the_primes_of_least_height():
+    # A/sqrt(I) is a Stanley-Reisner ring, and its e0 counts the facets of
+    # largest dimension, the minimal primes of least height
+    for i in CASES:
+        primes = minimal_primes(i)
+        least = min(map(len, primes))
+        radical = minimalize([tuple(min(e, 1) for e in g) for g in i.gens], i.ring)
+        d = i.ring.var_count
+        assert dim_and_mult(numerator_of_quotient(radical), d) == (d - least, sum(len(p) == least for p in primes))
+
+
+def test_cycles_give_their_known_heights_and_counts():
+    # C_2k has the two covers of k alternate vertices; C_2k+1 needs k + 1
+    # vertices, in 2k + 1 ways
+    for m in (3, 4, 17, 30):
+        i, _ = cycle_pair(m)
+        primes = minimal_primes(i)
+        least = (m + 1) // 2
+        assert height(i) == least
+        assert sum(len(p) == least for p in primes) == (2 if m % 2 == 0 else m)
