@@ -106,8 +106,9 @@ def _build_parser() -> _Parser:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w", encoding="utf-8") as file:
-            file.write(text)
+        data = text.encode("utf-8")  # before the open, which empties the file
+        with open(out, "wb") as file:
+            file.write(data)
     else:
         sys.stdout.write(text)
 

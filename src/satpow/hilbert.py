@@ -39,10 +39,10 @@ K is computed in one of four ways, tried in this order:
   its two corners come in.  Each point enters and leaves the staircase at
   most once, so the sweep is a sort and r bisections with no recursion.
   The same sweep takes a quotient outer/inner in at most three fields in
-  one pass, with no memo: the points of both ideals are merged, each side
-  keeps its own staircase, and the outer side's terms are subtracted, so
-  it gives K(inner) - K(outer), and it tests each inner point with one
-  bisection of the outer staircase on the way;
+  one pass: the points of both ideals are merged, each side keeps its own
+  staircase, and the outer side's terms are subtracted, so it gives
+  K(inner) - K(outer), and it tests each inner point with one bisection of
+  the outer staircase on the way;
 * an ideal in which no variable lies in two generator supports is a
   complete intersection, K = prod(1 - z^deg g), with r factors in place of
   2^r terms;
@@ -55,22 +55,31 @@ K is computed in one of four ways, tried in this order:
   at most max(1, a - 2) calls deep for a active variables.  Pure powers
   would take a walk per variable but for the product above.
 
-On the shipped corpus ``verify --nmax 30`` takes every quotient by the
-two-sided sweep, and every other numerator it computes, those of the
-radicals that ``theory.height`` reads, by the first way.
+A quotient outer/inner never computes the numerator of either ideal
+alone.  ``_quotient`` gives K(inner) - K(outer) as 0 for equal ideals, by
+the two-sided sweep in at most three fields, and in more by one walk over
+the levels of both ideals at once: the sum over c of z^c (D_c - D_b), D_c
+the difference at level c and D_b at the level before, or 0, each taken by
+``_quotient`` in one active variable fewer.  The inner ideal lies in the
+outer one iff each of its levels lies in the outer level, so the sweeps at
+the bottom of the walk check containment, and a level where both sides are
+equal computes nothing below it.  Like the fourth way, the walk is at most
+max(1, a - 2) calls deep.  On the shipped corpus ``verify --nmax 30``
+takes every quotient by one two-sided sweep, and every other numerator it
+computes, those of the radicals that ``theory.height`` reads, by the first
+way.
 
 The recursion runs on generators packed by ``core.Packing``, in the
 packing they come in: ``packed_quotient_data`` takes the two packed lists
 of a quotient as the series of ``filtration`` holds them, and
 ``numerator_of_quotient`` and ``quotient_module_data`` pack their ideals
 once per call.  One field width serves the whole recursion, because a
-level only zeroes exponents.  Numerators of intermediate ideals are
-memoized per call, the two of a quotient past three fields in one memo,
-keyed by the canonical tuple of packed generators; ``_add`` writes only
-into a map its caller owns, so a memo map never changes and a hit is safe
-to share.  Such a quotient's containment is checked on the levels of its
-outer ideal, down to the staircase test (``_missing``).  A quotient of
-equal ideals is the empty module and computes no numerator.
+level only zeroes exponents.  The numerators of the intermediate ideals of
+one ``numerator_of_quotient`` call are memoized for that call, keyed by the
+canonical tuple of packed generators; ``_add`` writes only into a map its
+caller owns, so a memo map never changes and a hit is safe to share.  A
+quotient needs no memo, as its walk takes the levels of both ideals in one
+pass.
 """
 from __future__ import annotations
 
@@ -149,7 +158,9 @@ def _inclusion_exclusion(gens: tuple[int, ...], pk: Packing) -> Terms:
     return _terms([t >> top for t in even], [t >> top for t in odd])
 
 
-def _sweep(pk: Packing, fields: tuple[int, int, int], inner: tuple[int, ...], outer: tuple[int, ...] | None = None) -> Terms:
+def _sweep(
+    pk: Packing, fields: tuple[int, int, int], inner: tuple[int, ...], outer: tuple[int, ...] | None = None, at: int = 0
+) -> Terms:
     """K of the ideal of ``inner``, less K of the ideal of ``outer`` if given, by the level sweep.
 
     The generators use only the three ``fields`` (w, x, y) of
@@ -161,7 +172,8 @@ def _sweep(pk: Packing, fields: tuple[int, int, int], inner: tuple[int, ...], ou
     in one pair of lists.  Every outer point that could divide an inner one
     comes before it, so one bisection of the outer staircase, before the
     inner point goes in, finds whether it lies in the outer ideal;
-    ValueError names it if not.
+    ValueError names it if not, times ``at``, the packed monomial of the
+    levels it was taken at by ``_quotient``.
     """
     sw, sx, sy = fields
     value = pk.value
@@ -177,7 +189,11 @@ def _sweep(pk: Packing, fields: tuple[int, int, int], inner: tuple[int, ...], ou
     for w, x, y, side in points:
         xs, ys, plus, minus = sides[side]
         if side and check and (not (hi := bisect_right(outer_xs, x)) or outer_ys[hi - 1] > y):
-            raise _outside(pk, w << sw | x << sx | y << sy)  # every other field is 0
+            g = at + (w << sw | x << sx | y << sy)  # every other field is 0 or in at
+            raise ValueError(
+                f"containment violated: generator with exponents {pk.unpack(g)} "
+                "of the inner ideal is not in the outer ideal"
+            )
         step = _stair_insert(xs, ys, x, y)
         if step is None:
             continue  # a staircase point divides (x, y)
@@ -197,64 +213,6 @@ def _sweep(pk: Packing, fields: tuple[int, int, int], inner: tuple[int, ...], ou
         if right:
             plus(w + xs[lo + 1] + y)
     return _terms(up, down)
-
-
-def _missing(pk: Packing, inner: Iterable[int], outer: tuple[int, ...]) -> int | None:
-    """A generator of ``inner`` outside the ideal of ``outer``, a multiple of no other such, or None.
-
-    A generator of ``outer`` lies in it.  Whether another does depends only
-    on the fields ``outer`` uses.  In at most three, (w, x, y), outer
-    points go into a staircase by increasing (w, x, y), and an inner point
-    is tested with one bisection after every outer point that could divide
-    it.  In more, an inner generator g with w = c, w the first field
-    ``outer`` uses, lies in it iff g with w zeroed lies in the
-    ``Packing.levels`` set of ``outer`` at the largest level at most c,
-    tested by this same function in one field fewer.  Either way a divisor
-    of g is tested before g.
-    """
-    held = set(outer)
-    inner = [g for g in inner if g not in held]
-    if not inner:
-        return None
-    if (fields := pk.sweep_fields(outer)) is not None:
-        sw, sx, sy = fields
-        value = pk.value
-        xs: list[int] = []
-        ys: list[int] = []
-        points = sorted(
-            (g >> sw & value, g >> sx & value, g >> sy & value, side, g)
-            for side, gens in enumerate((outer, inner)) for g in gens
-        )
-        for _, x, y, side, g in points:
-            if not side:
-                _stair_insert(xs, ys, x, y)
-            elif not (hi := bisect_right(xs, x)) or ys[hi - 1] > y:
-                return g
-        return None
-    sw = pk._active_fields([outer])[0]
-    value, lift = pk.value, 1 << sw | 1 << pk.top  # c * lift is w^c, degree included
-    by_w: dict[int, list[int]] = {}
-    for g in inner:
-        c = g >> sw & value
-        by_w.setdefault(c, []).append(g - c * lift)
-    steps = pk.levels([outer])
-    step = next(steps, None)
-    level: tuple[int, ...] = ()  # the zero ideal, until the first level of outer
-    for c in sorted(by_w):
-        while step is not None and step[0] <= c:
-            level = step[1][0]
-            step = next(steps, None)
-        if (g := _missing(pk, by_w[c], level)) is not None:
-            return g + c * lift
-    return None
-
-
-def _outside(pk: Packing, g: int) -> ValueError:
-    """The error for a generator ``g`` of a quotient's inner ideal outside its outer one."""
-    return ValueError(
-        f"containment violated: generator with exponents {pk.unpack(g)} "
-        "of the inner ideal is not in the outer ideal"
-    )
 
 
 def _disjoint(gens: tuple[int, ...], pk: Packing) -> bool:
@@ -299,6 +257,22 @@ def _numerator(gens: tuple[int, ...], pk: Packing, memo: dict[tuple[int, ...], T
     return result
 
 
+def _quotient(pk: Packing, inner: tuple[int, ...], outer: tuple[int, ...], at: int = 0) -> Terms:
+    """K(inner) - K(outer); ValueError names ``at`` times an inner generator outside the outer ideal."""
+    if inner == outer:
+        return {}
+    if (fields := pk.sweep_fields(inner, outer)) is not None:
+        return _sweep(pk, fields, inner, outer, at)
+    lift = 1 << pk._active_fields([inner, outer])[0] | 1 << pk.top  # c * lift is w^c, degree included
+    result: Terms = {}  # sum of z^c (D_c - D_b); the two 1s cancel
+    before: Terms = {}
+    for c, (inner_c, outer_c) in pk.levels([inner, outer]):
+        now = _quotient(pk, inner_c, outer_c, at + c * lift)
+        _add(_add(result, now, c, 1), before, c, -1)
+        before = now
+    return result
+
+
 def numerator_of_quotient(ideal: MonomialIdeal) -> Numerator:
     """Numerator K with H_{A/I}(z) = K(z)/(1-z)^d over the ambient d.
 
@@ -340,21 +314,11 @@ def quotient_module_data(inner: MonomialIdeal, outer: MonomialIdeal) -> HilbertD
 def packed_quotient_data(pk: Packing, inner: Iterable[int], outer: Iterable[int]) -> HilbertData:
     """Hilbert data of outer/inner, for the canonical generators of both packed by ``pk``.
 
-    Equal ideals give the empty module.  Otherwise every generator of the
-    inner ideal must lie in the outer one, else ValueError names one that
-    does not and is a multiple of no other such, and the numerator is that
-    of the inner ideal less that of the outer one.  In at most three fields
-    one two-sided ``_sweep`` does both; in more, ``_missing`` checks the
-    generators and both numerators come from one memo.
+    Every generator of the inner ideal must lie in the outer one, else
+    ValueError names one that does not and is a multiple of no other such.
+    The numerator is that of the inner ideal less that of the outer one,
+    from one ``_quotient``, which checks the generators on the way; equal
+    ideals give the zero numerator, of the empty module.
     """
-    inner, outer = tuple(inner), tuple(outer)
-    if inner == outer:
-        return HilbertData(module_dim=None, e0=0)
-    if (fields := pk.sweep_fields(inner, outer)) is not None:
-        k = _sweep(pk, fields, inner, outer)
-    else:
-        if (g := _missing(pk, inner, outer)) is not None:
-            raise _outside(pk, g)
-        memo: dict[tuple[int, ...], Terms] = {}
-        k = _add(dict(_numerator(inner, pk, memo)), _numerator(outer, pk, memo), 0, -1)
+    k = _quotient(pk, tuple(inner), tuple(outer))
     return HilbertData(*dim_and_mult(_record(k), len(pk.shifts)))

@@ -46,16 +46,16 @@ def contains(i: MonomialIdeal, m: tuple[int, ...]) -> bool:
     return contains_ideal(i, minimalize([m], i.ring))
 
 
-def row_quotient(pk: Packing, inner: tuple[int, ...], outer: tuple[int, ...]) -> tuple[int | None, Numerator]:
+def row_quotient(pk: Packing, inner: tuple[int, ...], outer: tuple[int, ...]) -> tuple[list[int], Numerator]:
     """Containment and numerator difference of outer/inner by the quadratic path, an oracle for ``packed_quotient_data``.
 
     Each packed generator of ``inner`` is tested against one ``Row`` of all
-    of ``outer``; the first outside the outer ideal, in canonical order, or
-    None, comes first.  Then K(inner) - K(outer), from one ``_numerator``
-    call for each ideal.
+    of ``outer``; those outside the outer ideal, in canonical order, come
+    first, none if it holds the inner one.  Then K(inner) - K(outer), from
+    one ``_numerator`` call for each ideal.
     """
     row = Row(pk, outer)
-    missing = next((g for g in inner if not row.has_divisor(g)), None)
+    missing = [g for g in inner if not row.has_divisor(g)]
     memo: dict = {}
     k = hilbert._add(dict(hilbert._numerator(inner, pk, memo)), hilbert._numerator(outer, pk, memo), 0, -1)
     return missing, hilbert._record(k)

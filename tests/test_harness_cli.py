@@ -338,6 +338,18 @@ class TestCli:
         assert run.stdout == ""
         assert run.stderr.count("\n") == 1 and run.stderr.startswith("error: ")
 
+    def test_unencodable_report_keeps_an_existing_out_file(self, tmp_path, capsys):
+        # a lone surrogate in a corpus name parses but cannot be written as UTF-8
+        corpus = tmp_path / "corpus.json"
+        corpus.write_text(json.dumps([dict(TRIANGLE_ENTRY, name="bad\ud800")]), encoding="utf-8")
+        assert "\\ud800" in corpus.read_text(encoding="utf-8")
+        out = tmp_path / "out.txt"
+        out.write_bytes(b"old report\n")
+        assert cli.main(["verify", str(corpus), "--nmax", "4", "--out", str(out)]) == 1
+        assert out.read_bytes() == b"old report\n"
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+
     def test_usage_error_exits_one(self, capsys):
         assert cli.main(["power"]) == 1
         assert cli.main(["no-such-command"]) == 1

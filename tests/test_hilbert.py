@@ -17,9 +17,11 @@ from satpow import (
     RingContext,
     RingMismatchError,
     dim_and_mult,
+    filtration,
     minimalize,
     numerator_of_quotient,
     quotient_module_data,
+    sample_series,
 )
 from satpow import hilbert
 from satpow.core import Packing
@@ -203,14 +205,38 @@ class TestQuotientModule:
         data = quotient_module_data(inner, outer)
         assert (data.module_dim, data.e0) == (0, expected_length) == (0, 1)
 
-    def test_both_numerators_share_one_memo(self, monkeypatch):
-        # the walks of I^3 and of its saturation meet the same level sets
+    def test_a_quotient_walks_each_pair_of_levels_once(self, monkeypatch):
+        # past three fields each quotient of the 5-cycle's series is one walk
+        # over the levels of both ideals at once: no numerator of either
+        # ideal alone, and no parts whose levels are taken twice
+        def fail(gens, pk, memo):
+            raise AssertionError("numerator computed for a quotient")
+
+        walks: list[list[tuple]] = []  # per quotient, the parts of each levels call inside it
+        inside = [False]
+        real_levels, real_quotient = Packing.levels, filtration.packed_quotient_data
+
+        def levels(pk, parts):
+            if inside[0]:
+                walks[-1].append(tuple(map(tuple, parts)))
+            return real_levels(pk, parts)
+
+        def quotient(pk, inner, outer):
+            walks.append([])
+            inside[0] = True
+            try:
+                return real_quotient(pk, inner, outer)
+            finally:
+                inside[0] = False
+
+        monkeypatch.setattr(hilbert, "_numerator", fail)
+        monkeypatch.setattr(Packing, "levels", levels)
+        monkeypatch.setattr(filtration, "packed_quotient_data", quotient)
         i, m = cycle_pair(5)
-        inner = i.power(3)
-        calls = spy_top_level_calls(monkeypatch)
-        assert quotient_module_data(inner, inner.saturate_ideal(m)) == (0, 1)
-        assert len(calls) == 2
-        assert calls[0][1] is calls[1][1]
+        assert len(sample_series(i, m, 10)) == 10
+        assert sum(map(bool, walks)) > 5
+        for walk in walks:
+            assert len(set(walk)) == len(walk)
 
     def test_containment_violation_reported(self, ring2):
         inner = ideal(ring2, (1, 0))
@@ -268,7 +294,7 @@ class TestContainment:
             less = MonomialIdeal(outer.ring, [g for g in outer.gens if g != s])
             pk, inner_p, outer_p = Packing.of(inner, less)
             missing, k = row_quotient(pk, inner_p, outer_p)
-            if missing is None:
+            if not missing:
                 assert quotient_module_data(inner, less) == dim_and_mult(k, len(pk.shifts))
                 continue
             with pytest.raises(ValueError, match="containment violated") as error:
@@ -278,9 +304,13 @@ class TestContainment:
 
     @pytest.mark.parametrize("d", range(2, 8))
     def test_random_pairs_match_the_row_check_and_two_numerators(self, d):
+        # past three fields the quotient walks the levels of both ideals, in
+        # at most three it takes one two-sided sweep; either way the named
+        # generator is missing and a multiple of no other missing one
         rng = random.Random(83 + d)
         ring = RingContext(tuple(f"x{v}" for v in range(d)))
-        raised = kept = 0
+        raised = {"swept": 0, "walked": 0}
+        kept = {"swept": 0, "walked": 0}
         for trial in range(80):
             outer = random_ideal(rng, ring, max_gens=rng.randint(2, 14), max_exp=rng.randint(2, 6))
             other = random_ideal(rng, ring, max_gens=4, max_exp=3)
@@ -297,23 +327,24 @@ class TestContainment:
             if inner_p == outer_p:
                 continue
             missing, k = row_quotient(pk, inner_p, outer_p)
-            fields = pk.sweep_fields(inner_p, outer_p)
-            if missing is None:
-                kept += 1
+            path = "swept" if pk.sweep_fields(inner_p, outer_p) else "walked"
+            if not missing:
+                kept[path] += 1
                 assert packed_quotient_data(pk, inner_p, outer_p) == dim_and_mult(k, d)
-                if fields is None:
-                    assert hilbert._missing(pk, inner_p, outer_p) is None
-                else:
-                    assert hilbert._record(hilbert._sweep(pk, fields, inner_p, outer_p)) == k
+                assert hilbert._record(hilbert._quotient(pk, inner_p, outer_p)) == k
                 continue
-            raised += 1
+            raised[path] += 1
             with pytest.raises(ValueError, match="containment violated") as error:
                 packed_quotient_data(pk, inner_p, outer_p)
             named = named_exponents(error)
-            assert named in inner.gens and not member(list(outer.gens), named)
-            if fields is None:
-                assert pk.unpack(hilbert._missing(pk, inner_p, outer_p)) == named
-        assert raised and kept
+            others = [pk.unpack(g) for g in missing]
+            assert named in others
+            others.remove(named)
+            assert not member(others, named)
+        if d <= 4:  # past four fields few random pairs use at most three
+            assert raised["swept"] and kept["swept"]
+        if d >= 4:
+            assert raised["walked"] and kept["walked"]
 
 
 class TestEnumerationOracle:
@@ -350,31 +381,12 @@ def test_internal_recursion_matches_public(ring3):
     assert hilbert._record(_numerator(gens, pk, {})) == numerator_of_quotient(tri)
 
 
-def spy_top_level_calls(monkeypatch) -> list[tuple[Packing, dict]]:
-    """Patch ``hilbert._numerator`` to record the packing and memo of each call made outside it."""
-    calls: list[tuple[Packing, dict]] = []
-    depth = [0]
-    real = hilbert._numerator
-
-    def spy(gens, pk, memo):
-        if not depth[0]:
-            calls.append((pk, memo))
-        depth[0] += 1
-        try:
-            return real(gens, pk, memo)
-        finally:
-            depth[0] -= 1
-
-    monkeypatch.setattr(hilbert, "_numerator", spy)
-    return calls
-
-
 def assert_memo_holds_numerators(ring: RingContext, pk: Packing, memo: dict) -> None:
     for key, terms in memo.items():
         assert hilbert._record(terms) == reference_numerator(MonomialIdeal(ring, map(pk.unpack, key)))
 
 
-def test_memo_entries_stay_the_numerators_of_their_ideals(monkeypatch):
+def test_memo_entries_stay_the_numerators_of_their_ideals():
     # the memo hands one term map to every caller, so no sum or product may
     # change a map it reads: after the call each entry is still its ideal's
     rng = random.Random(79)
@@ -388,15 +400,6 @@ def test_memo_entries_stay_the_numerators_of_their_ideals(monkeypatch):
         entries += len(memo)
         assert_memo_holds_numerators(ring, pk, memo)
     assert entries > 8  # the walk recursed, so the memo holds intermediate ideals
-    # a quotient's difference starts from the inner numerator, which is in the memo
-    i, m = cycle_pair(5)
-    inner = i.power(3)
-    calls = spy_top_level_calls(monkeypatch)
-    quotient_module_data(inner, inner.saturate_ideal(m))
-    pk, memo = calls[0]
-    assert tuple(map(pk.pack, inner.gens)) in memo
-    assert len(memo) > 2
-    assert_memo_holds_numerators(i.ring, pk, memo)
 
 
 def test_high_exponents_keep_the_recursion_limit(ring3):
