@@ -11,13 +11,12 @@ exactly-fitted data indicates an engine bug, never a counterexample, and is
 reported with the dedicated 'engine-inconsistent' verdict.
 
 Entries are processed independently and the report preserves input order;
-identical inputs produce byte-identical output.
+identical inputs produce byte-identical output.  ``csv`` is imported in
+``_render_csv`` and ``json`` in ``_render_json``, so only the reports in
+those formats load them.
 """
 from __future__ import annotations
 
-import csv
-import io
-import json
 from collections import namedtuple
 from collections.abc import Sequence
 
@@ -199,6 +198,9 @@ def _render_table(columns: Sequence[str], rows: Sequence[dict[str, str]]) -> str
 
 
 def _render_csv(columns: Sequence[str], rows: Sequence[dict[str, str]]) -> str:
+    import csv
+    import io
+
     out = io.StringIO()
     writer = csv.DictWriter(out, fieldnames=columns, lineterminator="\n")
     writer.writeheader()
@@ -207,6 +209,8 @@ def _render_csv(columns: Sequence[str], rows: Sequence[dict[str, str]]) -> str:
 
 
 def _render_json(payload: object) -> str:
+    import json
+
     return json.dumps(payload, indent=2) + "\n"
 
 

@@ -16,7 +16,6 @@ canonical files.
 """
 from __future__ import annotations
 
-import json
 from collections import namedtuple
 from collections.abc import Iterable
 
@@ -149,6 +148,8 @@ class CorpusEntry(namedtuple("CorpusEntry", "name pair expect")):
 
 def parse_corpus(text: str) -> list[CorpusEntry]:
     """Parse a corpus: a JSON array of {name, ring, I, J, expect?} objects."""
+    import json
+
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:

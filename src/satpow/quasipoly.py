@@ -9,16 +9,17 @@ a verification point.  The polynomial is read off the rows of that same
 scan in Newton forward form.  Samples are differenced as given (an int
 series stays int), and only the coefficients are Fractions.  No floating
 point anywhere; fits interpolate sample tails exactly or fail loudly.
+
+``Fraction`` is imported inside the functions that build one, so a command
+that fits nothing never loads ``fractions`` (nor ``decimal`` and
+``numbers``, which it imports); the annotations naming it are strings.
 """
 from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Sequence
-from fractions import Fraction
 
 from .errors import InsufficientDataError
-
-ExactNumber = int | Fraction
 
 
 class QuasiPolynomial(namedtuple("QuasiPolynomial", "period degree coeffs onset")):
@@ -36,6 +37,8 @@ class QuasiPolynomial(namedtuple("QuasiPolynomial", "period degree coeffs onset"
 
 def evaluate(qp: QuasiPolynomial, n: int) -> Fraction:
     """Exact value sum_i a_i(n mod g) * n^i."""
+    from fractions import Fraction
+
     if n < 0:
         raise ValueError(f"evaluate wants n >= 0, got {n}")
     if qp.degree is None:
@@ -71,7 +74,7 @@ def grade(qp: QuasiPolynomial) -> int:
 # ---------------------------------------------------------------------------
 
 def _fit_class(
-    class_ns: Sequence[int], vals: Sequence[ExactNumber], min_tail: int
+    class_ns: Sequence[int], vals: Sequence[int | Fraction], min_tail: int
 ) -> tuple[list[Fraction], int] | None:
     """Polynomial fit of the longest suffix of one residue class.
 
@@ -85,6 +88,8 @@ def _fit_class(
     The samples are differenced as given, so an int series stays int until
     that division.  Returns (coefficients in n, onset n) or None.
     """
+    from fractions import Fraction
+
     m = len(vals)
     best: tuple[int, int] | None = None  # (suffix start j0, order k)
     rows = [list(vals)]
@@ -120,8 +125,10 @@ def _fit_class(
 
 
 def _try_period(
-    ns: Sequence[int], vs: Sequence[ExactNumber], g: int, min_tail: int
+    ns: Sequence[int], vs: Sequence[int | Fraction], g: int, min_tail: int
 ) -> QuasiPolynomial | None:
+    from fractions import Fraction
+
     rows: list[tuple[list[Fraction], int]] = []
     for r in range(g):
         start = (r - ns[0]) % g
@@ -143,7 +150,7 @@ def _try_period(
 
 
 def fit(
-    samples: Sequence[tuple[int, ExactNumber]],
+    samples: Sequence[tuple[int, int | Fraction]],
     *,
     min_tail: int = 3,
 ) -> QuasiPolynomial:
@@ -157,6 +164,8 @@ def fit(
     polynomial; when no period manages that, InsufficientDataError asks the
     caller for a longer sample window rather than extrapolating.
     """
+    from fractions import Fraction
+
     if min_tail < 2:
         raise ValueError(f"min_tail must be >= 2, got {min_tail}")
     if not samples:
@@ -165,7 +174,7 @@ def fit(
     for a, b in zip(ns, ns[1:]):
         if b != a + 1:
             raise ValueError("samples must be at consecutive n")
-    vs: list[ExactNumber] = []
+    vs: list[int | Fraction] = []
     for _, v in samples:
         if isinstance(v, float):
             raise TypeError("samples must be exact (int or Fraction), not float")

@@ -40,19 +40,76 @@ def test_modules_import_only_the_standard_library():
 
 
 # Every satpow command is a fresh process, so what importing the CLI loads is
-# paid on every run; these modules cost the most and satpow needs none of them.
-NOT_AT_START_UP = ["typing", "dataclasses", "inspect", "pathlib", "importlib.resources", "tempfile"]
+# paid on every run; these modules cost the most and satpow needs none of them
+# at start-up.  The last five only some commands load, inside the function
+# that uses each (``fractions`` brings ``decimal`` and ``numbers``).
+LOADED_BY_SOME_COMMANDS = ["fractions", "decimal", "numbers", "json", "csv"]
+NOT_AT_START_UP = [
+    "typing", "dataclasses", "inspect", "pathlib", "importlib.resources", "tempfile",
+    *LOADED_BY_SOME_COMMANDS,
+]
+CHILD_ENV = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+
+
+def _loaded_after(code: str) -> set[str]:
+    """The modules loaded after ``code`` ran in a fresh ``python -S`` child that prints nothing."""
+    code += "; print(*sorted(sys.modules))"
+    run = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=CHILD_ENV, capture_output=True, text=True, check=True
+    )
+    return set(run.stdout.split())
 
 
 def test_cli_start_up_loads_no_heavy_module():
-    code = "import sys, satpow.cli, satpow.parsing; print(*sorted(sys.modules))"
-    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
-    run = subprocess.run(
-        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    loaded = set(run.stdout.split())
+    loaded = _loaded_after("import sys, satpow.cli, satpow.parsing")
     assert "satpow.cli" in loaded
     assert sorted(loaded.intersection(NOT_AT_START_UP)) == []
+
+
+# perfbench/trace_child.py's install() wraps satpow functions in the satpow
+# modules already loaded and exits when a name is in none of them, so every
+# module must load at ``import satpow.cli``: a module-level lazy import would
+# break the traced benchmark.  This test goes with that tracer (ROADMAP
+# item 3b), which is what still blocks lazy imports of satpow's own modules.
+def test_cli_import_loads_every_satpow_module():
+    modules = {f"satpow.{path.stem}" for path in PACKAGE.glob("*.py") if path.stem != "__init__"}
+    assert len(modules) >= 9
+    assert sorted(modules - _loaded_after("import sys, satpow.cli")) == []
+
+
+# (satpow arguments, the stored file they print, the modules satpow imports
+# for them); a report in table or text form needs none of them
+COMMANDS = [
+    ("hilbert tests/data/three-vars.ideal", "three-vars-hilbert.txt", []),
+    ("symbolic tests/data/edge-graph.ideal -n 6", "edge-symbolic-n6.txt", []),
+    ("series tests/data/edge-graph.ideal --nmax 6", "edge-graph-series-n6.txt", []),
+    ("fit tests/data/huge-exponent.ideal --nmax 20 --min-tail 2", "huge-exponent-fit-n20.txt", ["fractions"]),
+    ("verify --nmax 12 --min-tail 2 --format csv", "verify-n12.csv", ["csv", "fractions", "json"]),
+    ("series tests/data/edge-graph.ideal --nmax 6 --format json", "edge-graph-series-n6.json", ["json"]),
+]
+
+
+# runs ``main`` on its arguments, then lists the loaded modules on stderr
+RUN_MAIN = (
+    "import sys; from satpow.cli import main; code = main(sys.argv[1:]); "
+    "print(*sorted(sys.modules), file=sys.stderr); sys.exit(code)"
+)
+
+
+@pytest.mark.parametrize("args, stored, uses", COMMANDS, ids=[stored for _, stored, _ in COMMANDS])
+def test_a_command_loads_only_the_modules_it_uses(args, stored, uses):
+    root = Path(__file__).parents[1]
+    run = subprocess.run(
+        [sys.executable, "-S", "-c", RUN_MAIN, *args.split()],
+        cwd=root, env=CHILD_ENV, capture_output=True, check=True,
+    )
+    assert run.stdout == (root / "tests" / "data" / stored).read_bytes()
+    loaded = set(run.stderr.decode().split())
+    if uses:
+        # decimal and numbers come with fractions, as the standard library has it
+        assert sorted(loaded.intersection(["csv", "fractions", "json"])) == uses
+    else:
+        assert sorted(loaded.intersection(LOADED_BY_SOME_COMMANDS)) == []
 
 
 def test_the_guard_sees_foreign_imports():
