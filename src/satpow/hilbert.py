@@ -12,17 +12,15 @@ h(1) != 0, the module has dimension d - s and multiplicity e0 = h(1)
 (Bruns and Herzog, Cohen-Macaulay Rings, 4.1), and ``dim_and_mult`` reads
 both from the binomial moments of the terms, with no division by (1-z).
 Only the CLI's ``hilbert`` report expands K to a dense list, to print it.
-K is computed in one of four ways, tried in this order:
 
-* an ideal with at most ``_LEAF_GENS`` generators takes the inclusion-
-  exclusion sum over subsets S of its generators, the sum of
-  (-1)^|S| z^(deg lcm S), which is the alternating sum of the Taylor
-  resolution.  Its 2^r terms for r generators are two flat lists, the
-  lcms of the subsets of even and of odd size, that each generator
-  doubles with one ``Packing.lcms`` loop per list.
-  It beats the other ways only while r is small: against a pivot split,
-  leaves of 4, 5 and 6 generators measured alike, and 8 slower;
-* an ideal whose generators use at most three variables, w, x and y, takes
+Every numerator is that of a quotient outer/inner, K(inner) - K(outer),
+with the inner ideal inside the outer one.  A lone ideal I gives the
+quotient (1)/I = A/I, and K((1)) = 0, so K(I) is its difference against
+the unit ideal, whose one generator packs to 0 in every packing and
+divides every monomial.  ``_quotient`` gives 0 for equal ideals, and
+otherwise takes one of two ways:
+
+* a pair whose generators use at most three variables, w, x and y, takes
   a sweep over the levels of w.  The monomials of w-degree c outside I are
   w^c times those of k[x, y] outside I_c, the ideal of the (x, y) parts of
   the generators with w exponent at most c.  So H is the sum over c of
@@ -38,48 +36,34 @@ K is computed in one of four ways, tried in this order:
   the corners between them and their neighbours go, and the new point and
   its two corners come in.  Each point enters and leaves the staircase at
   most once, so the sweep is a sort and r bisections with no recursion.
-  The same sweep takes a quotient outer/inner in at most three fields in
-  one pass: the points of both ideals are merged, each side keeps its own
-  staircase, and the outer side's terms are subtracted, so it gives
-  K(inner) - K(outer), and it tests each inner point with one bisection of
-  the outer staircase on the way;
-* an ideal in which no variable lies in two generator supports is a
-  complete intersection, K = prod(1 - z^deg g), with r factors in place of
-  2^r terms;
-* any other ideal walks the levels of its first active variable w in the
-  same way, with I_c the ideal of the generators with w exponent at most c,
-  w zeroed, from ``Packing.levels``: K = 1 + sum over the levels c where
-  I_c changes of z^c (K_c - K_b), K_b the numerator of the level before c,
-  or 1 before the first.  Each K_c is the numerator of an ideal in one
-  active variable fewer, taken by these same four ways, so the recursion is
-  at most max(1, a - 2) calls deep for a active variables.  Pure powers
-  would take a walk per variable but for the product above.
-
-A quotient outer/inner never computes the numerator of either ideal
-alone.  ``_quotient`` gives K(inner) - K(outer) as 0 for equal ideals, by
-the two-sided sweep in at most three fields, and in more by one walk over
-the levels of both ideals at once: the sum over c of z^c (D_c - D_b), D_c
-the difference at level c and D_b at the level before, or 0, each taken by
-``_quotient`` in one active variable fewer.  The inner ideal lies in the
-outer one iff each of its levels lies in the outer level, so the sweeps at
-the bottom of the walk check containment, and a level where both sides are
-equal computes nothing below it.  Like the fourth way, the walk is at most
-max(1, a - 2) calls deep.  On the shipped corpus ``verify --nmax 30``
-takes every quotient by one two-sided sweep, and every other numerator it
-computes, those of the radicals that ``theory.height`` reads, by the first
-way.
+  The points of both ideals are merged, each side keeps its own
+  staircase, and the outer side's terms are subtracted, so the two 1s
+  cancel and one pass gives K(inner) - K(outer); against the unit ideal,
+  the subtracted term -z^0 of its one point is the 1 of K(I).  Each inner
+  point is tested with one bisection of the outer staircase on the way;
+* any other pair walks the levels of the first active variable w of both
+  ideals at once, with I_c the ideal of the generators with w exponent at
+  most c, w zeroed, from ``Packing.levels``: K(inner) - K(outer) is the
+  sum over the levels c where either side changes of z^c (D_c - D_b), D_c
+  the difference at level c and D_b at the level before, or 0 before the
+  first, each taken by ``_quotient`` in one active variable fewer.  So the
+  recursion is at most max(1, a - 2) calls deep for a active variables.
+  The inner ideal lies in the outer one iff each of its levels lies in the
+  outer level, so the sweeps at the bottom of the walk check containment,
+  and a level where both sides are equal computes nothing below it.
 
 The recursion runs on generators packed by ``core.Packing``, in the
 packing they come in: ``packed_quotient_data`` takes the two packed lists
 of a quotient as the series of ``filtration`` holds them, and
 ``numerator_of_quotient`` and ``quotient_module_data`` pack their ideals
 once per call.  One field width serves the whole recursion, because a
-level only zeroes exponents.  The numerators of the intermediate ideals of
-one ``numerator_of_quotient`` call are memoized for that call, keyed by the
-canonical tuple of packed generators; ``_add`` writes only into a map its
-caller owns, so a memo map never changes and a hit is safe to share.  A
-quotient needs no memo, as its walk takes the levels of both ideals in one
-pass.
+level only zeroes exponents.  The results of the walks of one call are
+memoized for that call, keyed by the pair of canonical tuples of packed
+generators, as distinct levels of w can meet the same pair of levels of
+the next variable, and the 30-cycle's walk would take such pairs
+exponentially often without it.  A memo hit holds only for a pair whose
+containment was checked; ``_add`` writes only into a map its caller owns,
+so a memo map never changes and a hit is safe to share.
 """
 from __future__ import annotations
 
@@ -114,13 +98,6 @@ class HilbertData(namedtuple("HilbertData", "module_dim e0")):
     __slots__ = ()
 
 
-def _terms(up: Iterable[int], down: Iterable[int]) -> Terms:
-    """The terms of the sum of z^t over ``up`` less the sum of z^t over ``down``."""
-    count = Counter(up)
-    count.subtract(Counter(down))  # counted first, so the loop runs once per degree
-    return {t: c for t, c in count.items() if c}
-
-
 def _add(out: Terms, b: Terms, k: int, sign: int) -> Terms:
     """Add sign * z^k * b into ``out``, a map the caller owns, and return it; ``b`` never changes."""
     for t, c in b.items():
@@ -140,28 +117,8 @@ def _record(terms: Terms) -> Numerator:
 # Numerator recursion
 # ---------------------------------------------------------------------------
 
-# Ideals with at most this many generators get their numerator from the
-# 2^r-term inclusion-exclusion sum instead of a sweep, a product or a walk.
-_LEAF_GENS = 5
-
-
-def _inclusion_exclusion(gens: tuple[int, ...], pk: Packing) -> Terms:
-    """K = sum over subsets S of ``gens`` of (-1)^|S| z^(deg lcm S).
-
-    The alternating sum of the Taylor resolution, exact for any generating
-    set; the empty ideal gives 1 and the unit ideal 0.
-    """
-    even, odd = [0], []  # the lcms of the subsets of even and of odd size
-    for g in gens:
-        even, odd = even + pk.lcms(odd, g), odd + pk.lcms(even, g)
-    top = pk.top
-    return _terms([t >> top for t in even], [t >> top for t in odd])
-
-
-def _sweep(
-    pk: Packing, fields: tuple[int, int, int], inner: tuple[int, ...], outer: tuple[int, ...] | None = None, at: int = 0
-) -> Terms:
-    """K of the ideal of ``inner``, less K of the ideal of ``outer`` if given, by the level sweep.
+def _sweep(pk: Packing, fields: tuple[int, int, int], inner: tuple[int, ...], outer: tuple[int, ...], at: int) -> Terms:
+    """K of the ideal of ``inner`` less K of the ideal of ``outer``, by the level sweep.
 
     The generators use only the three ``fields`` (w, x, y) of
     ``Packing.sweep_fields``.  Their points go by increasing (w, x, y), an
@@ -177,18 +134,18 @@ def _sweep(
     """
     sw, sx, sy = fields
     value = pk.value
-    check = outer is not None
-    up, down = [] if check else [0], []  # the degrees of the terms +z^t and -z^t; a difference's 1s cancel
+    up: list[int] = []  # the degrees of the terms +z^t and -z^t; the two sides' 1s cancel
+    down: list[int] = []
     outer_xs: list[int] = []
     outer_ys: list[int] = []
     sides = (outer_xs, outer_ys, down.append, up.append), ([], [], up.append, down.append)
     points = sorted(
         (g >> sw & value, g >> sx & value, g >> sy & value, side)
-        for side, gens in enumerate((outer or (), inner)) for g in gens
+        for side, gens in enumerate((outer, inner)) for g in gens
     )
     for w, x, y, side in points:
         xs, ys, plus, minus = sides[side]
-        if side and check and (not (hi := bisect_right(outer_xs, x)) or outer_ys[hi - 1] > y):
+        if side and (not (hi := bisect_right(outer_xs, x)) or outer_ys[hi - 1] > y):
             g = at + (w << sw | x << sx | y << sy)  # every other field is 0 or in at
             raise ValueError(
                 f"containment violated: generator with exponents {pk.unpack(g)} "
@@ -212,75 +169,47 @@ def _sweep(
             plus(w + x + ys[lo - 1])
         if right:
             plus(w + xs[lo + 1] + y)
-    return _terms(up, down)
+    count = Counter(up)
+    count.subtract(Counter(down))  # counted first, so the loop runs once per degree
+    return {t: c for t, c in count.items() if c}
 
 
-def _disjoint(gens: tuple[int, ...], pk: Packing) -> bool:
-    """True iff no variable lies in the supports of two of the ``gens``.
+def _quotient(
+    pk: Packing, inner: tuple[int, ...], outer: tuple[int, ...], memo: dict[tuple[tuple[int, ...], ...], Terms],
+    at: int = 0,
+) -> Terms:
+    """K(inner) - K(outer); ValueError names ``at`` times an inner generator outside the outer ideal.
 
-    With V the value bits of every exponent field, g + V sets the guard bit
-    of exactly the fields where g is positive, and carries out of none, so
-    (g + V) & G, G the guard bits, is the support of g.
+    ``memo`` maps the pair of each walk of the call to its result.
     """
-    values, guard = pk.low & ~pk.guard, pk.guard
-    seen = 0
-    for g in gens:
-        support = (g + values) & guard
-        if support & seen:
-            return False
-        seen |= support
-    return True
-
-
-def _numerator(gens: tuple[int, ...], pk: Packing, memo: dict[tuple[int, ...], Terms]) -> Terms:
-    hit = memo.get(gens)
-    if hit is not None:
-        return hit
-
-    if len(gens) <= _LEAF_GENS:
-        result = _inclusion_exclusion(gens, pk)
-    elif (fields := pk.sweep_fields(gens)) is not None:
-        result = _sweep(pk, fields, gens)
-    elif _disjoint(gens, pk):
-        result = {0: 1}  # a complete intersection, K = prod(1 - z^deg g)
-        for g in gens:
-            result = _add(dict(result), result, g >> pk.top, -1)
-    else:
-        result = {0: 1}  # K = 1 + sum of z^c (K_c - K_b)
-        before: Terms = {0: 1}
-        for c, (level,) in pk.levels([gens]):
-            now = _numerator(level, pk, memo)
-            _add(_add(result, now, c, 1), before, c, -1)
-            before = now
-
-    memo[gens] = result
-    return result
-
-
-def _quotient(pk: Packing, inner: tuple[int, ...], outer: tuple[int, ...], at: int = 0) -> Terms:
-    """K(inner) - K(outer); ValueError names ``at`` times an inner generator outside the outer ideal."""
     if inner == outer:
         return {}
     if (fields := pk.sweep_fields(inner, outer)) is not None:
         return _sweep(pk, fields, inner, outer, at)
+    key = inner, outer
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
     lift = 1 << pk._active_fields([inner, outer])[0] | 1 << pk.top  # c * lift is w^c, degree included
     result: Terms = {}  # sum of z^c (D_c - D_b); the two 1s cancel
     before: Terms = {}
     for c, (inner_c, outer_c) in pk.levels([inner, outer]):
-        now = _quotient(pk, inner_c, outer_c, at + c * lift)
+        now = _quotient(pk, inner_c, outer_c, memo, at + c * lift)
         _add(_add(result, now, c, 1), before, c, -1)
         before = now
+    memo[key] = result
     return result
 
 
 def numerator_of_quotient(ideal: MonomialIdeal) -> Numerator:
     """Numerator K with H_{A/I}(z) = K(z)/(1-z)^d over the ambient d.
 
-    The generators are packed once, with one width for the whole recursion;
-    intermediate numerators are memoized for the duration of this call only.
+    K of the quotient (1)/I, the unit ideal packing to 0.  The generators
+    are packed once, with one width for the whole recursion; the walks are
+    memoized for the duration of this call only.
     """
     pk, gens = Packing.of(ideal)
-    return _record(_numerator(gens, pk, {}))
+    return _record(_quotient(pk, gens, (0,), {}))
 
 
 def dim_and_mult(numerator: Numerator, ambient_d: int) -> tuple[int | None, int]:
@@ -320,5 +249,5 @@ def packed_quotient_data(pk: Packing, inner: Iterable[int], outer: Iterable[int]
     from one ``_quotient``, which checks the generators on the way; equal
     ideals give the zero numerator, of the empty module.
     """
-    k = _quotient(pk, tuple(inner), tuple(outer))
+    k = _quotient(pk, tuple(inner), tuple(outer), {})
     return HilbertData(*dim_and_mult(_record(k), len(pk.shifts)))

@@ -11,7 +11,7 @@ inputs; safe for concurrent use.
 from __future__ import annotations
 
 from .core import MonomialIdeal, Packing, _minimal_supports
-from .hilbert import _numerator, _record, dim_and_mult
+from .hilbert import _quotient, _record, dim_and_mult
 
 
 def height(ideal: MonomialIdeal) -> int:
@@ -19,7 +19,8 @@ def height(ideal: MonomialIdeal) -> int:
 
     d - dim A/sqrt(I), with sqrt(I) generated by the squarefree x_S over
     the inclusion-minimal generator supports S, which ``_minimal_supports``
-    gives as bit masks in canonical order, packed here for the numerator.
+    gives as bit masks in canonical order, packed here for the numerator
+    of the quotient (1)/sqrt(I), the unit ideal packing to 0.
     """
     if ideal.is_zero():
         raise ValueError("the zero ideal has no variable-generated minimal primes")
@@ -28,5 +29,5 @@ def height(ideal: MonomialIdeal) -> int:
     d = ideal.ring.var_count
     pk = Packing(d, 1)
     radical = tuple(pk.pack(tuple(s >> i & 1 for i in range(d))) for s in _minimal_supports(ideal))
-    dim, _ = dim_and_mult(_record(_numerator(radical, pk, {})), d)
+    dim, _ = dim_and_mult(_record(_quotient(pk, radical, (0,), {})), d)
     return d - dim

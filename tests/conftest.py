@@ -9,7 +9,7 @@ from typing import Callable, Optional
 import pytest
 
 from satpow import (
-    MonomialIdeal, Numerator, RingContext, SeriesSample, filtration, height, hilbert, minimalize, sample_series,
+    MonomialIdeal, Numerator, RingContext, SeriesSample, filtration, height, minimalize, sample_series,
     symbolic_power,
 )
 from satpow.core import Packing, Row
@@ -52,13 +52,14 @@ def row_quotient(pk: Packing, inner: tuple[int, ...], outer: tuple[int, ...]) ->
     Each packed generator of ``inner`` is tested against one ``Row`` of all
     of ``outer``; those outside the outer ideal, in canonical order, come
     first, none if it holds the inner one.  Then K(inner) - K(outer), from
-    one ``_numerator`` call for each ideal.
+    ``reference_numerator`` of each ideal, which shares no code with the
+    quotient walk it checks.
     """
     row = Row(pk, outer)
     missing = [g for g in inner if not row.has_divisor(g)]
-    memo: dict = {}
-    k = hilbert._add(dict(hilbert._numerator(inner, pk, memo)), hilbert._numerator(outer, pk, memo), 0, -1)
-    return missing, hilbert._record(k)
+    ring = RingContext(tuple(f"x{v}" for v in range(len(pk.shifts))))
+    inner_k, outer_k = (dense(reference_numerator(MonomialIdeal(ring, map(pk.unpack, g)))) for g in (inner, outer))
+    return missing, as_numerator(dense_sum(inner_k, [-c for c in outer_k]))
 
 
 def sample_series_with_saturations(

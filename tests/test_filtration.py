@@ -275,10 +275,13 @@ class TestLocalizedLadders:
 
     def test_unit_saturator_computes_no_numerator(self, monkeypatch):
         # every saturation equals I^n, so each quotient is the empty module
-        def fail(gens, pk, memo):
-            raise AssertionError("numerator computed for a quotient of equal ideals")
+        real = hilbert._quotient
 
-        monkeypatch.setattr(hilbert, "_numerator", fail)
+        def equal_only(pk, inner, outer, memo, at=0):
+            assert inner == outer, "numerator computed for a quotient of equal ideals"
+            return real(pk, inner, outer, memo, at)
+
+        monkeypatch.setattr(hilbert, "_quotient", equal_only)
         entry = next(e for e in load_corpus(default_corpus_path()) if e.name == "unit-saturator")
         samples = sample_series(entry.pair.base, entry.pair.saturator, 8)
         assert [(s.f, s.module_dim) for s in samples] == [(0, None)] * 8

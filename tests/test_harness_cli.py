@@ -309,10 +309,10 @@ class TestCli:
         [(MemoryError, "out of memory"), (RecursionError, "recursion depth"), (OverflowError, "size overflow")],
     )
     def test_exhausted_resource_exits_three(self, ideal_file, monkeypatch, capsys, exc, resource):
-        def exhaust(gens, pk, memo):
+        def exhaust(pk, inner, outer, memo, at=0):
             raise exc()
 
-        monkeypatch.setattr(hilbert, "_numerator", exhaust)
+        monkeypatch.setattr(hilbert, "_quotient", exhaust)
         assert cli.main(["hilbert", ideal_file]) == 3
         err = capsys.readouterr().err
         assert err.count("\n") == 1
@@ -382,7 +382,7 @@ class TestCli:
 
     def test_inconsistent_numerator_exits_three(self, ideal_file, monkeypatch, capsys):
         # K = 1 - 2z has the multiplicity -1, which no module has
-        monkeypatch.setattr(hilbert, "_numerator", lambda gens, pk, memo: {0: 1, 1: -2})
+        monkeypatch.setattr(hilbert, "_quotient", lambda pk, inner, outer, memo, at=0: {0: 1, 1: -2})
         assert cli.main(["hilbert", ideal_file]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -25,7 +25,7 @@ from satpow import (
 )
 from satpow import hilbert
 from satpow.core import Packing
-from satpow.hilbert import _LEAF_GENS, _numerator, packed_quotient_data
+from satpow.hilbert import packed_quotient_data
 
 from conftest import (
     M, as_numerator, colon_monomial, compositions, cycle_pair, dense, dense_product, dense_sum, dim_quotient,
@@ -52,15 +52,19 @@ class TestNumerator:
         assert k == Numerator((0, 2), (1, -1))
         assert dim_and_mult(k, 2) == (1, 2)
 
-    def test_unit_ideal_gives_zero(self, ring2):
-        k = numerator_of_quotient(MonomialIdeal.unit(ring2))
-        assert k == Numerator((), ())
-        assert dim_and_mult(k, 2) == (None, 0)
+    def test_unit_ideal_gives_zero(self):
+        # the quotient (1)/(1) of equal ideals, in the sweep's fields and past them
+        for d in (2, 6):
+            k = numerator_of_quotient(MonomialIdeal.unit(RingContext(tuple(f"x{v}" for v in range(d)))))
+            assert k == Numerator((), ())
+            assert dim_and_mult(k, d) == (None, 0)
 
-    def test_zero_ideal_gives_one(self, ring2):
-        k = numerator_of_quotient(MonomialIdeal(ring2, ()))
-        assert k == Numerator((0,), (1,))
-        assert dim_and_mult(k, 2) == (2, 1)
+    def test_zero_ideal_gives_one(self):
+        # the quotient (1)/(0), whose one term is the unit ideal's generator
+        for d in (2, 6):
+            k = numerator_of_quotient(MonomialIdeal(RingContext(tuple(f"x{v}" for v in range(d))), ()))
+            assert k == Numerator((0,), (1,))
+            assert dim_and_mult(k, d) == (d, 1)
 
     @pytest.mark.parametrize("d", [1, 3])
     def test_pure_power_at_a_huge_exponent(self, d):
@@ -91,7 +95,7 @@ class TestNumerator:
             assert expand_numerator(k, 3, 10) == hilbert_function_oracle(i, 10)
 
     def test_matches_degree_one_oracle(self):
-        # the library's leaf, sweep, product and level walk against the test-local degree-1 recursion
+        # the library's sweep and level walk against the test-local degree-1 recursion
         rng = random.Random(43)
         for d in (2, 3, 4):
             ring = RingContext(("x", "y", "z", "w")[:d])
@@ -170,10 +174,13 @@ class TestQuotientModule:
         assert data == (None, 0)
 
     def test_equal_ideals_compute_no_numerator(self, ring2, monkeypatch):
-        def fail(gens, pk, memo):
-            raise AssertionError("numerator computed for a quotient of equal ideals")
+        real = hilbert._quotient
 
-        monkeypatch.setattr(hilbert, "_numerator", fail)
+        def equal_only(pk, inner, outer, memo, at=0):
+            assert inner == outer, "numerator computed for a quotient of equal ideals"
+            return real(pk, inner, outer, memo, at)
+
+        monkeypatch.setattr(hilbert, "_quotient", equal_only)
         i = ideal(ring2, (2, 0), (1, 1), (0, 2))
         data = quotient_module_data(i, minimalize(list(i.gens), ring2))
         assert (data.module_dim, data.e0) == (None, 0)
@@ -207,14 +214,18 @@ class TestQuotientModule:
 
     def test_a_quotient_walks_each_pair_of_levels_once(self, monkeypatch):
         # past three fields each quotient of the 5-cycle's series is one walk
-        # over the levels of both ideals at once: no numerator of either
-        # ideal alone, and no parts whose levels are taken twice
-        def fail(gens, pk, memo):
-            raise AssertionError("numerator computed for a quotient")
-
+        # over the levels of both ideals at once: its first step is the pair
+        # itself, not either ideal alone against the unit ideal, and no parts
+        # have their levels taken twice
         walks: list[list[tuple]] = []  # per quotient, the parts of each levels call inside it
+        pairs: list[tuple] = []  # per quotient, its pair, then the pair of the first step inside it
         inside = [False]
-        real_levels, real_quotient = Packing.levels, filtration.packed_quotient_data
+        real_levels, real_quotient, real_step = Packing.levels, filtration.packed_quotient_data, hilbert._quotient
+
+        def step(pk, inner, outer, memo, at=0):
+            if len(pairs[-1]) == 1:
+                pairs[-1].append((inner, outer))
+            return real_step(pk, inner, outer, memo, at)
 
         def levels(pk, parts):
             if inside[0]:
@@ -223,13 +234,14 @@ class TestQuotientModule:
 
         def quotient(pk, inner, outer):
             walks.append([])
+            pairs.append([(tuple(inner), tuple(outer))])
             inside[0] = True
             try:
                 return real_quotient(pk, inner, outer)
             finally:
                 inside[0] = False
 
-        monkeypatch.setattr(hilbert, "_numerator", fail)
+        monkeypatch.setattr(hilbert, "_quotient", step)
         monkeypatch.setattr(Packing, "levels", levels)
         monkeypatch.setattr(filtration, "packed_quotient_data", quotient)
         i, m = cycle_pair(5)
@@ -237,6 +249,8 @@ class TestQuotientModule:
         assert sum(map(bool, walks)) > 5
         for walk in walks:
             assert len(set(walk)) == len(walk)
+        for pair in pairs:
+            assert pair[0] == pair[1]
 
     def test_containment_violation_reported(self, ring2):
         inner = ideal(ring2, (1, 0))
@@ -331,7 +345,7 @@ class TestContainment:
             if not missing:
                 kept[path] += 1
                 assert packed_quotient_data(pk, inner_p, outer_p) == dim_and_mult(k, d)
-                assert hilbert._record(hilbert._quotient(pk, inner_p, outer_p)) == k
+                assert hilbert._record(hilbert._quotient(pk, inner_p, outer_p, {})) == k
                 continue
             raised[path] += 1
             with pytest.raises(ValueError, match="containment violated") as error:
@@ -378,32 +392,33 @@ def test_numerator_is_deterministic(ring3):
 def test_internal_recursion_matches_public(ring3):
     tri = ideal(ring3, (1, 1, 0), (0, 1, 1), (1, 0, 1))
     pk, gens = Packing.of(tri)
-    assert hilbert._record(_numerator(gens, pk, {})) == numerator_of_quotient(tri)
+    assert hilbert._record(hilbert._quotient(pk, gens, (0,), {})) == numerator_of_quotient(tri)
 
 
 def assert_memo_holds_numerators(ring: RingContext, pk: Packing, memo: dict) -> None:
-    for key, terms in memo.items():
-        assert hilbert._record(terms) == reference_numerator(MonomialIdeal(ring, map(pk.unpack, key)))
+    for (inner, outer), terms in memo.items():
+        inner_k, outer_k = (dense(reference_numerator(MonomialIdeal(ring, map(pk.unpack, g)))) for g in (inner, outer))
+        assert hilbert._record(terms) == as_numerator(dense_sum(inner_k, [-c for c in outer_k]))
 
 
 def test_memo_entries_stay_the_numerators_of_their_ideals():
-    # the memo hands one term map to every caller, so no sum or product may
-    # change a map it reads: after the call each entry is still its ideal's
+    # the memo hands one term map to every caller, so no sum may change a
+    # map it reads: after the call each entry is still its pair's difference
     rng = random.Random(79)
-    ring = RingContext(("x", "y", "z", "w"))
+    ring = RingContext(("x", "y", "z", "w", "v"))
     entries = 0
     for _ in range(8):
         i = ideal_with_gens(rng, ring, 9, 3)
         pk, gens = Packing.of(i)
         memo: dict = {}
-        _numerator(gens, pk, memo)
+        hilbert._quotient(pk, gens, (0,), memo)
         entries += len(memo)
         assert_memo_holds_numerators(ring, pk, memo)
-    assert entries > 8  # the walk recursed, so the memo holds intermediate ideals
+    assert entries > 8  # the walk recursed, so the memo holds intermediate pairs
 
 
 def test_high_exponents_keep_the_recursion_limit(ring3):
-    # a degree-1 pivot would recurse about e deep here; three generators take the leaf
+    # a degree-1 pivot would recurse about e deep here; three variables take the sweep
     e = 12000
     limit = sys.getrecursionlimit()
     num = numerator_of_quotient(ideal(ring3, (e, e, 0), (0, e, e), (e, 0, e)))
@@ -426,9 +441,8 @@ def ideal_with_gens(rng: random.Random, ring: RingContext, count: int, max_exp: 
 
 @pytest.mark.parametrize("offset", [-1, 0, 1])
 def test_leaf_size_boundary_matches_oracle(offset):
-    # the closed-form leaf up to _LEAF_GENS generators, a sweep, a walk or
-    # the complete-intersection product past it
-    count = _LEAF_GENS + offset
+    # four to six generators, in four or five variables and as pure powers
+    count = 5 + offset
     rng = random.Random(59 + offset)
     for d in (4, 5):
         ring = RingContext(("x", "y", "z", "w", "v")[:d])
@@ -449,7 +463,7 @@ def test_high_exponents_past_the_leaves_keep_the_recursion_limit():
     base = [(2, 1, 0, 0), (1, 2, 0, 0), (0, 1, 1, 0), (0, 0, 2, 1),
             (0, 0, 1, 2), (1, 0, 0, 1), (0, 2, 0, 2), (2, 0, 2, 0)]
     unscaled = ideal(ring, *base)
-    assert len(unscaled.gens) == 8 > _LEAF_GENS
+    assert len(unscaled.gens) == 8
     limit = sys.getrecursionlimit()
     num = numerator_of_quotient(ideal(ring, *(tuple(e * x for x in g) for g in base)))
     small = reference_numerator(unscaled)
@@ -460,19 +474,19 @@ def test_high_exponents_past_the_leaves_keep_the_recursion_limit():
 def test_the_walk_recurses_once_per_active_variable_past_three(monkeypatch):
     # each level of the walk has one active variable fewer, and three or
     # fewer take the sweep, so the recursion is max(1, a - 2) calls deep for
-    # a active variables; pure powers beside it take the product
+    # a active variables, pure powers included
     depth = [0, 0]  # the current and the deepest
-    real = hilbert._numerator
+    real = hilbert._quotient
 
-    def spy(gens, pk, memo):
+    def spy(pk, inner, outer, memo, at=0):
         depth[0] += 1
         depth[1] = max(depth)
         try:
-            return real(gens, pk, memo)
+            return real(pk, inner, outer, memo, at)
         finally:
             depth[0] -= 1
 
-    monkeypatch.setattr(hilbert, "_numerator", spy)
+    monkeypatch.setattr(hilbert, "_quotient", spy)
     rng = random.Random(83)
     ideals = [cycle_pair(m)[0] for m in (4, 5, 8, 12)]
     for d in (4, 5, 6, 7):
@@ -495,15 +509,15 @@ def test_the_walk_recurses_once_per_active_variable_past_three(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def ideal_in_active(rng: random.Random, ring: RingContext, active: Sequence[int], count: int, max_exp: int):
-    """A random ideal of ``ring`` with more than ``_LEAF_GENS`` generators, all in the ``active`` variables.
+    """A random ideal of ``ring`` with more than five generators, all in the ``active`` variables.
 
-    Its generating set is a staircase of ``_LEAF_GENS + 1`` points in the
-    first two active variables, so that two active variables suffice, and
-    ``count`` random points; ``max_exp`` must be at least ``_LEAF_GENS``.
+    Its generating set is a staircase of six points in the first two active
+    variables, so that two active variables suffice, and ``count`` random
+    points; ``max_exp`` must be at least five.
     """
     while True:
-        xs = sorted(rng.sample(range(max_exp + 1), _LEAF_GENS + 1))
-        ys = sorted(rng.sample(range(max_exp + 1), _LEAF_GENS + 1), reverse=True)
+        xs = sorted(rng.sample(range(max_exp + 1), 6))
+        ys = sorted(rng.sample(range(max_exp + 1), 6), reverse=True)
         points = [(x, y, rng.randint(0, max_exp)) for x, y in zip(xs, ys)]
         points += [tuple(rng.randint(0, max_exp) for _ in range(3)) for _ in range(count)]
         gens = []
@@ -513,7 +527,7 @@ def ideal_in_active(rng: random.Random, ring: RingContext, active: Sequence[int]
                 g[v] = e
             gens.append(tuple(g))
         i = minimalize(gens, ring)
-        if len(i.gens) > _LEAF_GENS:
+        if len(i.gens) > 5:
             return i
 
 
@@ -558,7 +572,7 @@ class TestSweep:
         for d in (3, 4):
             ring = RingContext(("x", "y", "z", "w")[:d])
             for i in in_every_order(ring, gens):
-                assert len(i.gens) > _LEAF_GENS
+                assert len(i.gens) > 5
                 k = numerator_of_quotient(i)
                 assert k == reference_numerator(i)
                 assert expand_numerator(k, d, 10) == hilbert_function_oracle(i, 10)
@@ -581,21 +595,21 @@ class TestSweep:
             pk = Packing(4, 9)
             packed = tuple(map(pk.pack, tuples))
             i = minimalize(tuples, ring)
-            k = hilbert._record(hilbert._sweep(pk, pk.sweep_fields(packed), packed))
+            k = hilbert._record(hilbert._sweep(pk, pk.sweep_fields(packed), packed, (0,), 0))
             assert k == reference_numerator(i)
             assert expand_numerator(k, 4, 9) == hilbert_function_oracle(i, 9)
             # the same points with a few more generate an ideal holding i,
             # and the two-sided sweep gives the difference of the numerators
             more = tuples + [(0,) + tuple(wider.randint(0, 5) for _ in range(3)) for _ in range(3)]
             outer = tuple(map(pk.pack, more))
-            k = hilbert._record(hilbert._sweep(pk, pk.sweep_fields(packed, outer), packed, outer))
+            k = hilbert._record(hilbert._sweep(pk, pk.sweep_fields(packed, outer), packed, outer, 0))
             big = reference_numerator(minimalize(more, ring))
             assert k == as_numerator(dense_sum(dense(reference_numerator(i)), [-c for c in dense(big)]))
 
     def test_takes_no_split(self, monkeypatch):
         # at most three active variables take the sweep and never walk the
-        # levels; past three, a variable shared by two generators takes the
-        # walk, and pairwise disjoint supports the complete-intersection product
+        # levels; past three every ideal takes the walk, pairwise disjoint
+        # supports too
         walked = []
         real = Packing.levels
 
@@ -612,11 +626,12 @@ class TestSweep:
         powers = ideal(ci_ring, *(tuple(j + 2 if v == j else 0 for v in range(8)) for j in range(8)))
         monkeypatch.setattr(Packing, "levels", spy)
         for i in cubes:
-            assert len(i.gens) > _LEAF_GENS
+            assert len(i.gens) > 5
             numerator_of_quotient(i)
         assert walked == []
         assert numerator_of_quotient(powers) == reference_numerator(powers)
-        assert walked == []
+        assert walked[0] == len(powers.gens)
+        walked.clear()
         numerator_of_quotient(square.power(3))
         assert walked[0] == len(square.power(3).gens)
 
