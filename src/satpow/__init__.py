@@ -17,11 +17,11 @@ from .hilbert import (
     HilbertData,
     Numerator,
     dim_and_mult,
+    height,
     numerator_of_quotient,
     quotient_module_data,
 )
 from .quasipoly import QuasiPolynomial, coeff_is_constant, evaluate, fit, grade
-from .theory import height
 
 __version__ = "0.1.0"
 

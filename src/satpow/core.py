@@ -240,14 +240,14 @@ class Packing:
         # missing fields come first, past the degree, where every monomial reads 0
         return None if len(active) > 3 else (self.top + self.width,) * (3 - len(active)) + tuple(active)
 
-    def levels(self, parts: Sequence[Sequence[int]]) -> Iterator[tuple[int, tuple[tuple[int, ...], ...]]]:
+    def levels(self, parts: Sequence[Sequence[int]]) -> Iterator[tuple[int, int, tuple[tuple[int, ...], ...]]]:
         """The level sets of the canonical ``parts`` at each level of their first active field w.
 
         Level c of an ideal is the ideal of its generators with w <= c, w
         zeroed.  A part's level changes only at the w of its generators, so
-        this yields (c, sets) at each c where some part has a generator,
-        increasing, and sets[i] holds the canonical generators of level c of
-        part i, empty while it has no generator with w <= c.
+        this yields (c, w_c, sets) at each c where some part has a generator,
+        increasing, with w_c the packed w^c and sets[i] the canonical
+        generators of level c of part i, empty while it has none with w <= c.
 
         Level c is generated by the level before and the generators new at
         c, those with w = c.  Its minimal generators are the new ones and
@@ -274,7 +274,7 @@ class Packing:
                     row = Row(self, by_w[c])
                     kept = [u for u in sets[i] if not row.has_divisor(u)]
                     sets[i] = tuple(sorted(kept + by_w[c], key=self.low.__xor__))
-            yield c, tuple(sets)
+            yield c, c * lift, tuple(sets)
 
     def _split_meet(self, parts: list[list[int]]) -> list[int]:
         """``meet`` of the ``parts`` by the ``levels`` of their first active field w.
@@ -283,19 +283,19 @@ class Packing:
         levels c, met here recursively in the remaining fields at each level
         where some part has generators, as K's level changes nowhere else;
         while some part's level is the zero ideal, so is K's.  The minimal
-        generators of K with w = c are the u w^c over the minimal generators
-        u of K's level c outside the level before.  Levels only grow, so a u
-        in the level before is a minimal generator there too, as any divisor
-        of u there lies in level c.  So, here and in ``_sweep_meet``, u w^c
-        is new iff u is not a generator of the level before.
+        generators of K with w = c are the u w^c, u + w_c packed with the w_c
+        of ``levels``, over the minimal generators u of K's level c outside
+        the level before.  Levels only grow, so a u in the level before is a
+        minimal generator there too, as any divisor of u there lies in level
+        c.  So, here and in ``_sweep_meet``, u w^c is new iff u is not a
+        generator of the level before.
         """
-        lift = 1 << self._active_fields(parts)[0] | 1 << self.top
         held: set[int] = set()  # the generators of K's level before
         out: list[int] = []
-        for c, sets in self.levels(parts):
+        for _, w_c, sets in self.levels(parts):
             if all(sets):
                 level = self.meet(sets)
-                out += [u + c * lift for u in level if u not in held]
+                out += [u + w_c for u in level if u not in held]
                 held = set(level)
         return sorted(out, key=self.low.__xor__)
 
@@ -597,12 +597,12 @@ class MonomialIdeal:
         it is the only one kept.
         """
         _ring_of((self, other))
-        supports = _minimal_supports(other)
+        pk1, supports = _minimal_supports(other)
         if not supports:
             raise ZeroIdealError("saturation by the zero ideal")
         e = _max_exponent(self._exps)
         pk, gens = Packing.of(self, max_exp=n * e)
-        divisors = [pk.pack(tuple(e * (s >> i & 1) for i in range(self.ring.var_count))) for s in supports]
+        divisors = [e * pk.pack(pk1.unpack(s)) for s in supports]  # x_S^e, as packing is linear
         return pk, list(gens), pk.colon_parts(gens, divisors)
 
     def _meet(self, pk: Packing, parts: Iterable[list[int]]) -> "MonomialIdeal":
@@ -637,13 +637,12 @@ def minimalize(gens: Iterable[Sequence[int]], ring: RingContext) -> MonomialIdea
     return MonomialIdeal._from_packed(ring, pk, pk.minimal(map(pk.pack, exps)))
 
 
-def _minimal_supports(ideal: MonomialIdeal) -> list[int]:
-    """The minimal generators x_S of the radical of ``ideal`` as bit masks, bit i for variable i, in canonical order.
+def _minimal_supports(ideal: MonomialIdeal) -> tuple[Packing, list[int]]:
+    """A ``Packing(d, 1)`` and the minimal generators x_S of the radical of ``ideal`` packed by it, in canonical order.
 
     These are the squarefree x_S over the inclusion-minimal supports S of
     the generators: x_S divides x_T exactly when S lies in T.  The unit
-    ideal gives the empty support, the zero ideal no support at all.
+    ideal gives the empty support, packed to 0, the zero ideal none at all.
     """
     pk = Packing(ideal.ring.var_count, 1)
-    minimal = pk.minimal(pk.pack(tuple(min(e, 1) for e in t)) for t in ideal._exps)
-    return [sum(e << i for i, e in enumerate(pk.unpack(p))) for p in minimal]
+    return pk, pk.minimal(pk.pack(tuple(min(e, 1) for e in t)) for t in ideal._exps)

@@ -22,9 +22,9 @@ from collections.abc import Sequence
 
 from .errors import InsufficientDataError
 from .filtration import SeriesSample, dim_stabilization, sample_series
+from .hilbert import height
 from .parsing import CorpusEntry
 from .quasipoly import QuasiPolynomial, coeff_is_constant, evaluate, fit, grade
-from .theory import height
 
 VERDICT_CONSISTENT = "consistent-with-theorem"
 VERDICT_HYPOTHESIS = "hypothesis-not-met"

@@ -43,11 +43,12 @@ otherwise takes one of two ways:
   point is tested with one bisection of the outer staircase on the way;
 * any other pair walks the levels of the first active variable w of both
   ideals at once, with I_c the ideal of the generators with w exponent at
-  most c, w zeroed, from ``Packing.levels``: K(inner) - K(outer) is the
-  sum over the levels c where either side changes of z^c (D_c - D_b), D_c
-  the difference at level c and D_b at the level before, or 0 before the
-  first, each taken by ``_quotient`` in one active variable fewer.  So the
-  recursion is at most max(1, a - 2) calls deep for a active variables.
+  most c, w zeroed, and the packed w^c that ``at`` gains below it, from
+  ``Packing.levels``: K(inner) - K(outer) is the sum over the levels c
+  where either side changes of z^c (D_c - D_b), D_c the difference at
+  level c and D_b at the level before, or 0 before the first, each taken
+  by ``_quotient`` in one active variable fewer.  So the recursion is at
+  most max(1, a - 2) calls deep for a active variables.
   The inner ideal lies in the outer one iff each of its levels lies in the
   outer level, so the sweeps at the bottom of the walk check containment,
   and a level where both sides are equal computes nothing below it.
@@ -64,6 +65,12 @@ the next variable, and the 30-cycle's walk would take such pairs
 exponentially often without it.  A memo hit holds only for a pair whose
 containment was checked; ``_add`` writes only into a map its caller owns,
 so a memo map never changes and a hit is safe to share.
+
+The minimal primes of a monomial ideal I are generated by variables, the
+inclusion-minimal sets that meet every generator's support, and ``height``
+is the least size of one.  A polynomial ring is Cohen-Macaulay, so
+ht I + dim A/I = d (Bruns and Herzog, Cohen-Macaulay Rings, 2.1.4), and
+dim A/I = dim A/sqrt(I): the height is d - dim (1)/sqrt(I), one quotient.
 """
 from __future__ import annotations
 
@@ -72,7 +79,7 @@ from collections import Counter, namedtuple
 from collections.abc import Iterable
 from math import comb
 
-from .core import MonomialIdeal, Packing, _stair_insert
+from .core import MonomialIdeal, Packing, _minimal_supports, _stair_insert
 from .errors import InconsistencyError
 
 # A numerator inside the recursion: degree -> nonzero coefficient.  A map is
@@ -190,11 +197,10 @@ def _quotient(
     hit = memo.get(key)
     if hit is not None:
         return hit
-    lift = 1 << pk._active_fields([inner, outer])[0] | 1 << pk.top  # c * lift is w^c, degree included
     result: Terms = {}  # sum of z^c (D_c - D_b); the two 1s cancel
     before: Terms = {}
-    for c, (inner_c, outer_c) in pk.levels([inner, outer]):
-        now = _quotient(pk, inner_c, outer_c, memo, at + c * lift)
+    for c, w_c, (inner_c, outer_c) in pk.levels([inner, outer]):
+        now = _quotient(pk, inner_c, outer_c, memo, at + w_c)
         _add(_add(result, now, c, 1), before, c, -1)
         before = now
     memo[key] = result
@@ -251,3 +257,16 @@ def packed_quotient_data(pk: Packing, inner: Iterable[int], outer: Iterable[int]
     """
     k = _quotient(pk, tuple(inner), tuple(outer), {})
     return HilbertData(*dim_and_mult(_record(k), len(pk.shifts)))
+
+
+def height(ideal: MonomialIdeal) -> int:
+    """Minimum cardinality over the minimal primes (the codimension): d - dim (1)/sqrt(I).
+
+    sqrt(I) is generated by the squarefree x_S that ``core._minimal_supports`` packs.
+    """
+    if ideal.is_zero():
+        raise ValueError("the zero ideal has no variable-generated minimal primes")
+    if ideal.is_unit():
+        raise ValueError("the unit ideal has no minimal primes")
+    pk, radical = _minimal_supports(ideal)
+    return len(pk.shifts) - packed_quotient_data(pk, radical, (0,)).module_dim

@@ -554,8 +554,9 @@ def split_shapes(seed: int):
 
 
 def test_levels_match_a_tuple_oracle():
-    # levels come at exactly the w of the parts' generators, and each part's
-    # set is its generators with w <= c, w zeroed, minimalized
+    # levels come at exactly the w of the parts' generators, each with w^c
+    # packed, and each part's set is its generators with w <= c, w zeroed,
+    # minimalized
     shapes = [(r, [reference_minimal(a), reference_minimal(b)]) for r, a, b, _ in instances(239, 4)]
     shapes += list(split_shapes(241))
     checked = 0
@@ -566,8 +567,10 @@ def test_levels_match_a_tuple_oracle():
         w = used[0]
         pk, *packed = Packing.of(*(build(r, p) for p in parts))
         seen = []
-        for c, sets in pk.levels(packed):
+        for c, w_c, sets in pk.levels(packed):
             seen.append(c)
+            assert pk.unpack(w_c) == tuple(c if v == w else 0 for v in range(r.var_count))
+            assert w_c >> pk.top == c  # the degree field
             assert len(sets) == len(parts)
             for p, got in zip(parts, sets):
                 assert isinstance(got, tuple)
