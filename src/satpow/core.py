@@ -19,8 +19,8 @@ filter adds the elements it keeps to its row one degree block at a time.
 The lcms, and so the colons, of a list by one monomial are one loop with
 no call per element.  A product is one ``Packing.product`` step, a sweep
 in lex order if its sums span several degrees in at most three fields,
-and a power a ladder of such steps in one packing wide enough for its top
-rung.  An intersection, a colon and a saturation are one
+and a power a ladder of such steps, ``Packing.rungs``, in one packing wide
+enough for its top rung.  An intersection, a colon and a saturation are one
 ``Packing.meet``, in one packing, of the operands, the colons (I : m) by
 the generators m of J, or the colons (I : x_S^e) by the generators x_S of
 J's radical, with e the largest exponent of I, both from
@@ -43,10 +43,10 @@ lives within one kernel call.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import namedtuple
+from collections import deque, namedtuple
 from collections.abc import Iterable, Iterator, Sequence
 from functools import reduce
-from itertools import chain, groupby
+from itertools import chain, groupby, repeat
 from operator import itemgetter, or_
 
 from .errors import RingMismatchError, ZeroIdealError
@@ -209,9 +209,19 @@ class Packing:
         ]
         return sorted(kept, key=self.low.__xor__)
 
-    def power(self, gens: Sequence[int], n: int) -> list[int]:
-        """Canonical generators of the ``n``-th power, n >= 1, as a ladder of products."""
-        return reduce(self.product, [gens] * (n - 1), list(gens))
+    def rungs(self, parts: Sequence[Sequence[int]], top: int) -> Iterator[list[Sequence[int]]]:
+        """The ``n``-th powers of the canonical ``parts``, one list a rung, for n = 1 .. ``top``.
+
+        Each rung after the first is one ``product`` per part from the rung
+        before, minimalized, which keeps the rungs small; none is built past
+        ``top``, which the packing must hold.  ``repeat`` counts the steps,
+        so a ``top`` past an index overflows, where ``range`` would run on.
+        """
+        rung = list(parts)
+        yield rung
+        for _ in repeat(None, top - 1):
+            rung = [self.product(power, part) for power, part in zip(rung, parts)]
+            yield rung
 
     def meet(self, parts: Iterable[list[int]]) -> list[int]:
         """Canonical generators of the intersection of the canonical ``parts``.
@@ -550,17 +560,13 @@ class MonomialIdeal:
         return MonomialIdeal._from_packed(self.ring, pk, pk.product(mine, theirs))
 
     def power(self, n: int) -> "MonomialIdeal":
-        """``n``-fold product, with I^0 the unit ideal.
-
-        A ladder of products in one packing wide enough for I^n,
-        minimalizing after each step to keep the rungs small.
-        """
+        """``n``-fold product, with I^0 the unit ideal: the last of the ``Packing.rungs`` of I alone."""
         if n < 0:
             raise ValueError(f"power wants n >= 0, got {n}")
         if n == 0:
             return MonomialIdeal.unit(self.ring)
         pk, gens = Packing.of(self, max_exp=n * _max_exponent(self._exps))
-        return MonomialIdeal._from_packed(self.ring, pk, pk.power(gens, n))
+        return MonomialIdeal._from_packed(self.ring, pk, deque(pk.rungs([gens], n), maxlen=1).pop()[0])
 
     def intersect(self, other: "MonomialIdeal", *more: "MonomialIdeal") -> "MonomialIdeal":
         """Intersection with every operand, folded left to right in one packing."""

@@ -16,21 +16,20 @@ with S over the inclusion-minimal supports of J's generators.
 ``MonomialIdeal.packed_localizations`` keeps only the distinct,
 inclusion-minimal pi_S(I): pi_S(I) containing pi_T(I) gives pi_S(I)^n
 containing pi_T(I)^n, which adds nothing to the intersection: the 4-cycle
-keeps 2 of its 4, and a 9-edge graph on 6 vertices 5 of its 6.  This
-module keeps their power ladders, and ``symbolic_power`` meets their n-th
-powers.  They are small, so their powers are cheap, where saturating I^n
-itself takes colons of its many generators; I^n is never saturated.
+keeps 2 of its 4, and a 9-edge graph on 6 vertices 5 of its 6.  They are
+small, so their powers are cheap, where saturating I^n itself takes colons
+of its many generators; I^n is never saturated.  ``symbolic_power`` passes
+the localizations alone to ``Packing.rungs`` and meets its last rung.
 
-A series lives in one ``core.Packing``, sized for its top power: the
-localizations, every rung of every ladder, each intersection and the
-Hilbert numerators of each quotient work on the same packed ints.  Only
-``symbolic_power`` unpacks a saturation; a sample keeps its generator
-count.  Samples for distinct n are independent once the power ladders
-exist; all returned values are immutable.
+A series lives in one ``core.Packing``, sized for its top power:
+``sample_series`` passes I and the localizations to ``Packing.rungs``, and
+each rung, its meet and the Hilbert numerators of its quotient work on the
+same packed ints.  Only ``symbolic_power`` unpacks a saturation; a sample
+keeps its generator count.  All returned values are immutable.
 """
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import deque, namedtuple
 from collections.abc import Sequence
 
 from .core import MonomialIdeal
@@ -61,35 +60,29 @@ def symbolic_power(base: MonomialIdeal, saturator: MonomialIdeal, n: int) -> Mon
     pk, _, locs = base.packed_localizations(saturator, n)  # rejects a zero J, also at n = 0
     if n == 0:
         return MonomialIdeal.unit(base.ring)
-    return MonomialIdeal._from_packed(base.ring, pk, pk.meet([pk.power(loc, n) for loc in locs]))
+    return MonomialIdeal._from_packed(base.ring, pk, pk.meet(deque(pk.rungs(locs, n), maxlen=1).pop()))
 
 
 def sample_series(
     base: MonomialIdeal, saturator: MonomialIdeal, nmax: int
 ) -> list[SeriesSample]:
-    """Samples for n = 1..nmax, from incremental power ladders in one packing.
+    """Samples for n = 1..nmax, from the rungs of I and its localizations in one packing.
 
-    One ladder holds I^n, the inner ideal of each quotient.  The saturation
-    (I^n : J^inf) is the intersection of one more ladder per kept
-    localization pi_S(I) (see the module docstring), each built by
-    multiplying by its own pi_S(I).  A localization equal to I reuses the
-    I^n ladder: the saturation is then I^n itself.  The packing holds
-    I^nmax, so every rung stays packed from I to the last quotient.
+    Rung n holds I^n, the inner ideal of each quotient, then the n-th powers
+    of the kept localizations (see the module docstring), which meet in the
+    saturation; a lone localization equal to I is not passed twice, as the
+    saturation is then I^n.  The packing holds I^nmax, so every rung stays
+    packed from I to the last quotient.
     """
     if nmax < 1:
         raise ValueError(f"sample_series wants nmax >= 1, got {nmax}")
     _check_nonzero(base)
     pk, gens, locs = base.packed_localizations(saturator, nmax)
-    steps = [] if locs == [gens] else locs
     samples = []
-    power, ladders = gens, steps
-    for n in range(1, nmax + 1):
+    for n, (power, *ladders) in enumerate(pk.rungs([gens] if locs == [gens] else [gens, *locs], nmax), 1):
         symbolic = pk.meet(ladders) if ladders else power
         data = packed_quotient_data(pk, power, symbolic)
         samples.append(SeriesSample(n, len(symbolic), data.module_dim, data.e0))
-        if n < nmax:
-            power = pk.product(power, gens)
-            ladders = [pk.product(ladder, step) for ladder, step in zip(ladders, steps)]
     return samples
 
 

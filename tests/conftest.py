@@ -4,6 +4,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from math import comb
+from operator import add
 from typing import Callable, Optional
 
 import pytest
@@ -159,11 +160,37 @@ def random_ideal(
     return minimalize(gens, ring)
 
 
+def graph_pair(count: int, edges) -> tuple[MonomialIdeal, MonomialIdeal]:
+    """The edge ideal of the graph on x0 .. x{count-1} with the ``edges``, pairs of vertices, and J the maximal ideal."""
+    ring = RingContext(tuple(f"x{i}" for i in range(count)))
+    gens = [tuple(int(v in edge) for v in range(count)) for edge in edges]
+    return minimalize(gens, ring), minimalize([tuple(int(v == i) for v in range(count)) for i in range(count)], ring)
+
+
 def cycle_pair(m: int) -> tuple[MonomialIdeal, MonomialIdeal]:
     """The edge ideal of the m-cycle x0 - x1 - ... - x{m-1} - x0, and J the maximal ideal."""
-    ring = RingContext(tuple(f"x{i}" for i in range(m)))
+    return graph_pair(m, [(i, (i + 1) % m) for i in range(m)])
+
+
+def odd_cycle_symbolic_power(k: int, n: int) -> list[tuple[int, ...]]:
+    """Canonical generators of I^(n), I the edge ideal of the (2k+1)-cycle of ``cycle_pair``, by a closed form.
+
+    I^(n) is the sum over t <= n/(k+1) of I^(n - t(k+1)) (x0 ... x{2k})^t
+    (Gu, Ha, O'Rourke and Skelton, "Symbolic powers of edge ideals of
+    graphs", Comm. Algebra 48, 2020).  The maximal ideal is the only
+    embedded prime of I^n (Chen, Morey and Sung, Rocky Mountain J. Math.
+    32, 2002), so this is also (I^n : m^inf).  Built from
+    ``reference_minimal`` over tuple sums only, it shares no code with the
+    localizations, the rungs of their powers or the meet.
+    """
+    m = 2 * k + 1
     edges = [tuple(int(v in (i, (i + 1) % m)) for v in range(m)) for i in range(m)]
-    return minimalize(edges, ring), minimalize([tuple(int(v == i) for v in range(m)) for i in range(m)], ring)
+    powers = [[(0,) * m]]  # I^0 .. I^n
+    for _ in range(n):
+        powers.append(reference_minimal(tuple(map(add, g, e)) for g in powers[-1] for e in edges))
+    return reference_minimal(
+        tuple(e + t for e in g) for t in range(n // (k + 1) + 1) for g in powers[n - t * (k + 1)]
+    )
 
 
 def reference_numerator(ideal: MonomialIdeal) -> Numerator:

@@ -19,8 +19,8 @@ from satpow.harness import run_verify
 from satpow.parsing import load_corpus
 
 from conftest import (
-    M, check_filtration, contains, contains_ideal, cycle_pair, ideal, sample_series_with_saturations,
-    symbolic_provider,
+    M, check_filtration, contains, contains_ideal, cycle_pair, graph_pair, ideal, odd_cycle_symbolic_power,
+    sample_series_with_saturations, symbolic_provider,
 )
 
 # a 6-vertex graph: the 6-cycle 0-1-2-4-5-3-0 and the chords 0-2, 0-4, 1-3
@@ -139,15 +139,36 @@ class TestCycles:
         assert contains(symbolic_power(base, maximal, k + 1), product)
         assert not contains(base.power(k + 1), product)
 
-    @pytest.mark.parametrize("m", [4, 6])
-    def test_even_cycles_have_no_torsion(self, m):
+    @pytest.mark.parametrize(
+        "count, edges",
+        [
+            (4, [(i, (i + 1) % 4) for i in range(4)]),
+            (6, [(i, (i + 1) % 6) for i in range(6)]),
+            (5, [(a, b) for a in (0, 1) for b in (2, 3, 4)]),
+            (5, [(i, i + 1) for i in range(4)]),
+        ],
+        ids=["4", "6", "K23", "P5"],
+    )
+    def test_even_cycles_have_no_torsion(self, count, edges):
         # the edge ideal of a bipartite graph is normally torsion-free
         # (Simis-Vasconcelos-Villarreal, J. Algebra 167, 1994), so
-        # (I^n : m^inf) = I^n and f = 0
-        base, maximal = cycle_pair(m)
+        # (I^n : m^inf) = I^n and f = 0: the 4- and 6-cycles, K_{2,3} and
+        # the path on five vertices
+        base, maximal = graph_pair(count, edges)
         pairs = sample_series_with_saturations(base, maximal, 6)
         assert [(s.f, s.module_dim) for s, _ in pairs] == [(0, None)] * 6
         assert [saturation for _, saturation in pairs] == [base.power(n) for n in range(1, 7)]
+
+    @pytest.mark.parametrize("k, nmax", [(1, 8), (2, 8), (3, 5)])
+    def test_odd_cycles_match_their_closed_form(self, k, nmax):
+        # each saturation of the series, and each symbolic power, against
+        # the closed form, which shares no code with either
+        base, maximal = cycle_pair(2 * k + 1)
+        pairs = sample_series_with_saturations(base, maximal, nmax)
+        for n, (_, saturation) in enumerate(pairs, 1):
+            expected = odd_cycle_symbolic_power(k, n)
+            assert list(saturation.gens) == expected, n
+            assert list(symbolic_power(base, maximal, n).gens) == expected, n
 
 
 class TestCheckFiltration:

@@ -41,9 +41,15 @@ REFERENCES = [
 
 
 def run_cli(argv, **env):
-    """``satpow`` on ``argv`` in a new process, with ``env`` added to its environment."""
+    """``satpow`` on ``argv`` in a new process, with ``env`` added to its environment.
+
+    A child still running after 60 s raises ``subprocess.TimeoutExpired``,
+    so a command that should stop at once fails its test instead of hanging.
+    """
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]), **env)
-    return subprocess.run([sys.executable, "-m", "satpow.cli", *argv], env=env, capture_output=True, text=True)
+    return subprocess.run(
+        [sys.executable, "-m", "satpow.cli", *argv], env=env, capture_output=True, text=True, timeout=60
+    )
 
 
 TRIANGLE_FILE = "ring x y z\nI: x*y, y*z, z*x\nJ: x, y, z\n"
@@ -319,16 +325,24 @@ class TestCli:
         assert err.startswith("error: ") and resource in err
 
     def test_sizes_past_an_index_exit_three_end_to_end(self, tmp_path):
-        # past 2^63 a list length overflows before anything is allocated
+        # past 2^63 a list length, or the count of the rungs after the first,
+        # overflows before anything large is built
         huge = str(2**64)
         path = tmp_path / "huge.ideal"
         path.write_text(f"ring x y\nI: x^{huge}\nJ: x\n", encoding="utf-8")
-        for argv in (["hilbert", str(path)], ["power", str(path), "-n", huge]):
+        for argv in (
+            ["hilbert", str(path)],
+            ["power", str(path), "-n", huge],
+            ["symbolic", str(path), "-n", huge],
+            ["series", str(path), "--nmax", huge],
+            ["fit", str(path), "--nmax", huge],
+            ["verify", "--nmax", huge],
+        ):
             run = run_cli(argv)
             assert run.returncode == 3, (argv, run.stderr)
             assert run.stdout == ""  # the report is built whole before any of it is written
             assert "Traceback" not in run.stderr
-            assert run.stderr.count("\n") == 1 and run.stderr.startswith("error: ")
+            assert run.stderr == "error: size overflow: the input is too large to compute\n", argv
 
     def test_unencodable_output_exits_one_and_writes_nothing(self, tmp_path):
         path = tmp_path / "greek.ideal"

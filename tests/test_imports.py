@@ -140,8 +140,9 @@ PUBLIC = [
 # (``Packing.of``, ``Packing.colon_parts``, ``Row.extend`` and
 # ``core._minimal_supports`` are the one way each), and Bigatti's pivot
 # split of the Hilbert numerator (past three fields the numerator walks
-# ``Packing.levels``, as a large meet does).  The module ``satpow.theory``
-# left too: the height is one quotient in ``hilbert``.
+# ``Packing.levels``, as a large meet does), and ``Packing.power``, as
+# ``Packing.rungs`` builds every power.  The module ``satpow.theory`` left
+# too: the height is one quotient in ``hilbert``.
 REMOVED_FROM_PACKAGE = [
     "check_filtration", "symbolic_provider", "FiltrationReport", "minimal_primes", "dim_quotient",
     "Monomial", "divides", "IntPolynomial",
@@ -154,7 +155,7 @@ REMOVED_MEMBERS = {
     satpow.hilbert: ["IntPolynomial", "_pick_pivot"],
     satpow.HilbertData: ["numerator", "ambient_d"],
     satpow.QuasiPolynomial: ["is_zero"],
-    satpow.core.Packing: ["support_counts", "exponents", "degree", "colons", "split"],
+    satpow.core.Packing: ["support_counts", "exponents", "degree", "colons", "split", "power"],
     satpow.core.Row: ["_masks"],
     satpow.SeriesSample: ["symbolic_ideal"],
     satpow.harness: ["run_series", "run_fit"],

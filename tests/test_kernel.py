@@ -11,6 +11,7 @@ import random
 from functools import reduce
 from itertools import combinations, product
 from operator import add
+from pathlib import Path
 
 import pytest
 
@@ -21,7 +22,7 @@ from satpow import core
 from satpow.cli import default_corpus_path
 from satpow.core import Packing, Row
 from satpow.harness import run_verify
-from satpow.parsing import load_corpus
+from satpow.parsing import load_corpus, load_ideal_file
 
 from conftest import (
     as_numerator, colon_monomial, contains, contains_ideal, member, reference_minimal, reference_numerator,
@@ -627,3 +628,50 @@ def test_meets_split_past_three_fields_above_the_crossover(monkeypatch):
     split.clear()
     run_verify(load_corpus(default_corpus_path()), nmax=20, min_tail=2)
     assert split == []
+
+
+# ---------------------------------------------------------------------------
+# The rungs of powers
+# ---------------------------------------------------------------------------
+
+def counted_products(monkeypatch) -> list[int]:
+    """A list that grows by one at every later ``Packing.product`` call."""
+    calls = []
+    real = Packing.product
+
+    def spy(pk, gens_a, gens_b):
+        calls.append(1)
+        return real(pk, gens_a, gens_b)
+
+    monkeypatch.setattr(Packing, "product", spy)
+    return calls
+
+
+@pytest.mark.parametrize("d", [3, 5])
+def test_rungs_match_the_power_oracle_part_by_part(d, monkeypatch):
+    # the last rung is the costliest, so a generator that builds one rung
+    # past top and drops it makes more products than (top - 1) per part
+    rng = random.Random(223 + d)
+    calls = counted_products(monkeypatch)
+    for _ in range(12):
+        pool = rng.choice([list(range(4)), [0, 1, 2**5 - 1, 2**5]])
+        parts = [
+            reference_minimal(tuple(rng.choice(pool) for _ in range(d)) for _ in range(rng.randint(1, 4)))
+            for _ in range(rng.randint(1, 3))
+        ]
+        top = rng.randint(2, 4)
+        pk, *packed = Packing.of(*(build(ring(d), p) for p in parts), max_exp=top * max(pool))
+        assert list(pk.rungs(packed, 1)) == [packed] and calls == []
+        for n, rung in enumerate(pk.rungs(packed, top), 1):
+            assert [list(map(pk.unpack, power)) for power in rung] == [power_oracle(p, n) for p in parts], (parts, n)
+        assert n == top and len(calls) == (top - 1) * len(parts), parts
+        calls.clear()
+
+
+def test_symbolic_power_builds_the_localized_rungs_alone(monkeypatch):
+    # the edge graph keeps 5 localizations, so n = 6 takes 5 x 5 products
+    # and no ladder of I^n
+    pair = load_ideal_file(Path(__file__).parent / "data" / "edge-graph.ideal")
+    calls = counted_products(monkeypatch)
+    symbolic_power(pair.base, pair.saturator, 6)
+    assert len(calls) == 25
