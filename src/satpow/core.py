@@ -26,11 +26,11 @@ the generators m of J, or the colons (I : x_S^e) by the generators x_S of
 J's radical, with e the largest exponent of I, both from
 ``Packing.colon_parts``, which drops the colons that add nothing to the
 intersection.  In at most three fields a meet is a fold of level sweeps.
-In more it is a fold of minimalized lcm pairs, unless its parts hold
-``_SPLIT_MEET_GENS`` generators or more: then it meets all the parts at
-once on each level of its first active field, recursively, with the level
-sets from ``Packing.levels``, which the Hilbert numerators past three
-fields walk too.
+In more it is a fold of lcm pairs, minimalized once a step, unless its
+parts hold ``_SPLIT_MEET_GENS`` generators or more: then it meets all the
+parts at once on each level of its first active field, recursively, with
+the level sets from ``Packing.levels``, which the Hilbert numerators past
+three fields walk too.
 ``MonomialIdeal.packed_localizations`` hands those colons out still
 packed, in a packing that also holds their n-th powers, so a whole series
 of powers and saturations, and the Hilbert numerators of each, runs in the
@@ -81,14 +81,16 @@ class RingContext(namedtuple("RingContext", "var_names")):
 
 # Meets past three fields whose parts hold at least this many generators
 # together split on the levels of a field (``Packing.meet``).  Measured in
-# process on the meets alone, split against fold, median of 5-15 runs on a
-# shared 2-vCPU VM: the 6-vertex edge graph of the benchmark at n = 4 (210
-# generators) 3.6 against 5.3 ms, at n = 6 (546) 28 against 70 ms, at n = 8
-# (1,155) 69 against 348 ms; the series of the 5-cycle to n = 12 250 against
-# 336 ms, of the 7-cycle to n = 6 223 against 352 ms.  With the threshold at
-# 0 and 50 the 7-cycle took 2.2 and 1.5 times the fold, and at 100 gained
-# nothing; at 400 the edge graph at n = 4 gained nothing, and at n = 8 took
-# 1.4 times as long as at 200.  150 and 200 won on every case.  The shipped
+# process on the meets alone, split against a fold that filters each step
+# once, best of 3 rounds of 3 runs on a shared 2-vCPU VM: the 6-vertex edge
+# graph of the benchmark at n = 4 (210 generators) 2.2 against 4.1 ms, at
+# n = 6 (546) 14 against 65 ms, at n = 8 (1,155) 31 against 487 ms; the
+# series of the 5-cycle to n = 12 0.10 against 0.37 s, of the 7-cycle to
+# n = 6 0.09 against 0.46 s, of the 9-cycle to n = 6 1.9 against 19 s.  At
+# 100 the 9-cycle to n = 5 took 0.96 against 0.56 s, and the 7-cycle to 6
+# and the corpus at --nmax 30 lost too.  At 400 the 9-cycle gained (0.35 s),
+# but the edge graph at n = 8 took 65 against 31 ms and the 5-cycle to 16
+# 0.60 against 0.30 s, and at 800 the 5-cycle took 2.9 s.  The shipped
 # corpus's largest such meet holds 84 generators at --nmax 20 and 124 at
 # --nmax 30, so it keeps the fold.
 _SPLIT_MEET_GENS = 200
@@ -228,15 +230,16 @@ class Packing:
 
         In at most three fields the parts are folded left to right by
         ``_sweep_meet``.  In more, one part, or parts holding fewer than
-        ``_SPLIT_MEET_GENS`` generators together, are folded by the lcm
-        pairs of ``intersection``, and larger ones are met on the levels of
-        their first active field, all parts at once, by ``_split_meet``.
+        ``_SPLIT_MEET_GENS`` generators together, are folded by
+        ``intersection``, each step's lcm pairs minimalized once, and larger
+        ones are met on the levels of their first active field, all parts
+        at once, by ``_split_meet``.
         """
         parts = list(parts)
         if (fields := self.sweep_fields(*parts)) is not None:
             return reduce(lambda a, b: self._sweep_meet(a, b, fields), parts)
         if len(parts) == 1 or sum(map(len, parts)) < _SPLIT_MEET_GENS:
-            return reduce(lambda a, b: self.minimal(self.intersection(a, b)), parts)
+            return reduce(self.intersection, parts)
         return self._split_meet(parts)
 
     def _active_fields(self, lists: Iterable[Iterable[int]]) -> list[int]:
@@ -350,18 +353,14 @@ class Packing:
             held = corners
         return sorted(out, key=self.low.__xor__)
 
-    # -- candidate generators --------------------------------------------------
-
     def intersection(self, gens_a: Sequence[int], gens_b: Sequence[int]) -> list[int]:
-        """Candidate generators of the intersection of two canonical ideals.
+        """Canonical generators of the intersection of two canonical ideals: one step of ``meet``'s fold.
 
         A generator of one ideal that lies in the other is a minimal generator
         of the intersection, and its lcm with anything is a multiple of it;
-        the other candidates are the lcms of the remaining pairs.  Those are
-        taken one generator g of the shorter remainder at a time, and the
-        lcms of g are minimalized among themselves before they join the
-        candidates, which drops most of them before the filter over all.
-        The lcms of g with the whole other remainder come from one ``lcms`` loop.
+        the other candidates are the lcms of the remaining pairs, one ``lcms``
+        loop per generator of b's remainder.  ``minimal`` filters all the
+        candidates once.
         """
         cands: list[int] = []
         out_a: list[int] = []
@@ -370,11 +369,11 @@ class Packing:
         for gens, others, out in sides:
             for g in gens:
                 (cands if others.has_divisor(g) else out).append(g)
-        if len(out_a) < len(out_b):
-            out_a, out_b = out_b, out_a
         for g in out_b:
-            cands += self.minimal(self.lcms(out_a, g))
-        return cands
+            cands += self.lcms(out_a, g)
+        return self.minimal(cands)
+
+    # -- lcms and colons ------------------------------------------------------
 
     def lcms(self, gens: Iterable[int], g: int) -> list[int]:
         """lcm(a, g) for every a in ``gens``, in one loop with no call per element.

@@ -140,26 +140,31 @@ class TestCycles:
         assert not contains(base.power(k + 1), product)
 
     @pytest.mark.parametrize(
-        "count, edges",
+        "count, edges, nmax",
         [
-            (4, [(i, (i + 1) % 4) for i in range(4)]),
-            (6, [(i, (i + 1) % 6) for i in range(6)]),
-            (5, [(a, b) for a in (0, 1) for b in (2, 3, 4)]),
-            (5, [(i, i + 1) for i in range(4)]),
+            (4, [(i, (i + 1) % 4) for i in range(4)], 6),
+            (6, [(i, (i + 1) % 6) for i in range(6)], 6),
+            (5, [(a, b) for a in (0, 1) for b in (2, 3, 4)], 6),
+            (5, [(i, i + 1) for i in range(4)], 6),
+            (8, [(i, (i + 1) % 8) for i in range(8)], 5),
+            (8, [(i, i | 1 << b) for i in range(8) for b in range(3) if not i >> b & 1], 5),
+            (8, [(i, i + 1) for i in range(7)], 5),
+            (6, [(a, b) for a in (0, 1, 2) for b in (3, 4, 5)], 6),
         ],
-        ids=["4", "6", "K23", "P5"],
+        ids=["4", "6", "K23", "P5", "8", "Q3", "P8", "K33"],
     )
-    def test_even_cycles_have_no_torsion(self, count, edges):
+    def test_even_cycles_have_no_torsion(self, count, edges, nmax):
         # the edge ideal of a bipartite graph is normally torsion-free
         # (Simis-Vasconcelos-Villarreal, J. Algebra 167, 1994), so
-        # (I^n : m^inf) = I^n and f = 0: the 4- and 6-cycles, K_{2,3} and
-        # the path on five vertices
+        # (I^n : m^inf) = I^n and f = 0: the 4-, 6- and 8-cycles, K_{2,3},
+        # K_{3,3}, the paths on five and eight vertices and the 3-cube,
+        # whose saturations past six fields split and fold lcm pairs
         base, maximal = graph_pair(count, edges)
-        pairs = sample_series_with_saturations(base, maximal, 6)
-        assert [(s.f, s.module_dim) for s, _ in pairs] == [(0, None)] * 6
-        assert [saturation for _, saturation in pairs] == [base.power(n) for n in range(1, 7)]
+        pairs = sample_series_with_saturations(base, maximal, nmax)
+        assert [(s.f, s.module_dim) for s, _ in pairs] == [(0, None)] * nmax
+        assert [saturation for _, saturation in pairs] == [base.power(n) for n in range(1, nmax + 1)]
 
-    @pytest.mark.parametrize("k, nmax", [(1, 8), (2, 8), (3, 5)])
+    @pytest.mark.parametrize("k, nmax", [(1, 8), (2, 8), (3, 5), (4, 4)])
     def test_odd_cycles_match_their_closed_form(self, k, nmax):
         # each saturation of the series, and each symbolic power, against
         # the closed form, which shares no code with either

@@ -527,6 +527,35 @@ def test_sweep_meets_take_no_lcm_pairs(monkeypatch):
         symbolic_power(graph, maximal, 2)
 
 
+def test_each_fold_step_filters_its_candidates_once(monkeypatch):
+    # each side keeps at least two generators outside the other, so every
+    # step takes lcm pairs, and both operand orders run, so that remainders
+    # of unequal length come in both orders
+    rng = random.Random(251)
+    outside = lambda x, y: sum(not member(y, g) for g in x)  # generators of x outside the ideal of y
+    pairs = []
+    while len(pairs) < 60:
+        d = rng.randint(4, 6)
+        pool = rng.choice([list(range(4)), [0, 1, 2, 3, 5, 8], [0, 1, 2**7 - 1, 2**7]])
+        a, b = (reference_minimal(random_gens(rng, d, pool) + random_gens(rng, d, pool)) for _ in range(2))
+        if outside(a, b) >= 2 and outside(b, a) >= 2:
+            pairs.append((a, b, Packing.of(build(ring(d), a), build(ring(d), b))))
+    assert sum(outside(a, b) != outside(b, a) for a, b, _ in pairs) > 20
+    calls = []
+    real = Packing.minimal
+
+    def spy(pk, cands):
+        calls.append(1)
+        return real(pk, cands)
+
+    monkeypatch.setattr(Packing, "minimal", spy)
+    for a, b, (pk, packed_a, packed_b) in pairs:
+        for x, y, packed_x, packed_y in ((a, b, packed_a, packed_b), (b, a, packed_b, packed_a)):
+            calls.clear()
+            assert list(map(pk.unpack, pk.intersection(packed_x, packed_y))) == meet(x, y), (x, y)
+            assert len(calls) == 1, (x, y)
+
+
 def split_shapes(seed: int):
     """(ring, generators of the parts) in 4 to 7 variables, for meets past three fields.
 
@@ -601,7 +630,7 @@ def test_split_meets_match_the_fold_and_membership(monkeypatch, threshold):
         d = r.var_count
         pk, *packed = Packing.of(*(build(r, p) for p in parts))
         met = list(map(pk.unpack, pk.meet(packed)))
-        assert met == list(map(pk.unpack, reduce(lambda a, b: pk.minimal(pk.intersection(a, b)), packed))), parts
+        assert met == list(map(pk.unpack, reduce(pk.intersection, packed))), parts
         top = max(max(map(max, p), default=0) for p in parts)
         probes = [tuple(rng.randint(0, top) for _ in range(d)) for _ in range(40)]
         probes += [tuple(e - (u == v) for u, e in enumerate(g)) for g in met for v in range(d) if g[v]]
