@@ -359,8 +359,8 @@ class Packing:
         A generator of one ideal that lies in the other is a minimal generator
         of the intersection, and its lcm with anything is a multiple of it;
         the other candidates are the lcms of the remaining pairs, one ``lcms``
-        loop per generator of b's remainder.  ``minimal`` filters all the
-        candidates once.
+        loop per remaining generator of ``gens_b``.  ``minimal`` filters all
+        the candidates once.
         """
         cands: list[int] = []
         out_a: list[int] = []
