@@ -8,7 +8,7 @@ option out of range, an unreadable or malformed file, an output that
 cannot be written or encoded), 2 insufficient data for a requested fit, 3
 an engine bug (a proved stabilization check failed, or any other
 ``ValueError`` escaped the engine) or a computation too large for memory,
-recursion depth or index sizes.
+recursion depth, index sizes or the digits of an int read or printed.
 """
 from __future__ import annotations
 
@@ -175,8 +175,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (_UsageError, ParseError, UnicodeError, OSError) as exc:  # UnicodeError: input or output text
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print(f"internal error (engine bug): {exc}", file=sys.stderr)
+    except (ValueError, OverflowError) as exc:
+        # an int of more digits than sys.get_int_max_str_digits() fails str() with a ValueError
+        if isinstance(exc, OverflowError) or "integer string conversion" in str(exc):
+            print("error: size overflow: the input is too large to compute", file=sys.stderr)
+        else:
+            print(f"internal error (engine bug): {exc}", file=sys.stderr)
         return 3
     except InsufficientDataError as exc:
         print(f"insufficient data: {exc}", file=sys.stderr)
@@ -186,9 +190,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 3
     except MemoryError:
         print("error: out of memory: the input is too large to compute", file=sys.stderr)
-        return 3
-    except OverflowError:
-        print("error: size overflow: the input is too large to compute", file=sys.stderr)
         return 3
     except RecursionError:
         print("error: recursion depth exceeded: the input is too deep to compute", file=sys.stderr)

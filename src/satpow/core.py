@@ -390,6 +390,15 @@ class Packing:
             out.append(g + (excess | excess * ones & degree))
         return out
 
+    def supports(self, exps: Iterable[Exponents], e: int = 1) -> list[int]:
+        """The x_S^e over the inclusion-minimal supports S of the exponent tuples ``exps``, packed, in canonical order.
+
+        For e > 0, x_S^e divides x_T^e exactly when S lies in T; e = 0
+        leaves the one 1.  The unit ideal gives the empty support, packed
+        to 0, the zero ideal none at all.
+        """
+        return self.minimal(self.pack(tuple(e * min(a, 1) for a in t)) for t in exps)
+
     def colon_parts(self, gens: Sequence[int], divisors: Iterable[int]) -> list[list[int]]:
         """The distinct, inclusion-minimal colons (I : m) over the ``divisors`` m, I generated by ``gens``.
 
@@ -460,7 +469,8 @@ class Row:
 
     Only ``extend`` fills a row, the constructor's elements being its first
     block.  It lays a block out as one byte string and rebuilds the masks
-    once, so a row costs time linear in its length however it is split.
+    over the whole row once, so a row filled in k blocks costs about k
+    times its length; ``minimal`` adds one block per degree.
     """
 
     __slots__ = ("_guard", "_slot", "_end", "_row", "_rep", "_guards", "_spares", "_lift")
@@ -596,18 +606,17 @@ class MonomialIdeal:
         The packing holds the ``n``-th powers of I and of the localizations,
         and every intersection of those; J's exponents do not widen it.  Each
         localization is the colon (I : x_S^e), x_S over the generators of
-        J's radical and e the largest exponent of I, and ``colon_parts``
-        keeps the distinct, inclusion-minimal ones, in the canonical order
-        of the x_S.  One equals I only if all the others contain I, so then
-        it is the only one kept.
+        J's radical and e the largest exponent of I, the x_S^e packed in it
+        by ``supports``.  ``colon_parts`` keeps the distinct, inclusion-minimal
+        ones, in the canonical order of the x_S.  One equals I only if all
+        the others contain I, so then it is the only one kept.
         """
         _ring_of((self, other))
-        pk1, supports = _minimal_supports(other)
-        if not supports:
-            raise ZeroIdealError("saturation by the zero ideal")
         e = _max_exponent(self._exps)
         pk, gens = Packing.of(self, max_exp=n * e)
-        divisors = [e * pk.pack(pk1.unpack(s)) for s in supports]  # x_S^e, as packing is linear
+        divisors = pk.supports(other._exps, e)
+        if not divisors:
+            raise ZeroIdealError("saturation by the zero ideal")
         return pk, list(gens), pk.colon_parts(gens, divisors)
 
     def _meet(self, pk: Packing, parts: Iterable[list[int]]) -> "MonomialIdeal":
@@ -640,14 +649,3 @@ def minimalize(gens: Iterable[Sequence[int]], ring: RingContext) -> MonomialIdea
             raise ValueError(f"exponents must be non-negative integers, got {t!r}")
     pk = Packing(ring.var_count, _max_exponent(exps))
     return MonomialIdeal._from_packed(ring, pk, pk.minimal(map(pk.pack, exps)))
-
-
-def _minimal_supports(ideal: MonomialIdeal) -> tuple[Packing, list[int]]:
-    """A ``Packing(d, 1)`` and the minimal generators x_S of the radical of ``ideal`` packed by it, in canonical order.
-
-    These are the squarefree x_S over the inclusion-minimal supports S of
-    the generators: x_S divides x_T exactly when S lies in T.  The unit
-    ideal gives the empty support, packed to 0, the zero ideal none at all.
-    """
-    pk = Packing(ideal.ring.var_count, 1)
-    return pk, pk.minimal(pk.pack(tuple(min(e, 1) for e in t)) for t in ideal._exps)

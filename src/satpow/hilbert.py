@@ -79,7 +79,7 @@ from collections import Counter, namedtuple
 from collections.abc import Iterable
 from math import comb
 
-from .core import MonomialIdeal, Packing, _minimal_supports, _stair_insert
+from .core import MonomialIdeal, Packing, _stair_insert
 from .errors import InconsistencyError
 
 # A numerator inside the recursion: degree -> nonzero coefficient.  A map is
@@ -262,11 +262,11 @@ def packed_quotient_data(pk: Packing, inner: Iterable[int], outer: Iterable[int]
 def height(ideal: MonomialIdeal) -> int:
     """Minimum cardinality over the minimal primes (the codimension): d - dim (1)/sqrt(I).
 
-    sqrt(I) is generated by the squarefree x_S that ``core._minimal_supports`` packs.
+    sqrt(I) is generated by the squarefree x_S that ``Packing.supports`` packs.
     """
     if ideal.is_zero():
         raise ValueError("the zero ideal has no variable-generated minimal primes")
     if ideal.is_unit():
         raise ValueError("the unit ideal has no minimal primes")
-    pk, radical = _minimal_supports(ideal)
-    return len(pk.shifts) - packed_quotient_data(pk, radical, (0,)).module_dim
+    pk = Packing(ideal.ring.var_count, 1)
+    return len(pk.shifts) - packed_quotient_data(pk, pk.supports(ideal.gens), (0,)).module_dim

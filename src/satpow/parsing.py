@@ -43,7 +43,10 @@ def parse_monomial(text: str, ring: RingContext) -> Exponents:
                 raise ParseError(
                     f"malformed exponent {power!r} in {text!r} (non-negative integer required)"
                 )
-            exps[index[name]] += int(power)
+            try:
+                exps[index[name]] += int(power)
+            except ValueError:  # more digits than sys.get_int_max_str_digits() allows
+                raise OverflowError(f"exponent of {len(power)} digits in {name!r}") from None
         else:
             exps[index[name]] += 1
     return tuple(exps)

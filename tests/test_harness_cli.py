@@ -326,10 +326,16 @@ class TestCli:
 
     def test_sizes_past_an_index_exit_three_end_to_end(self, tmp_path):
         # past 2^63 a list length, or the count of the rungs after the first,
-        # overflows before anything large is built
+        # overflows before anything large is built; past 4,300 digits an
+        # exponent cannot be read, nor an int of the result printed
         huge = str(2**64)
         path = tmp_path / "huge.ideal"
         path.write_text(f"ring x y\nI: x^{huge}\nJ: x\n", encoding="utf-8")
+        unread, unprinted = tmp_path / "unread.ideal", tmp_path / "unprinted.ideal"
+        unread.write_text(f"ring x y\nI: x^{'9' * 5000}, y\nJ: x\n", encoding="utf-8")
+        unprinted.write_text(f"ring x y\nI: x^{'9' * 4300}, y\nJ: x\n", encoding="utf-8")
+        corpus = tmp_path / "corpus.json"
+        corpus.write_text(json.dumps([dict(MIXED_ENTRY, I=[f"x^{'9' * 5000}", "y"], J=["x"])]), encoding="utf-8")
         for argv in (
             ["hilbert", str(path)],
             ["power", str(path), "-n", huge],
@@ -337,6 +343,10 @@ class TestCli:
             ["series", str(path), "--nmax", huge],
             ["fit", str(path), "--nmax", huge],
             ["verify", "--nmax", huge],
+            ["show", str(unread)],
+            ["verify", str(corpus), "--nmax", "4"],
+            ["power", str(unprinted), "-n", "2"],
+            ["series", str(unprinted), "--nmax", "2"],
         ):
             run = run_cli(argv)
             assert run.returncode == 3, (argv, run.stderr)

@@ -138,7 +138,9 @@ PUBLIC = [
 # its coefficients off the difference rows it already built), and the
 # second ways to check rings, build colons, fill a row and read supports
 # (``Packing.of``, ``Packing.colon_parts``, ``Row.extend`` and
-# ``core._minimal_supports`` are the one way each), and Bigatti's pivot
+# ``Packing.supports`` are the one way each; the supports are read in the
+# packing that takes them, so ``core._minimal_supports`` and its second
+# packing left), and Bigatti's pivot
 # split of the Hilbert numerator (past three fields the numerator walks
 # ``Packing.levels``, as a large meet does), and ``Packing.power``, as
 # ``Packing.rungs`` builds every power.  The module ``satpow.theory`` left
@@ -155,6 +157,7 @@ REMOVED_MEMBERS = {
     satpow.hilbert: ["IntPolynomial", "_pick_pivot"],
     satpow.HilbertData: ["numerator", "ambient_d"],
     satpow.QuasiPolynomial: ["is_zero"],
+    satpow.core: ["_minimal_supports"],
     satpow.core.Packing: ["support_counts", "exponents", "degree", "colons", "split", "power"],
     satpow.core.Row: ["_masks"],
     satpow.SeriesSample: ["symbolic_ideal"],

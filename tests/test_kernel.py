@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from satpow import (
-    MonomialIdeal, Numerator, RingContext, minimalize, numerator_of_quotient, symbolic_power,
+    MonomialIdeal, Numerator, RingContext, minimalize, numerator_of_quotient, sample_series, symbolic_power,
 )
 from satpow import core
 from satpow.cli import default_corpus_path
@@ -704,3 +704,72 @@ def test_symbolic_power_builds_the_localized_rungs_alone(monkeypatch):
     calls = counted_products(monkeypatch)
     symbolic_power(pair.base, pair.saturator, 6)
     assert len(calls) == 25
+
+
+# ---------------------------------------------------------------------------
+# One packing per saturation
+# ---------------------------------------------------------------------------
+
+def nested_pairs(seed: int):
+    """(I, J) in 3 to 6 variables, J with two minimal generators whose supports nest.
+
+    J's first generator lives on a support S, its second on a support T
+    holding S, with a smaller exponent on S, so neither divides the other.
+    """
+    rng = random.Random(seed)
+    count = 0
+    while count < 16:
+        d = rng.randint(3, 6)
+        r = ring(d)
+        s_size = rng.randint(1, d - 1)
+        t_size = rng.randint(s_size + 1, d)
+        order = rng.sample(range(d), d)
+        inner = tuple(rng.randint(2, 3) if v in order[:s_size] else 0 for v in range(d))
+        outer = tuple(1 if v in order[:s_size] else rng.randint(1, 3) if v in order[:t_size] else 0 for v in range(d))
+        more = [tuple(rng.randint(0, 2) for _ in range(d)) for _ in range(rng.randint(0, 2))]
+        j = reference_minimal([inner, outer] + more)
+        i = [tuple(rng.randint(0, 3) for _ in range(d)) for _ in range(rng.randint(2, 5))]
+        if len(reference_minimal(map(support, j))) < len(j):  # a random generator may divide one of the nested two
+            count += 1
+            yield build(r, i), build(r, j)
+
+
+def support(g: tuple[int, ...]) -> tuple[int, ...]:
+    """The squarefree exponent tuple of g's support."""
+    return tuple(min(a, 1) for a in g)
+
+
+def test_each_saturation_builds_one_packing(monkeypatch):
+    # a saturation reads J's supports in the packing its colons use, so it
+    # builds one packing, and its colons are by the minimal x_S^e, e the
+    # largest exponent of I: one 1 for a unit I
+    pairs = list(nested_pairs(263))
+    three = load_ideal_file(Path(__file__).parent / "data" / "three-vars.ideal")
+    pairs.append((three.base, three.saturator))
+    pairs.append((MonomialIdeal.unit(ring(4)), build(ring(4), [(2, 1, 0, 0), (0, 0, 3, 0), (4, 0, 0, 0)])))
+    assert all(len(reference_minimal(map(support, j.gens))) < len(j) for _, j in pairs)
+    assert max(map(max, three.base.gens)) == 12
+    built = []
+    divisors = []
+    real_init, real_colon_parts = Packing.__init__, Packing.colon_parts
+
+    def init(pk, d, max_exp):
+        built.append(1)
+        real_init(pk, d, max_exp)
+
+    def colon_parts(pk, gens, divs):
+        divisors.append(list(map(pk.unpack, divs)))
+        return real_colon_parts(pk, gens, divs)
+
+    monkeypatch.setattr(Packing, "__init__", init)
+    monkeypatch.setattr(Packing, "colon_parts", colon_parts)
+    for i, j in pairs:
+        e = max(map(max, i.gens))
+        expected = reference_minimal(tuple(e * a for a in support(g)) for g in j.gens)
+        assert (e == 0) == (expected == [(0,) * i.ring.var_count])
+        for saturate in (i.saturate_ideal, lambda j: symbolic_power(i, j, 3), lambda j: sample_series(i, j, 4)):
+            built.clear()
+            divisors.clear()
+            saturate(j)
+            assert len(built) == 1, (i, j)
+            assert divisors == [expected], (i, j)
