@@ -25,20 +25,21 @@ from .parsing import format_ideal, format_ideal_file, load_corpus, load_ideal_fi
 from .quasipoly import fit
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # exit 1 on usage errors, not argparse's 2
-        raise _UsageError(message)
+        raise ParseError(message)
 
 
 def _at_least(low: int):
     """An argparse type: an int no smaller than ``low``."""
 
     def parse(text: str) -> int:
-        value = int(text)
+        try:
+            value = int(text)
+        except ValueError as exc:
+            if "integer string conversion" in str(exc):  # more digits than sys.get_int_max_str_digits()
+                raise OverflowError(str(exc)) from exc  # argparse lets it through to main: exit 3
+            raise
         if value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
         return value
@@ -172,7 +173,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         text, code = _dispatch(args)
         _emit(text, getattr(args, "out", None))
         return code
-    except (_UsageError, ParseError, UnicodeError, OSError) as exc:  # UnicodeError: input or output text
+    except (ParseError, UnicodeError, OSError) as exc:  # UnicodeError: input or output text
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OverflowError) as exc:

@@ -10,7 +10,7 @@ class ZeroIdealError(ValueError):
 
 
 class ParseError(ValueError):
-    """A monomial expression, ideal file, or corpus file failed to parse."""
+    """A command line, monomial expression, ideal file, or corpus file failed to parse."""
 
 
 class InsufficientDataError(RuntimeError):

@@ -37,14 +37,12 @@ from .errors import InsufficientDataError, ZeroIdealError
 from .hilbert import packed_quotient_data
 
 
-class SeriesSample(namedtuple("SeriesSample", "n symbolic_gens module_dim f")):
-    """One row of the series: n, the generator count of (I^n : J^inf), and dim/e0 of the quotient.
+SeriesSample = namedtuple("SeriesSample", "n symbolic_gens module_dim f")
+SeriesSample.__doc__ = """One row of the series: n, the generator count of (I^n : J^inf), and dim/e0 of the quotient.
 
-    ``module_dim`` is None when the quotient is the empty module (the
-    saturated power equals the ordinary power), in which case f is 0.
-    """
-
-    __slots__ = ()
+``module_dim`` is None when the quotient is the empty module (the
+saturated power equals the ordinary power), in which case f is 0.
+"""
 
 
 def _check_nonzero(base: MonomialIdeal) -> None:

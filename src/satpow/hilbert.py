@@ -87,22 +87,18 @@ from .errors import InconsistencyError
 Terms = dict[int, int]
 
 
-class Numerator(namedtuple("Numerator", "degrees coeffs")):
-    """A Hilbert numerator K as sparse terms: increasing degrees and their nonzero coefficients.
+Numerator = namedtuple("Numerator", "degrees coeffs")
+Numerator.__doc__ = """A Hilbert numerator K as sparse terms: increasing degrees and their nonzero coefficients.
 
-    The zero numerator, of the empty module, has no terms.
-    """
-
-    __slots__ = ()
+The zero numerator, of the empty module, has no terms.
+"""
 
 
-class HilbertData(namedtuple("HilbertData", "module_dim e0")):
-    """Dimension and multiplicity of a graded quotient module.
+HilbertData = namedtuple("HilbertData", "module_dim e0")
+HilbertData.__doc__ = """Dimension and multiplicity of a graded quotient module.
 
-    ``module_dim`` is None for the empty module, whose e0 is 0.
-    """
-
-    __slots__ = ()
+``module_dim`` is None for the empty module, whose e0 is 0.
+"""
 
 
 def _add(out: Terms, b: Terms, k: int, sign: int) -> Terms:
@@ -218,18 +214,18 @@ def numerator_of_quotient(ideal: MonomialIdeal) -> Numerator:
     return _record(_quotient(pk, gens, (0,), {}))
 
 
-def dim_and_mult(numerator: Numerator, ambient_d: int) -> tuple[int | None, int]:
-    """Factor K = (1-z)^s * h with h(1) != 0; return (ambient_d - s, h(1)).
+def dim_and_mult(numerator: Numerator, ambient_d: int) -> HilbertData:
+    """Factor K = (1-z)^s * h with h(1) != 0; return HilbertData(ambient_d - s, h(1)).
 
     The j-th binomial moment of K, the sum of c_t C(t, j) over its terms
     c_t z^t, is its j-th derivative at z = 1 over j!.  So s is the first j
     with a nonzero moment, and that moment is (-1)^s h(1).  The zero
-    numerator denotes the empty module: (None, 0).  An s above ambient_d,
-    or a nonpositive h(1), cannot arise from a genuine module and raises
-    InconsistencyError.
+    numerator denotes the empty module: HilbertData(None, 0).  An s above
+    ambient_d, or a nonpositive h(1), cannot arise from a genuine module and
+    raises InconsistencyError.
     """
     if not numerator.degrees:
-        return (None, 0)
+        return HilbertData(None, 0)
     terms = list(zip(numerator.degrees, numerator.coeffs))
     for s in range(ambient_d + 1):
         moment = sum(c * comb(t, s) for t, c in terms)
@@ -237,7 +233,7 @@ def dim_and_mult(numerator: Numerator, ambient_d: int) -> tuple[int | None, int]
             e0 = -moment if s & 1 else moment
             if e0 <= 0:
                 raise InconsistencyError(f"nonzero module computed multiplicity {e0} <= 0")
-            return (ambient_d - s, e0)
+            return HilbertData(ambient_d - s, e0)
     raise InconsistencyError(f"numerator vanishes at z=1 to an order above the ambient {ambient_d}")
 
 
@@ -256,7 +252,7 @@ def packed_quotient_data(pk: Packing, inner: Iterable[int], outer: Iterable[int]
     ideals give the zero numerator, of the empty module.
     """
     k = _quotient(pk, tuple(inner), tuple(outer), {})
-    return HilbertData(*dim_and_mult(_record(k), len(pk.shifts)))
+    return dim_and_mult(_record(k), len(pk.shifts))
 
 
 def height(ideal: MonomialIdeal) -> int:

@@ -78,13 +78,11 @@ def _parse_block(exprs: Iterable[str], ring: RingContext, where: str) -> Monomia
         raise ParseError(f"{where}: {exc}") from exc
 
 
-class IdealPair(namedtuple("IdealPair", "ring base saturator")):
-    """A ring with its two named ideals, as read from an ideal file.
+IdealPair = namedtuple("IdealPair", "ring base saturator")
+IdealPair.__doc__ = """A ring with its two named ideals, as read from an ideal file.
 
-    ``base`` is the I block and ``saturator`` the J block.
-    """
-
-    __slots__ = ()
+``base`` is the I block and ``saturator`` the J block.
+"""
 
 
 def parse_ideal_file(text: str) -> IdealPair:
@@ -143,10 +141,8 @@ def load_ideal_file(path: str) -> IdealPair:
 # Corpus format
 # ---------------------------------------------------------------------------
 
-class CorpusEntry(namedtuple("CorpusEntry", "name pair expect")):
-    """One named (I, J) pair with its expected invariants, a possibly empty dict."""
-
-    __slots__ = ()
+CorpusEntry = namedtuple("CorpusEntry", "name pair expect")
+CorpusEntry.__doc__ = """One named (I, J) pair with its expected invariants, a possibly empty dict."""
 
 
 def parse_corpus(text: str) -> list[CorpusEntry]:

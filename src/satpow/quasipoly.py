@@ -22,17 +22,15 @@ from collections.abc import Sequence
 from .errors import InsufficientDataError
 
 
-class QuasiPolynomial(namedtuple("QuasiPolynomial", "period degree coeffs onset")):
-    """Fitted quasi-polynomial: period, degree, per-residue coefficient table.
+QuasiPolynomial = namedtuple("QuasiPolynomial", "period degree coeffs onset")
+QuasiPolynomial.__doc__ = """Fitted quasi-polynomial: period, degree, per-residue coefficient table.
 
-    ``coeffs[i][r]`` is the coefficient of n^i on the residue class
-    n = r (mod period).  ``degree`` is None for the identically-zero tail
-    (the paper-style convention a_c != 0 leaves the zero function without a
-    well-defined degree), in which case the table is empty.  ``onset`` is the
-    first sampled n from which evaluation reproduces the samples exactly.
-    """
-
-    __slots__ = ()
+``coeffs[i][r]`` is the coefficient of n^i on the residue class
+n = r (mod period).  ``degree`` is None for the identically-zero tail
+(the paper-style convention a_c != 0 leaves the zero function without a
+well-defined degree), in which case the table is empty.  ``onset`` is the
+first sampled n from which evaluation reproduces the samples exactly.
+"""
 
 
 def evaluate(qp: QuasiPolynomial, n: int) -> Fraction:

@@ -327,8 +327,8 @@ class TestCli:
     def test_sizes_past_an_index_exit_three_end_to_end(self, tmp_path):
         # past 2^63 a list length, or the count of the rungs after the first,
         # overflows before anything large is built; past 4,300 digits an
-        # exponent cannot be read, nor an int of the result printed
-        huge = str(2**64)
+        # exponent or an option cannot be read, nor an int of the result printed
+        huge, nines = str(2**64), "9" * 5000
         path = tmp_path / "huge.ideal"
         path.write_text(f"ring x y\nI: x^{huge}\nJ: x\n", encoding="utf-8")
         unread, unprinted = tmp_path / "unread.ideal", tmp_path / "unprinted.ideal"
@@ -343,6 +343,10 @@ class TestCli:
             ["series", str(path), "--nmax", huge],
             ["fit", str(path), "--nmax", huge],
             ["verify", "--nmax", huge],
+            ["power", str(path), "-n", nines],
+            ["symbolic", str(path), "-n", nines],
+            ["series", str(path), "--nmax", nines],
+            ["verify", "--min-tail", nines],
             ["show", str(unread)],
             ["verify", str(corpus), "--nmax", "4"],
             ["power", str(unprinted), "-n", "2"],

@@ -11,6 +11,7 @@ from math import comb
 import pytest
 
 from satpow import (
+    HilbertData,
     InconsistencyError,
     MonomialIdeal,
     Numerator,
@@ -51,6 +52,7 @@ class TestNumerator:
         k = numerator_of_quotient(ideal(ring2, (2, 0)))
         assert k == Numerator((0, 2), (1, -1))
         assert dim_and_mult(k, 2) == (1, 2)
+        assert type(dim_and_mult(k, 2)) is HilbertData
 
     def test_unit_ideal_gives_zero(self):
         # the quotient (1)/(1) of equal ideals, in the sweep's fields and past them
@@ -58,6 +60,7 @@ class TestNumerator:
             k = numerator_of_quotient(MonomialIdeal.unit(RingContext(tuple(f"x{v}" for v in range(d)))))
             assert k == Numerator((), ())
             assert dim_and_mult(k, d) == (None, 0)
+            assert type(dim_and_mult(k, d)) is HilbertData
 
     def test_zero_ideal_gives_one(self):
         # the quotient (1)/(0), whose one term is the unit ideal's generator
